@@ -1,11 +1,12 @@
 """Pure-Python matrix kernels.
 
-The hot loops of the whole package live here (or in the compiled twin
-``_matops_c``).  Entries are exact rational scalars (Fraction or mpq); a
-complex matrix is carried as two parallel flat row-major lists.  These
-functions are deliberately dumb: no views, no pivot heuristics beyond "first
-nonzero", so the compiled and interpreted backends are step-for-step
-identical.
+Dense kernels, mirrored by the compiled twin ``_matops_c``.  ExactMatrix
+calls only ``rref_cplx``; its sums and products run on sparse storage, and
+the products here stay as the dense reference the tests compare against.
+Entries are exact rational scalars (Fraction or mpq); a complex matrix is
+carried as two parallel flat row-major lists.  These functions are
+deliberately dumb: no views, no pivot heuristics beyond "first nonzero", so
+the compiled and interpreted backends are step-for-step identical.
 """
 
 BACKEND_NAME = "python"

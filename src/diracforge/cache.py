@@ -7,18 +7,38 @@ are serialized canonically, so a cache hit is byte-identical to what a
 recomputation would have written.
 """
 
+import contextlib
 import hashlib
 import json
 import os
 
 ENV_VAR = "DIRACFORGE_CACHE"
 
+# set only inside ``directory``; never written to os.environ, so it cannot
+# outlive the call or reach child processes
+_override = None
+
 
 def cache_dir():
+    if _override:
+        return _override
     d = os.environ.get(ENV_VAR)
     if d:
         return d
     return os.path.join(os.path.expanduser("~"), ".cache", "diracforge")
+
+
+@contextlib.contextmanager
+def directory(path):
+    """Use path (when given) as the cache directory inside the block."""
+    global _override
+    saved = _override
+    if path:
+        _override = path
+    try:
+        yield
+    finally:
+        _override = saved
 
 
 def system_key(rs):

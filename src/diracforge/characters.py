@@ -161,11 +161,15 @@ def weylDimension(rs, lam):
     """Product formula over positive roots; independent of Freudenthal."""
     lam = _require_dominant_integral(rs, lam)
     lam_rho = tuple(a + b for a, b in zip(lam, rs.rho))
+    # <v, a> = (v G) . a: one product with the gram per vector, not per root
+    covectors = [[sum((v[i] * row[j] for i, row in enumerate(rs.gram)
+                       if v[i]), ZERO) for j in range(rs.rank)]
+                 for v in (lam_rho, rs.rho)]
     num = rat(1)
     den = rat(1)
     for a in rs.positiveRoots:
-        num *= rs.innerProduct(lam_rho, a)
-        den *= rs.innerProduct(rs.rho, a)
+        num *= sum((x * c for x, c in zip(covectors[0], a) if c), ZERO)
+        den *= sum((x * c for x, c in zip(covectors[1], a) if c), ZERO)
     d = num / den
     if not is_integer(d):
         raise AssertionError("non-integral dimension %s" % rat_str(d))
@@ -198,6 +202,36 @@ def dominantWeightsBelow(rs, lam):
     return sorted(out)
 
 
+def _cached_character(rs, lam, doc):
+    """The character a cache document holds, or None unless the document is
+    for (rs, lam) and its multiplicities are positive ints that sum to the
+    Weyl dimension.  A wrong entry counts as a miss, never as an answer."""
+    if not isinstance(doc, dict) \
+            or doc.get("system") != cache.system_key(rs) \
+            or doc.get("lambda") != ",".join(weightToStrings(lam)) \
+            or not isinstance(doc.get("entries"), dict):
+        return None
+    entries = {}
+    coords = {}  # a big character repeats few distinct coordinates
+    try:
+        for key, m in doc["entries"].items():
+            if type(m) is not int or m <= 0:  # rejects bool too
+                return None
+            w = []
+            for tok in key.split(","):
+                c = coords.get(tok)
+                if c is None:
+                    c = coords[tok] = rat_from_str(tok)
+                w.append(c)
+            entries[tuple(w)] = m
+        chi = FormalCharacter(rs, entries)
+    except (DiracforgeError, ValueError, ZeroDivisionError):
+        return None
+    if chi.dimension() != weylDimension(rs, lam):
+        return None
+    return chi
+
+
 def irreducibleCharacter(rs, lam):
     """Weight multiplicities of the irreducible with highest weight lam.
 
@@ -206,11 +240,9 @@ def irreducibleCharacter(rs, lam):
     """
     lam = _require_dominant_integral(rs, lam)
 
-    cached = cache.load(rs, lam)
+    cached = _cached_character(rs, lam, cache.load(rs, lam))
     if cached is not None:
-        entries = {weightFromStrings(k.split(",")): v
-                   for k, v in cached["entries"].items()}
-        return FormalCharacter(rs, entries)
+        return cached
 
     rho = rs.rho
     lam_rho = tuple(a + b for a, b in zip(lam, rho))

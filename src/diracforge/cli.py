@@ -135,8 +135,7 @@ class RunConfig:
             self.window = _parse_rat(self.window, "window")
             if self.window <= 0:
                 raise DiracforgeError("window must be positive")
-        if args.cache_dir:
-            os.environ[cache.ENV_VAR] = args.cache_dir
+        self.cache_dir = args.cache_dir
 
 
 # ------------------------------------------------------------ reporting
@@ -593,7 +592,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = RunConfig(args)
-        payload, text = args.func(config, args)
+        with cache.directory(config.cache_dir):
+            payload, text = args.func(config, args)
     except VerificationError as exc:
         failure = {"error": type(exc).__name__, "witness": str(exc),
                    "normalization": NORMALIZATION,

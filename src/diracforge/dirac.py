@@ -19,7 +19,7 @@ from .clifford import (PStructure, hSpinAction, spinRepresentation,
                        spinorWeights, splitCliffordForPair)
 from .errors import (DimensionMismatch, DiracforgeError, NotScalar,
                      SpectralMismatch, TooLarge)
-from .exactmat import ExactMatrix, commutator
+from .exactmat import ExactMatrix, _gmul, commutator
 from .rationals import ZERO, rat, rat_str
 from .reps import buildLieRep
 
@@ -30,21 +30,12 @@ class BadOperator(DiracforgeError):
     """An operator failed one of its construction-time invariants."""
 
 
-def _is_selfadjoint_wrt(m, form):
-    return m.ctranspose() * form == form * m
-
-
 def _scalar_of(mat):
     """The scalar when mat is exactly a real multiple of the identity."""
-    n = mat.nrows
-    s = mat.get(0, 0)
-    if s[1] != 0:
+    z = mat.scalar_of_identity()
+    if z is None or z[1]:
         return None
-    for i in range(n):
-        for j in range(n):
-            if mat.get(i, j) != (s if i == j else (ZERO, ZERO)):
-                return None
-    return s[0]
+    return z[0]
 
 
 class DiracOperator:
@@ -57,7 +48,7 @@ class DiracOperator:
         self.grading = grading
         self.form = form
         self.meta = meta
-        if not _is_selfadjoint_wrt(matrix, form):
+        if not matrix.is_selfadjoint_wrt(form):
             raise BadOperator("operator is not self-adjoint for the form")
         if grading is not None:
             anti = grading * matrix + matrix * grading
@@ -349,9 +340,9 @@ def spectralCheckRelative(pair, lam):
             for r in range(n):
                 acc = (ZERO, ZERO)
                 for i in idx:
-                    z = _mulz(sq.get(r, i), full[i])
+                    z = _gmul(sq.get(r, i), full[i])
                     acc = (acc[0] + z[0], acc[1] + z[1])
-                if acc != _mulz((expect, ZERO), full[r]):
+                if acc != _gmul((expect, ZERO), full[r]):
                     raise SpectralMismatch(
                         "D^2 is not the predicted scalar on mu = %s" % (mu,))
         blocks.append({"mu": mu, "multiplicity": mult,
@@ -362,10 +353,6 @@ def spectralCheckRelative(pair, lam):
         raise SpectralMismatch("isotypic dimensions do not add up")
     return {"lambda": rp.rep.lam, "blocks": blocks,
             "kernelCandidates": candidates}
-
-
-def _mulz(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
 def _coordinate_ball(rs, norm_target):

@@ -1,9 +1,11 @@
-"""Dense exact matrices over the Gaussian rationals.
+"""Sparse exact matrices over the Gaussian rationals.
 
-A matrix keeps two flat row-major lists of rationals, one per component;
-the imaginary list is ``None`` while the matrix is real, which quarters the
-work in the common all-real products.  Scalars cross the API boundary as
-``(re, im)`` pairs of backend rationals.
+A matrix keeps one map of non-zero rows per component, ``{i: {j: value}}``;
+the imaginary map is empty while the matrix is real.  No zero is ever
+stored and no row is ever empty, so zero-ness is emptiness, equality is map
+equality, and every operation costs what the stored entries cost.  Rows are
+never shared between matrices, because ``put`` edits them in place.
+Scalars cross the API boundary as ``(re, im)`` pairs of backend rationals.
 
 Adjointness is always relative to an explicitly recorded Hermitian form S:
 ``A`` is skew-adjoint for S when  A^H S + S A = 0  and self-adjoint when
@@ -11,7 +13,7 @@ A^H S = S A.  No orthonormalization is ever performed, so every check stays
 inside exact arithmetic.
 """
 
-from .rationals import ZERO, ONE, rat, rat_from_str, rat_str
+from .rationals import ZERO, ONE, rat, rat_str
 from . import matops
 from .errors import DimensionMismatch
 
@@ -31,26 +33,6 @@ def gauss_str(z):
     return rat_str(re) + ("-" if im < 0 else "+") + tail
 
 
-def gauss_parse(s):
-    s = s.strip().replace(" ", "")
-    if not s.endswith("i"):
-        return (rat_from_str(s), ZERO)
-    body = s[:-1]
-    # split off a real part if one precedes the imaginary term
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "+-/":
-            re = rat_from_str(body[:k])
-            rest = body[k:]
-            if rest in ("+", "-"):
-                rest += "1"
-            return (re, rat_from_str(rest))
-    if body in ("", "+"):
-        return (ZERO, ONE)
-    if body == "-":
-        return (ZERO, -ONE)
-    return (ZERO, rat_from_str(body))
-
-
 def _gmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
@@ -64,140 +46,233 @@ def _gdiv(a, b):
     return ((a[0] * b[0] + a[1] * b[1]) / nrm, (a[1] * b[0] - a[0] * b[1]) / nrm)
 
 
+# -- one component: {i: {j: value}} with no zero and no empty row ----------
+
+def _neg(a):
+    return {i: {j: -v for j, v in row.items()} for i, row in a.items()}
+
+
+def _times(a, s):
+    """s * a for a non-zero rational s."""
+    return {i: {j: s * v for j, v in row.items()} for i, row in a.items()}
+
+
+def _sum(a, b):
+    """a + b, dropping the entries and rows that cancel."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = {i: dict(row) for i, row in a.items()}
+    for i, brow in b.items():
+        row = out.get(i)
+        if row is None:
+            out[i] = dict(brow)
+            continue
+        for j, v in brow.items():
+            s = row.get(j)
+            if s is None:
+                row[j] = v
+            else:
+                s += v
+                if s:
+                    row[j] = s
+                else:
+                    del row[j]
+        if not row:
+            del out[i]
+    return out
+
+
+def _accumulate(acc, a, b, negate=False):
+    """acc += a @ b (or -= when negate); acc may collect zeros, see _pruned."""
+    for i, arow in a.items():
+        orow = acc.get(i)
+        if orow is None:
+            orow = acc[i] = {}
+        for t, x in arow.items():
+            brow = b.get(t)
+            if brow is None:
+                continue
+            if negate:
+                x = -x
+            for j, y in brow.items():
+                p = x * y
+                s = orow.get(j)
+                orow[j] = p if s is None else s + p
+
+
+def _pruned(acc):
+    out = {}
+    for i, row in acc.items():
+        row = {j: v for j, v in row.items() if v}
+        if row:
+            out[i] = row
+    return out
+
+
+def _kron(a, b, n2, m2):
+    """Kronecker product of two components; no entry can cancel."""
+    out = {}
+    brows = list(b.items())
+    for i1, arow in a.items():
+        base = i1 * n2
+        acols = [(j1 * m2, x) for j1, x in arow.items()]
+        for i2, brow in brows:
+            out[base + i2] = {o + j2: x * y for o, x in acols
+                              for j2, y in brow.items()}
+    return out
+
+
+def _transposed(a):
+    out = {}
+    for i, row in a.items():
+        for j, v in row.items():
+            col = out.get(j)
+            if col is None:
+                out[j] = {i: v}
+            else:
+                col[i] = v
+    return out
+
+
+def _store(part, i, j, v):
+    if v:
+        row = part.get(i)
+        if row is None:
+            part[i] = {j: v}
+        else:
+            row[j] = v
+        return
+    row = part.get(i)
+    if row is not None and j in row:
+        del row[j]
+        if not row:
+            del part[i]
+
+
+def _dense(part, nrows, ncols):
+    rows = [[ZERO] * ncols for _ in range(nrows)]
+    for i, row in part.items():
+        dense = rows[i]
+        for j, v in row.items():
+            dense[j] = v
+    return rows
+
+
+def _from_dense(rows):
+    out = {}
+    for i, dense in enumerate(rows):
+        row = {j: v for j, v in enumerate(dense) if v}
+        if row:
+            out[i] = row
+    return out
+
+
 class ExactMatrix:
     __slots__ = ("nrows", "ncols", "re", "im")
 
-    def __init__(self, nrows, ncols, re, im=None):
+    def __init__(self, nrows, ncols, re=None, im=None):
         self.nrows = nrows
         self.ncols = ncols
-        self.re = re
-        self.im = im  # None means identically real
+        self.re = {} if re is None else re
+        self.im = {} if im is None else im  # empty means identically real
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zeros(cls, nrows, ncols=None):
-        if ncols is None:
-            ncols = nrows
-        return cls(nrows, ncols, [ZERO] * (nrows * ncols))
+        return cls(nrows, nrows if ncols is None else ncols)
 
     @classmethod
     def identity(cls, n, scale=None):
-        s = rat(1) if scale is None else rat(scale)
-        re = [ZERO] * (n * n)
-        for i in range(n):
-            re[i * n + i] = s
-        return cls(n, n, re)
+        s = ONE if scale is None else rat(scale)
+        return cls(n, n, {i: {i: s} for i in range(n)} if s else {})
 
     @classmethod
     def diag(cls, values):
         n = len(values)
-        m = cls.zeros(n, n)
-        im = None
+        m = cls(n, n)
         for i, v in enumerate(values):
-            z = v if isinstance(v, tuple) else gauss(v)
-            m.re[i * n + i] = z[0]
-            if z[1]:
-                if im is None:
-                    im = [ZERO] * (n * n)
-                im[i * n + i] = z[1]
-        m.im = im
+            m.put(i, i, v)
         return m
 
     @classmethod
     def from_rows(cls, rows):
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
-        re = []
-        im = []
-        any_im = False
-        for row in rows:
+        m = cls(nrows, ncols)
+        for i, row in enumerate(rows):
             if len(row) != ncols:
                 raise DimensionMismatch("ragged rows")
-            for v in row:
+            rr = {}
+            ri = {}
+            for j, v in enumerate(row):
                 z = v if isinstance(v, tuple) else gauss(v)
-                re.append(rat(z[0]))
-                im.append(rat(z[1]))
+                if z[0]:
+                    rr[j] = rat(z[0])
                 if z[1]:
-                    any_im = True
-        return cls(nrows, ncols, re, im if any_im else None)
-
-    @classmethod
-    def from_entries(cls, nrows, ncols, entries):
-        """entries: dict {(i, j): gaussian pair or rational}."""
-        m = cls.zeros(nrows, ncols)
-        im = None
-        for (i, j), v in entries.items():
-            z = v if isinstance(v, tuple) else gauss(v)
-            m.re[i * ncols + j] = rat(z[0])
-            if z[1]:
-                if im is None:
-                    im = [ZERO] * (nrows * ncols)
-                im[i * ncols + j] = rat(z[1])
-        m.im = im
+                    ri[j] = rat(z[1])
+            if rr:
+                m.re[i] = rr
+            if ri:
+                m.im[i] = ri
         return m
 
     # -- entry access ---------------------------------------------------
 
     def get(self, i, j):
-        p = i * self.ncols + j
-        return (self.re[p], ZERO if self.im is None else self.im[p])
+        row = self.re.get(i)
+        r = ZERO if row is None else row.get(j, ZERO)
+        row = self.im.get(i)
+        return (r, ZERO if row is None else row.get(j, ZERO))
 
     def put(self, i, j, z):
         if not isinstance(z, tuple):
             z = gauss(z)
-        p = i * self.ncols + j
-        self.re[p] = rat(z[0])
-        if z[1]:
-            if self.im is None:
-                self.im = [ZERO] * (self.nrows * self.ncols)
-            self.im[p] = rat(z[1])
-        elif self.im is not None:
-            self.im[p] = ZERO
+        _store(self.re, i, j, rat(z[0]))
+        _store(self.im, i, j, rat(z[1]))
 
     def row(self, i):
         return [self.get(i, j) for j in range(self.ncols)]
 
-    def column(self, j):
-        return [self.get(i, j) for i in range(self.nrows)]
+    def sparse_rows(self):
+        """Per row, the (column, entry) pairs of its non-zeros."""
+        out = []
+        for i in range(self.nrows):
+            rr = self.re.get(i, {})
+            ri = self.im.get(i, {})
+            out.append([(j, (rr.get(j, ZERO), ri.get(j, ZERO)))
+                        for j in sorted(rr.keys() | ri.keys())])
+        return out
 
     # -- structure ------------------------------------------------------
 
-    def _maybe_collapse(self):
-        if self.im is not None and not any(self.im):
-            self.im = None
-        return self
-
-    def copy(self):
-        return ExactMatrix(self.nrows, self.ncols, list(self.re),
-                           None if self.im is None else list(self.im))
-
     def is_zero(self):
-        return not any(self.re) and (self.im is None or not any(self.im))
-
-    def is_real(self):
-        return self.im is None or not any(self.im)
+        return not self.re and not self.im
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            return False
-        return (self - other).is_zero()
+        return (self.nrows, self.ncols, self.re, self.im) \
+            == (other.nrows, other.ncols, other.re, other.im)
 
     def __hash__(self):
         raise TypeError("ExactMatrix is unhashable")
 
     def scalar_of_identity(self):
         """Return z with self == z * I, or None."""
-        if self.nrows != self.ncols or self.nrows == 0:
+        n = self.nrows
+        if n != self.ncols or n == 0:
             return None
         z = self.get(0, 0)
-        n = self.ncols
-        for i in range(self.nrows):
-            for j in range(n):
-                want = z if i == j else (ZERO, ZERO)
-                if self.get(i, j) != want:
+        for part, v in ((self.re, z[0]), (self.im, z[1])):
+            if not v:
+                if part:
+                    return None
+                continue
+            if len(part) != n:
+                return None
+            for i, row in part.items():
+                if len(row) != 1 or row.get(i) != v:
                     return None
         return z
 
@@ -207,34 +282,32 @@ class ExactMatrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("add: %dx%d vs %dx%d" % (
                 self.nrows, self.ncols, other.nrows, other.ncols))
-        re = [a + b for a, b in zip(self.re, other.re)]
-        if self.im is None and other.im is None:
-            im = None
-        else:
-            si = self.im or [ZERO] * len(self.re)
-            oi = other.im or [ZERO] * len(other.re)
-            im = [a + b for a, b in zip(si, oi)]
-        return ExactMatrix(self.nrows, self.ncols, re, im)._maybe_collapse()
+        return ExactMatrix(self.nrows, self.ncols, _sum(self.re, other.re),
+                           _sum(self.im, other.im))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ExactMatrix(self.nrows, self.ncols, [-a for a in self.re],
-                           None if self.im is None else [-a for a in self.im])
+        return ExactMatrix(self.nrows, self.ncols, _neg(self.re),
+                           _neg(self.im))
 
     def scale(self, z):
         if not isinstance(z, tuple):
             z = gauss(z)
         zr, zi = rat(z[0]), rat(z[1])
+        n, m = self.nrows, self.ncols
         if not zi:
-            re = [zr * a for a in self.re]
-            im = None if self.im is None else [zr * a for a in self.im]
-            return ExactMatrix(self.nrows, self.ncols, re, im)
-        si = self.im or [ZERO] * len(self.re)
-        re = [zr * a - zi * b for a, b in zip(self.re, si)]
-        im = [zr * b + zi * a for a, b in zip(self.re, si)]
-        return ExactMatrix(self.nrows, self.ncols, re, im)._maybe_collapse()
+            if not zr:
+                return ExactMatrix(n, m)
+            return ExactMatrix(n, m, _times(self.re, zr), _times(self.im, zr))
+        # (zr + i zi)(a + i b) = (zr a - zi b) + i (zr b + zi a)
+        re = _times(self.im, -zi)
+        im = _times(self.re, zi)
+        if zr:
+            re = _sum(_times(self.re, zr), re)
+            im = _sum(_times(self.im, zr), im)
+        return ExactMatrix(n, m, re, im)
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -248,75 +321,44 @@ class ExactMatrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch("mul: %dx%d @ %dx%d" % (
                 self.nrows, self.ncols, other.nrows, other.ncols))
-        n, m, k = self.nrows, self.ncols, other.ncols
-        if self.im is None and other.im is None:
-            return ExactMatrix(n, k, matops.mul_real(self.re, other.re, n, m, k, ZERO))
-        if self.im is None:
-            re = matops.mul_real(self.re, other.re, n, m, k, ZERO)
-            im = matops.mul_real(self.re, other.im, n, m, k, ZERO)
-            return ExactMatrix(n, k, re, im)._maybe_collapse()
-        if other.im is None:
-            re = matops.mul_real(self.re, other.re, n, m, k, ZERO)
-            im = matops.mul_real(self.im, other.re, n, m, k, ZERO)
-            return ExactMatrix(n, k, re, im)._maybe_collapse()
-        re, im = matops.mul_cplx(self.re, self.im, other.re, other.im, n, m, k, ZERO)
-        return ExactMatrix(n, k, re, im)._maybe_collapse()
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        re = {}
+        _accumulate(re, ar, br)
+        im = {}
+        if ai and bi:
+            _accumulate(re, ai, bi, negate=True)
+        if bi:
+            _accumulate(im, ar, bi)
+        if ai:
+            _accumulate(im, ai, br)
+        return ExactMatrix(self.nrows, other.ncols, _pruned(re), _pruned(im))
 
     def kron(self, other):
-        n1, m1, n2, m2 = self.nrows, self.ncols, other.nrows, other.ncols
-        out = ExactMatrix.zeros(n1 * n2, m1 * m2)
-        im = None
-        for i1 in range(n1):
-            for j1 in range(m1):
-                a = self.get(i1, j1)
-                if not a[0] and not a[1]:
-                    continue
-                for i2 in range(n2):
-                    for j2 in range(m2):
-                        b = other.get(i2, j2)
-                        if not b[0] and not b[1]:
-                            continue
-                        zr, zi = _gmul(a, b)
-                        p = (i1 * n2 + i2) * (m1 * m2) + (j1 * m2 + j2)
-                        out.re[p] = zr
-                        if zi:
-                            if im is None:
-                                im = [ZERO] * (n1 * n2 * m1 * m2)
-                            im[p] = zi
-        out.im = im
-        return out
+        n2, m2 = other.nrows, other.ncols
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        re = _kron(ar, br, n2, m2)
+        im = {}
+        if ai and bi:
+            re = _sum(re, _neg(_kron(ai, bi, n2, m2)))
+        if bi:
+            im = _kron(ar, bi, n2, m2)
+        if ai:
+            im = _sum(im, _kron(ai, br, n2, m2))
+        return ExactMatrix(self.nrows * n2, self.ncols * m2, re, im)
 
     def transpose(self):
-        n, m = self.nrows, self.ncols
-        re = [ZERO] * (n * m)
-        im = None if self.im is None else [ZERO] * (n * m)
-        for i in range(n):
-            for j in range(m):
-                re[j * n + i] = self.re[i * m + j]
-                if im is not None:
-                    im[j * n + i] = self.im[i * m + j]
-        return ExactMatrix(m, n, re, im)
-
-    def conjugate(self):
-        if self.im is None:
-            return self.copy()
-        return ExactMatrix(self.nrows, self.ncols, list(self.re),
-                           [-a for a in self.im])._maybe_collapse()
+        return ExactMatrix(self.ncols, self.nrows, _transposed(self.re),
+                           _transposed(self.im))
 
     def ctranspose(self):
-        return self.conjugate().transpose()
+        return ExactMatrix(self.ncols, self.nrows, _transposed(self.re),
+                           _neg(_transposed(self.im)))
 
     def trace(self):
         if self.nrows != self.ncols:
             raise DimensionMismatch("trace of non-square")
-        tr = ZERO
-        ti = ZERO
-        n = self.ncols
-        for i in range(n):
-            tr += self.re[i * n + i]
-            if self.im is not None:
-                ti += self.im[i * n + i]
-        return (tr, ti)
+        return tuple(sum((row.get(i, ZERO) for i, row in part.items()), ZERO)
+                     for part in (self.re, self.im))
 
     # -- adjointness w.r.t. a Hermitian form ---------------------------
 
@@ -324,41 +366,35 @@ class ExactMatrix:
         return (self.ctranspose() * form + form * self).is_zero()
 
     def is_selfadjoint_wrt(self, form):
-        return (self.ctranspose() * form - form * self).is_zero()
+        return self.ctranspose() * form == form * self
 
     # -- elimination ----------------------------------------------------
 
-    def _rows_for_rref(self):
-        n, m = self.nrows, self.ncols
-        rr = [list(self.re[i * m:(i + 1) * m]) for i in range(n)]
-        if self.im is None:
-            ri = [[ZERO] * m for _ in range(n)]
-        else:
-            ri = [list(self.im[i * m:(i + 1) * m]) for i in range(n)]
-        return rr, ri
-
     def rref(self):
         """Return (reduced matrix, pivot column list)."""
-        rr, ri = self._rows_for_rref()
-        pivots = matops.rref_cplx(rr, ri, self.nrows, self.ncols, ZERO, ONE)
-        re = [x for row in rr for x in row]
-        im = [x for row in ri for x in row]
-        out = ExactMatrix(self.nrows, self.ncols, re, im)._maybe_collapse()
-        return out, pivots
-
-    def rank(self):
-        return len(self.rref()[1])
+        n, m = self.nrows, self.ncols
+        rr = _dense(self.re, n, m)
+        ri = _dense(self.im, n, m)
+        pivots = matops.rref_cplx(rr, ri, n, m, ZERO, ONE)
+        return ExactMatrix(n, m, _from_dense(rr), _from_dense(ri)), pivots
 
     def nullspace(self):
         """Columns spanning {x : self x = 0}, as an ncols x d matrix."""
         red, pivots = self.rref()
-        free = [j for j in range(self.ncols) if j not in pivots]
-        out = ExactMatrix.zeros(self.ncols, len(free))
+        taken = set(pivots)
+        free = [j for j in range(self.ncols) if j not in taken]
+        out = ExactMatrix(self.ncols, len(free))
         for c, j in enumerate(free):
-            out.put(j, c, (ONE, ZERO))
-            for r, pj in enumerate(pivots):
-                v = red.get(r, j)
-                out.put(pj, c, (-v[0], -v[1]))
+            out.re[j] = {c: ONE}
+        # row r of red belongs to pivot column pivots[r]; its entries in
+        # the free columns, negated, complete the free columns' vectors
+        where = {j: c for c, j in enumerate(free)}
+        for part, opart in ((red.re, out.re), (red.im, out.im)):
+            for r, row in part.items():
+                for j, v in row.items():
+                    c = where.get(j)
+                    if c is not None:
+                        opart.setdefault(pivots[r], {})[c] = -v
         return out
 
     def solve(self, rhs):
@@ -366,20 +402,25 @@ class ExactMatrix:
         if rhs.nrows != self.nrows:
             raise DimensionMismatch("solve: rhs has %d rows, need %d" % (
                 rhs.nrows, self.nrows))
-        aug = ExactMatrix.zeros(self.nrows, self.ncols + rhs.ncols)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                aug.put(i, j, self.get(i, j))
-            for j in range(rhs.ncols):
-                aug.put(i, self.ncols + j, rhs.get(i, j))
+        m = self.ncols
+        aug = ExactMatrix(self.nrows, m + rhs.ncols)
+        for part, rpart, apart in ((self.re, rhs.re, aug.re),
+                                   (self.im, rhs.im, aug.im)):
+            for i, row in part.items():
+                apart[i] = dict(row)
+            for i, row in rpart.items():
+                arow = apart.setdefault(i, {})
+                for j, v in row.items():
+                    arow[m + j] = v
         red, pivots = aug.rref()
-        for p in pivots:
-            if p >= self.ncols:
-                return None
-        x = ExactMatrix.zeros(self.ncols, rhs.ncols)
-        for r, pj in enumerate(pivots):
-            for j in range(rhs.ncols):
-                x.put(pj, j, red.get(r, self.ncols + j))
+        if pivots and pivots[-1] >= m:
+            return None
+        x = ExactMatrix(m, rhs.ncols)
+        for part, xpart in ((red.re, x.re), (red.im, x.im)):
+            for r, row in part.items():
+                xrow = {j - m: v for j, v in row.items() if j >= m}
+                if xrow:
+                    xpart[pivots[r]] = xrow
         return x
 
     # -- serialization ----------------------------------------------------
@@ -387,10 +428,6 @@ class ExactMatrix:
     def to_strings(self):
         return [[gauss_str(self.get(i, j)) for j in range(self.ncols)]
                 for i in range(self.nrows)]
-
-    @classmethod
-    def from_strings(cls, rows):
-        return cls.from_rows([[gauss_parse(s) for s in row] for row in rows])
 
     def __repr__(self):
         if self.nrows * self.ncols > 64:
@@ -404,36 +441,3 @@ def commutator(a, b):
 
 def anticommutator(a, b):
     return a * b + b * a
-
-
-def block_diag(mats):
-    n = sum(m.nrows for m in mats)
-    k = sum(m.ncols for m in mats)
-    out = ExactMatrix.zeros(n, k)
-    r = c = 0
-    for m in mats:
-        for i in range(m.nrows):
-            for j in range(m.ncols):
-                v = m.get(i, j)
-                if v[0] or v[1]:
-                    out.put(r + i, c + j, v)
-        r += m.nrows
-        c += m.ncols
-    return out
-
-
-def hstack(mats):
-    n = mats[0].nrows
-    k = sum(m.ncols for m in mats)
-    out = ExactMatrix.zeros(n, k)
-    c = 0
-    for m in mats:
-        if m.nrows != n:
-            raise DimensionMismatch("hstack row counts differ")
-        for i in range(n):
-            for j in range(m.ncols):
-                v = m.get(i, j)
-                if v[0] or v[1]:
-                    out.put(i, c + j, v)
-        c += m.ncols
-    return out

@@ -43,18 +43,6 @@ def _gconj(a):
     return (a[0], -a[1])
 
 
-def _sparse_rows(mat):
-    out = []
-    for i in range(mat.nrows):
-        row = []
-        for j in range(mat.ncols):
-            z = mat.get(i, j)
-            if z[0] or z[1]:
-                row.append((j, z))
-        out.append(row)
-    return out
-
-
 def _matvec(rows, vec):
     out = []
     for row in rows:
@@ -226,7 +214,7 @@ def buildLieRep(rs, lam):
 
     # ambient weights from the (diagonal) torus actions
     for p in range(rs.rank):
-        for i, row in enumerate(_sparse_rows(pis[p])):
+        for i, row in enumerate(pis[p].sparse_rows()):
             assert all(j == i and z[0] == 0 for j, z in row)
     weights = []
     for v in range(ambient):
@@ -247,8 +235,8 @@ def buildLieRep(rs, lam):
         fa, fb = pis[adir], pis[adir + 1]
         lower = fa.scale(rat(-1, 2)) + fb.scale((ZERO, rat(-1, 2)))
         raiser = fa.scale(rat(1, 2)) + fb.scale((ZERO, rat(-1, 2)))
-        lower_rows.append(_sparse_rows(lower))
-        raise_rows.append(_sparse_rows(raiser))
+        lower_rows.append(lower.sparse_rows())
+        raise_rows.append(raiser.sparse_rows())
     top = [GZERO] * ambient
     top[0] = GONE
     for rr in raise_rows:
@@ -311,7 +299,7 @@ def buildLieRep(rs, lam):
         weight_of_group.setdefault(w, []).append(i)
     rep_pi = []
     for a in range(frame.dim):
-        rows = _sparse_rows(pis[a])
+        rows = pis[a].sparse_rows()
         m = ExactMatrix.zeros(dim)
         for j in range(dim):
             img = _matvec(rows, basis[j])

@@ -9,7 +9,5 @@ def _isolated_character_cache(tmp_path, monkeypatch):
 
     Otherwise a test that sets no cache directory reads and writes
     ``~/.cache/diracforge``, and a wrong entry there changes its outcome.
-    The undo after each test also drops a value that ``--cache-dir``
-    wrote into ``os.environ``.
     """
     monkeypatch.setenv(cache.ENV_VAR, str(tmp_path / "dfcache"))

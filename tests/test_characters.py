@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -241,6 +242,57 @@ def test_cache_distinguishes_gram_variants(tmp_path, monkeypatch):
     standalone = systemFromLabel("A1xT1")
     inherited = pairFromLabel("A2:u2").h
     assert cache.system_key(standalone) != cache.system_key(inherited)
+
+
+def _corrupt_entry(tmp_path, monkeypatch, edit):
+    """Cache A2 (1,1), rewrite its file with edit(text), and return the
+    entry's path and the correct character."""
+    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path / "bad"))
+    chi = irreducibleCharacter(A2, (1, 1))
+    (path,) = (tmp_path / "bad").rglob("*.json")
+    path.write_text(edit(path.read_text()))
+    return path, chi
+
+
+def _edit_doc(fn):
+    def edit(text):
+        doc = json.loads(text)
+        fn(doc)
+        return cache.dumps_canonical(doc)
+    return edit
+
+
+def _inflate(doc):
+    doc["entries"] = {k: v + 1 for k, v in doc["entries"].items()}
+
+
+def _foreign_lambda(doc):
+    # the entry of V(1,0), filed under (1,1)
+    doc["lambda"] = "1,0"
+    doc["entries"] = {"-1,1": 1, "0,-1": 1, "1,0": 1}
+
+
+def _non_integer(doc):
+    doc["entries"]["1,1"] = 1.0
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text[:len(text) // 2],
+    _edit_doc(_foreign_lambda),
+    _edit_doc(_inflate),
+    _edit_doc(_non_integer),
+], ids=["truncated", "foreign-lambda", "inflated-multiplicity",
+        "non-integer-entry"])
+def test_wrong_cache_entry_is_a_miss(tmp_path, monkeypatch, edit):
+    path, chi = _corrupt_entry(tmp_path, monkeypatch, edit)
+    good = irreducibleCharacter(A2, (1, 1))
+    assert good == chi
+    assert good.coefficient((1, 1)) == 1 and good.coefficient((0, 0)) == 2
+    # the recomputation overwrote the bad entry
+    doc = json.loads(path.read_text())
+    assert doc["lambda"] == "1,1"
+    assert sum(doc["entries"].values()) == weylDimension(A2, (1, 1))
+    assert all(type(m) is int for m in doc["entries"].values())
 
 
 # --------------------------------------------------------------- cone series

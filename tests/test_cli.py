@@ -1,6 +1,9 @@
 import json
+import os
 
 import pytest
+
+from diracforge import cache
 
 from diracforge.characters import ConeSeries, FormalCharacter
 from diracforge.cli import main
@@ -160,6 +163,17 @@ def test_cache_stats_and_clear(capsys, tmp_path):
     assert rc == 0 and doc["entriesAfter"] == 0
     rc, doc, _ = runj(capsys, "cache", "stats", "--cache-dir", cache_dir)
     assert doc["entries"] == 0
+
+
+def test_cache_dir_option_does_not_leak_into_environ(capsys, tmp_path):
+    before = dict(os.environ)
+    cache_dir = tmp_path / "scoped"
+    rc, _, _ = run(capsys, "char", "--type", "A2", "--weight", "1,1",
+                   "--cache-dir", str(cache_dir))
+    assert rc == 0
+    assert dict(os.environ) == before
+    assert list(cache_dir.rglob("*.json"))  # the run used the directory
+    assert cache.cache_dir() == before[cache.ENV_VAR]
 
 
 def test_cache_env_var_respected(capsys, tmp_path, monkeypatch):

@@ -1,0 +1,267 @@
+"""Differential tests: the sparse ExactMatrix against the dense kernels.
+
+Random Q(i) matrices are built as flat row-major lists, fed to the
+reference kernels in ``_matops_py`` (and to elementwise list arithmetic),
+and compared entry by entry with the sparse results.  After every
+operation the storage invariant is checked: no stored zero, no empty row.
+"""
+
+import random
+
+import pytest
+
+from diracforge import _matops_py as ref
+from diracforge.exactmat import ExactMatrix
+from diracforge.rationals import ONE, ZERO, rat
+
+KINDS = ("real", "imag", "mixed")
+SHAPES = [(0, 3), (3, 0), (0, 0), (1, 1), (2, 5), (5, 2), (7, 7), (12, 12),
+          (9, 12)]
+
+
+def _entry(rng, small):
+    # entries in {-1, 0, 1} make sums and products cancel often
+    if small:
+        return rat(rng.randint(-1, 1))
+    return rat(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def dense(rng, n, m, kind, fill, small=False):
+    re = [ZERO] * (n * m)
+    im = [ZERO] * (n * m)
+    for p in range(n * m):
+        if rng.random() < fill:
+            if kind != "imag":
+                re[p] = _entry(rng, small)
+            if kind != "real":
+                im[p] = _entry(rng, small)
+    return re, im
+
+
+def build(n, m, d):
+    re, im = d
+    if not n:  # from_rows cannot tell the width of zero rows
+        return ExactMatrix.zeros(0, m)
+    return ExactMatrix.from_rows([[(re[i * m + j], im[i * m + j])
+                                   for j in range(m)] for i in range(n)])
+
+
+def check(mat, n, m, d):
+    """mat is n x m, equals the dense pair d, and keeps the invariant."""
+    assert (mat.nrows, mat.ncols) == (n, m)
+    for part in (mat.re, mat.im):
+        for i, row in part.items():
+            assert 0 <= i < n and row, "empty or out-of-range row %r" % i
+            for j, v in row.items():
+                assert 0 <= j < m and v, "stored zero at %r" % ((i, j),)
+    re, im = d
+    assert [mat.get(i, j) for i in range(n) for j in range(m)] \
+        == list(zip(re, im))
+
+
+def cases(seed, count=12):
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        n, m = SHAPES[t % len(SHAPES)]
+        out.append((rng, n, m, rng.choice(KINDS), rng.choice((1.0, 0.05)),
+                    rng.random() < 0.5))
+    return out
+
+
+def ref_mul(a, b, n, m, k):
+    (ar, ai), (br, bi) = a, b
+    return ref.mul_cplx(ar, ai, br, bi, n, m, k, ZERO)
+
+
+def ref_rref(n, m, d):
+    re, im = d
+    rr = [re[i * m:(i + 1) * m] for i in range(n)]
+    ri = [im[i * m:(i + 1) * m] for i in range(n)]
+    pivots = ref.rref_cplx(rr, ri, n, m, ZERO, ONE)
+    return ([x for row in rr for x in row], [x for row in ri for x in row]), \
+        pivots
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_add_sub_neg_scale(seed):
+    for rng, n, m, kind, fill, small in cases(seed):
+        da = dense(rng, n, m, kind, fill, small)
+        db = dense(rng, n, m, rng.choice(KINDS), fill, small)
+        a, b = build(n, m, da), build(n, m, db)
+        check(a, n, m, da)
+        check(a + b, n, m, ([x + y for x, y in zip(da[0], db[0])],
+                            [x + y for x, y in zip(da[1], db[1])]))
+        check(a - b, n, m, ([x - y for x, y in zip(da[0], db[0])],
+                            [x - y for x, y in zip(da[1], db[1])]))
+        check(-a, n, m, ([-x for x in da[0]], [-x for x in da[1]]))
+        check(a + (-a), n, m, ([ZERO] * (n * m), [ZERO] * (n * m)))
+        assert (a - a).is_zero() and a - a == ExactMatrix.zeros(n, m)
+        for zr, zi in ((rat(0), rat(0)), (rat(-3, 2), rat(0)),
+                       (rat(0), rat(2)), (rat(1), rat(1))):
+            want = ([zr * x - zi * y for x, y in zip(*da)],
+                    [zr * y + zi * x for x, y in zip(*da)])
+            check(a.scale((zr, zi)), n, m, want)
+
+
+def test_add_cancels_to_an_empty_row():
+    a = ExactMatrix.from_rows([[1, (2, 1)], [3, 0]])
+    b = ExactMatrix.from_rows([[-1, (-2, -1)], [0, 5]])
+    s = a + b
+    check(s, 2, 2, ([ZERO, ZERO, rat(3), rat(5)], [ZERO] * 4))
+    assert 0 not in s.re and not s.im
+    # (1 + i)(1 + i) = 2i: the real part cancels
+    z = ExactMatrix.from_rows([[(1, 1)]])
+    check(z * z, 1, 1, ([ZERO], [rat(2)]))
+    assert not (z * z).re
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_product_matches_dense_kernels(seed):
+    for rng, n, m, kind, fill, small in cases(seed):
+        k = rng.randint(0, 12)
+        da = dense(rng, n, m, kind, fill, small)
+        db = dense(rng, m, k, rng.choice(KINDS), fill, small)
+        a, b = build(n, m, da), build(m, k, db)
+        check(a * b, n, k, ref_mul(da, db, n, m, k))
+        if not any(da[1]) and not any(db[1]):
+            check(a * b, n, k, (ref.mul_real(da[0], db[0], n, m, k, ZERO),
+                                [ZERO] * (n * k)))
+
+
+def test_product_cancels_to_zero():
+    a = ExactMatrix.from_rows([[1, 1], [(0, 1), 1]])
+    b = ExactMatrix.from_rows([[1], [-1]])
+    check(a * b, 2, 1, ([ZERO, rat(-1)], [ZERO, rat(1)]))
+    c = ExactMatrix.from_rows([[1, -1], [1, -1]])
+    d = ExactMatrix.from_rows([[1, 1], [1, 1]])
+    check(c * d, 2, 2, ([ZERO] * 4, [ZERO] * 4))
+    assert (c * d).is_zero()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kron_transpose_ctranspose(seed):
+    for rng, n, m, kind, fill, small in cases(seed, count=9):
+        n2, m2 = rng.randint(0, 3), rng.randint(0, 3)
+        da = dense(rng, n, m, kind, fill, small)
+        db = dense(rng, n2, m2, rng.choice(KINDS), 1.0, small)
+        a, b = build(n, m, da), build(n2, m2, db)
+        re = [ZERO] * (n * n2 * m * m2)
+        im = list(re)
+        for i1 in range(n):
+            for j1 in range(m):
+                for i2 in range(n2):
+                    for j2 in range(m2):
+                        x = (da[0][i1 * m + j1], da[1][i1 * m + j1])
+                        y = (db[0][i2 * m2 + j2], db[1][i2 * m2 + j2])
+                        p = (i1 * n2 + i2) * (m * m2) + j1 * m2 + j2
+                        re[p] = x[0] * y[0] - x[1] * y[1]
+                        im[p] = x[0] * y[1] + x[1] * y[0]
+        check(a.kron(b), n * n2, m * m2, (re, im))
+        tr = ([da[0][i * m + j] for j in range(m) for i in range(n)],
+              [da[1][i * m + j] for j in range(m) for i in range(n)])
+        check(a.transpose(), m, n, tr)
+        check(a.ctranspose(), m, n, (tr[0], [-x for x in tr[1]]))
+
+
+def test_kron_cancels_in_the_complex_case():
+    z = ExactMatrix.from_rows([[(1, 1)]])
+    check(z.kron(z), 1, 1, ([ZERO], [rat(2)]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rref_nullspace_solve(seed):
+    for rng, n, m, kind, fill, small in cases(seed):
+        da = dense(rng, n, m, kind, fill, small=True)
+        a = build(n, m, da)
+        red, pivots = a.rref()
+        want, want_pivots = ref_rref(n, m, da)
+        assert pivots == want_pivots
+        check(red, n, m, want)
+        null = a.nullspace()
+        check(null, m, m - len(pivots), _ref_nullspace(m, want, pivots))
+        check(a * null, n, null.ncols,
+              ([ZERO] * (n * null.ncols),) * 2)
+        k = rng.randint(1, 3)
+        db = dense(rng, n, k, rng.choice(KINDS), fill)
+        rhs = build(n, k, db)
+        x = a.solve(rhs)
+        aug = ([], [])
+        for i in range(n):
+            for c in range(2):
+                aug[c].extend(da[c][i * m:(i + 1) * m] + db[c][i * k:(i + 1) * k])
+        _, aug_pivots = ref_rref(n, m + k, aug)
+        if any(p >= m for p in aug_pivots):
+            assert x is None
+        else:
+            assert x is not None and a * x == rhs
+            check(x, m, k, _ref_solution(n, m, k, aug, aug_pivots))
+
+
+def _ref_nullspace(m, red, pivots):
+    free = [j for j in range(m) if j not in pivots]
+    d = len(free)
+    re = [ZERO] * (m * d)
+    im = [ZERO] * (m * d)
+    for c, j in enumerate(free):
+        re[j * d + c] = ONE
+        for r, pj in enumerate(pivots):
+            re[pj * d + c] = -red[0][r * m + j]
+            im[pj * d + c] = -red[1][r * m + j]
+    return re, im
+
+
+def _ref_solution(n, m, k, aug, pivots):
+    red, _ = ref_rref(n, m + k, aug)
+    re = [ZERO] * (m * k)
+    im = [ZERO] * (m * k)
+    for r, pj in enumerate(pivots):
+        for j in range(k):
+            re[pj * k + j] = red[0][r * (m + k) + m + j]
+            im[pj * k + j] = red[1][r * (m + k) + m + j]
+    return re, im
+
+
+def test_solve_inverts_a_gram_matrix():
+    g = ExactMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    inv = g.solve(ExactMatrix.identity(3))
+    assert g * inv == ExactMatrix.identity(3)
+    check(inv, 3, 3, ([rat(3, 4), rat(1, 2), rat(1, 4),
+                       rat(1, 2), rat(1), rat(1, 2),
+                       rat(1, 4), rat(1, 2), rat(3, 4)], [ZERO] * 9))
+    singular = ExactMatrix.from_rows([[1, 1], [1, 1]])
+    assert singular.solve(ExactMatrix.from_rows([[1], [2]])) is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scalar_of_identity(seed):
+    rng = random.Random(200 + seed)
+    for n in (1, 2, 5, 9):
+        for z in ((rat(0), rat(0)), (rat(rng.randint(1, 5), 3), rat(0)),
+                  (rat(0), rat(-2)), (rat(1), rat(rng.randint(1, 4)))):
+            ident = ExactMatrix.identity(n).scale(z)
+            check(ident, n, n, ([z[0] if i == j else ZERO
+                                 for i in range(n) for j in range(n)],
+                                [z[1] if i == j else ZERO
+                                 for i in range(n) for j in range(n)]))
+            assert ident.scalar_of_identity() == z
+            i, j = rng.randrange(n), rng.randrange(n)
+            bumped = ident.scale(1)
+            bumped.put(i, j, (rat(7), rat(0)))
+            assert ident.scalar_of_identity() == z  # no row is shared
+            check(bumped, n, n, _with(ident, n, i, j, (rat(7), ZERO)))
+            assert bumped.scalar_of_identity() is None \
+                or (n == 1 and bumped.scalar_of_identity() == (rat(7), ZERO))
+            bumped.put(i, j, ident.get(i, j))
+            assert bumped == ident and bumped.scalar_of_identity() == z
+    assert ExactMatrix.zeros(0).scalar_of_identity() is None
+    assert ExactMatrix.zeros(2, 3).scalar_of_identity() is None
+    assert ExactMatrix.diag([1, 2]).scalar_of_identity() is None
+    assert ExactMatrix.diag([(0, 1), 1]).scalar_of_identity() is None
+
+
+def _with(mat, n, i, j, z):
+    re = [mat.get(r, c)[0] for r in range(n) for c in range(n)]
+    im = [mat.get(r, c)[1] for r in range(n) for c in range(n)]
+    re[i * n + j], im[i * n + j] = z
+    return re, im
