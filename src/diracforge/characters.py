@@ -11,11 +11,14 @@ The two container types:
   No entry inside the certified range is ever silently missing; operations
   shrink windows instead of guessing.
 
-Irreducible characters come from the Freudenthal recursion; decompositions
-use greedy highest-weight peeling.
+Irreducible characters come from the Freudenthal recursion, computed on
+integer fundamental coordinates with the gram scaled to integers, and
+converted to exact rationals once, at the end; decompositions use greedy
+highest-weight peeling.
 """
 
 import itertools
+import math
 
 from . import cache
 from .errors import (NotDominant, NotIntegral, SystemMismatch,
@@ -113,11 +116,17 @@ class FormalCharacter:
                           for w, m in sorted(self.entries.items()))
         return "FormalCharacter<%s|%s>{%s}" % (self.system.label, self.basis, items)
 
+    def keyed(self):
+        """[(coordinate string "p/q,...", multiplicity)] in support order."""
+        return [(",".join(weightToStrings(w)), m)
+                for w, m in sorted(self.entries.items())]
+
     # file format: header "<label> <basis-flag>", then "<coords p/q,...> <mult>"
-    def to_lines(self):
+    def to_lines(self, keyed=None):
+        """The file lines; keyed, when given, is self.keyed() already built."""
         lines = ["%s %s" % (self.system.label, self.basis)]
-        for w in self.support():
-            lines.append("%s %d" % (",".join(weightToStrings(w)), self.entries[w]))
+        lines.extend("%s %d" % kv
+                     for kv in (self.keyed() if keyed is None else keyed))
         return lines
 
     @classmethod
@@ -176,30 +185,119 @@ def weylDimension(rs, lam):
     return int(d)
 
 
-def dominantWeightsBelow(rs, lam):
-    """All dominant mu with lam - mu in the nonnegative-integer root lattice."""
-    lam = rs.weight(lam)
-    nsimple = len(rs.simple_positions)
-    if nsimple == 0:
-        return [lam]
+def _reflections(rs):
+    """[(p, alpha)] per simple root, alpha a Cartan row as ints and p the
+    coordinate it reflects by: s(v) = v - v[p] alpha."""
+    return [(p, tuple(int(c) for c in alpha))
+            for p, alpha in zip(rs.simple_positions, rs.simpleRoots)]
+
+
+def _dominant_below(rs, lam):
+    """(height, mu) for each dominant mu with lam - mu in the nonnegative-
+    integer root lattice, the height being the number of simple roots in
+    lam - mu.  Works on whatever scalars lam holds: ints in the Freudenthal
+    kernel, rationals in dominantWeightsBelow."""
+    if not rs.simple_positions:
+        return [(0, lam)]
     simple_set = set(rs.simple_positions)
-    proj = tuple(lam[i] if i in simple_set else ZERO for i in range(rs.rank))
+    proj = tuple(lam[i] if i in simple_set else 0 for i in range(rs.rank))
     # the inverse-transpose Cartan has nonnegative entries, so dominance of mu
     # pins each root coefficient of lam - mu below the coefficient of proj
-    top = rs.rootCoefficients(proj)
-    bounds = [max(int(c), 0) for c in top]
+    bounds = [max(int(c), 0) for c in rs.rootCoefficients(proj)]
+    reflections = _reflections(rs)
     out = []
-    simple = rs.simpleRoots
     for cvec in itertools.product(*(range(b + 1) for b in bounds)):
         mu = list(lam)
-        for j, c in enumerate(cvec):
+        for c, (_, alpha) in zip(cvec, reflections):
             if c:
-                for i in range(rs.rank):
-                    mu[i] -= c * simple[j][i]
-        mu = tuple(mu)
-        if rs.isDominant(mu):
-            out.append(mu)
-    return sorted(out)
+                for i, a in enumerate(alpha):
+                    mu[i] -= c * a
+        if all(mu[p] >= 0 for p, _ in reflections):
+            out.append((sum(cvec), tuple(mu)))
+    return out
+
+
+def dominantWeightsBelow(rs, lam):
+    """All dominant mu with lam - mu in the nonnegative-integer root lattice."""
+    return sorted(mu for _, mu in _dominant_below(rs, rs.weight(lam)))
+
+
+def _freudenthal(rs, lam):
+    """{dominant mu: multiplicity in V_lam} for lam dominant integral.
+
+    Every weight of V_lam is lam minus a sum of Cartan rows, so the
+    recursion runs on int tuples.  The gram is scaled by the lcm of its
+    denominators; the quotient acc / denom does not change under that.
+    """
+    scale = math.lcm(*(x.denominator for row in rs.gram for x in row))
+    gram = [[int(x * scale) for x in row] for row in rs.gram]
+
+    def pairing(u, v):
+        return sum(a * g * b for a, row in zip(u, gram) for g, b in zip(row, v))
+
+    def shifted_norm(mu):
+        mu_rho = tuple(a + int(r) for a, r in zip(mu, rs.rho))
+        return pairing(mu_rho, mu_rho)
+
+    reflections = _reflections(rs)
+
+    def dominant(v):
+        while True:
+            for p, alpha in reflections:
+                c = v[p]
+                if c < 0:
+                    v = tuple(x - c * a for x, a in zip(v, alpha))
+                    break
+            else:
+                return v
+
+    roots = [tuple(int(c) for c in alpha) for alpha in rs.positiveRoots]
+    roots = [(alpha, pairing(alpha, alpha)) for alpha in roots]
+    target = shifted_norm(lam)
+    mult = {lam: 1}
+    for _, mu in sorted(_dominant_below(rs, lam)):
+        if mu == lam:
+            continue
+        denom = target - shifted_norm(mu)
+        if denom == 0:
+            raise AssertionError("vanishing Freudenthal denominator")
+        acc = 0
+        for alpha, alpha_norm in roots:
+            v, p = mu, pairing(mu, alpha)  # <mu + k alpha, alpha>, k = 0
+            while True:
+                v = tuple(a + b for a, b in zip(v, alpha))
+                p += alpha_norm
+                m = mult.get(dominant(v), 0)
+                if m == 0:
+                    # root strings through a weight diagram have no gaps
+                    break
+                acc += 2 * m * p
+        val, rem = divmod(acc, denom)
+        if rem or val < 0:
+            raise AssertionError("Freudenthal produced %s at (%s)"
+                                 % (rat_str(rat(acc, denom)),
+                                    ",".join(map(str, mu))))
+        if val:
+            mult[mu] = val
+    return mult
+
+
+def _orbit(reflections, mu):
+    """The Weyl orbit of an int weight; reflections from _reflections."""
+    seen = {mu}
+    frontier = [mu]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for p, alpha in reflections:
+                c = v[p]
+                if c:
+                    w = tuple(x - c * a for x, a in zip(v, alpha))
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+        frontier = nxt
+    return seen
 
 
 def _cached_character(rs, lam, doc):
@@ -235,7 +333,8 @@ def _cached_character(rs, lam, doc):
 def irreducibleCharacter(rs, lam):
     """Weight multiplicities of the irreducible with highest weight lam.
 
-    Freudenthal recursion over the dominant chamber, then orbit expansion.
+    Freudenthal recursion over the dominant chamber, then orbit expansion,
+    both on int coordinates; the weights become rationals once, at the end.
     Results are cached on disk keyed by (system, lam); see cache.py.
     """
     lam = _require_dominant_integral(rs, lam)
@@ -244,57 +343,22 @@ def irreducibleCharacter(rs, lam):
     if cached is not None:
         return cached
 
-    rho = rs.rho
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    target = rs.innerProduct(lam_rho, lam_rho)
-    dominants = dominantWeightsBelow(rs, lam)
-
-    def height(mu):
-        c = rs.rootCoefficients(tuple(a - b for a, b in zip(lam, mu)))
-        return sum(c, start=ZERO)
-
-    dominants.sort(key=lambda mu: (height(mu), mu))
-    mult = {lam: 1}
-
-    def weight_mult(v):
-        dom, _ = rs.makeDominant(v)
-        return mult.get(dom, 0)
-
-    for mu in dominants:
-        if mu == lam:
-            continue
-        mu_rho = tuple(a + b for a, b in zip(mu, rho))
-        denom = target - rs.innerProduct(mu_rho, mu_rho)
-        if denom == 0:
-            raise AssertionError("vanishing Freudenthal denominator")
-        acc = ZERO
-        for alpha in rs.positiveRoots:
-            k = 1
-            while True:
-                v = tuple(a + k * b for a, b in zip(mu, alpha))
-                m = weight_mult(v)
-                if m == 0:
-                    # root strings through a weight diagram have no gaps
-                    break
-                acc += 2 * m * rs.innerProduct(v, alpha)
-                k += 1
-        val = acc / denom
-        if not is_integer(val) or val < 0:
-            raise AssertionError("Freudenthal produced %s at (%s)"
-                                 % (rat_str(val), ",".join(weightToStrings(mu))))
-        if val:
-            mult[mu] = int(val)
-
-    entries = {}
-    for mu, m in mult.items():
-        for v in rs.weylOrbit(mu):
-            entries[v] = m
-    chi = FormalCharacter(rs, entries)
+    reflections = _reflections(rs)
+    weights = {}
+    for mu, m in _freudenthal(rs, tuple(int(c) for c in lam)).items():
+        for v in _orbit(reflections, mu):
+            weights[v] = m
+    order = sorted(weights)  # int order is the rational order
+    distinct = {c for w in order for c in w}
+    scalars = {c: rat(c) for c in distinct}  # one shared object per value
+    strings = {c: str(c) for c in distinct}  # str(int) == rat_str(int)
+    chi = FormalCharacter(rs, {tuple([scalars[c] for c in w]): weights[w]
+                               for w in order})
 
     doc = {"system": cache.system_key(rs),
            "lambda": ",".join(weightToStrings(lam)),
-           "entries": {",".join(weightToStrings(w)): m
-                       for w, m in sorted(chi.entries.items())}}
+           "entries": {",".join([strings[c] for c in w]): weights[w]
+                       for w in order}}
     cache.store(rs, lam, doc)
     return chi
 

@@ -214,10 +214,10 @@ def cmd_char(config, args):
     rs = systemFromLabel(args.type)
     lam = rs.weight(_parse_weight(args.weight))
     chi = irreducibleCharacter(rs, lam)
-    lines = chi.to_lines()
+    keyed = chi.keyed()  # one sort and one format per weight for both outputs
+    lines = chi.to_lines(keyed)
     payload = {"label": rs.label, "weight": _wstr(lam),
-               "dimension": chi.dimension(),
-               "entries": {_wstr(w): chi.entries[w] for w in chi.support()}}
+               "dimension": chi.dimension(), "entries": dict(keyed)}
     if args.out:
         _write_text(args.out, lines)
         payload["out"] = args.out

@@ -208,6 +208,16 @@ def qSweepReport(rep, cl, qs=(rat(1, 3), rat(1, 2), rat(0), rat(1))):
 
 # ------------------------------------------------------------ relative case
 
+def _pair_split(pair):
+    """splitCliffordForPair(pair), built once per pair object and kept on
+    it: the split, with its frame and structure-constant checks, depends
+    only on the pair, while a sweep or kernelIndex needs it per lambda."""
+    split = getattr(pair, "_clifford_split", None)
+    if split is None:
+        split = pair._clifford_split = splitCliffordForPair(pair)
+    return split
+
+
 class RelativePieces:
     """Everything the relative operator and its checks share: the rep,
     the pair frame, the p spinors, and the H-action on V (x) S_p."""
@@ -215,7 +225,7 @@ class RelativePieces:
     def __init__(self, pair, lam):
         self.pair = pair
         self.rep = buildLieRep(pair.g, lam)
-        s_h, s_p, emb = splitCliffordForPair(pair)
+        _, s_p, emb = _pair_split(pair)
         self.s_p = s_p
         self.pframe = emb.pairFrame
         if self.rep.dimension * s_p.size > RELATIVE_SIZE_LIMIT:

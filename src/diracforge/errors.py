@@ -89,10 +89,6 @@ class SingularShift(DiracforgeError):
     """The reduction level hits a critical value of the moment map."""
 
 
-class CacheMiss(DiracforgeError):
-    pass
-
-
 # --------------------------------------------------------- verification side
 
 class VerificationError(DiracforgeError):

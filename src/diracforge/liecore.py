@@ -21,6 +21,8 @@ from .errors import (UnsupportedType, SystemMismatch, IncompatiblePair,
 
 NORMALIZATION = "long-root-2"
 
+_SCALAR = type(ZERO)
+
 _FAMILIES = ("A", "B", "C", "D", "Torus")
 
 
@@ -196,7 +198,11 @@ class RootSystem:
     # -- weights ------------------------------------------------------------
 
     def weight(self, coords):
-        coords = tuple(rat(c) for c in coords)
+        # a tuple of scalars is already a weight: re-wrapping costs an ABC
+        # check per coordinate and changes nothing
+        if type(coords) is not tuple \
+                or any(type(c) is not _SCALAR for c in coords):
+            coords = tuple(rat(c) for c in coords)
         if len(coords) != self.rank:
             raise SystemMismatch(
                 "weight has %d coords, system %s has rank %d"
@@ -333,13 +339,6 @@ def buildRootSystem(family, rank):
     if family == "T":
         family = "Torus"
     return RootSystem([(family, rank)])
-
-
-def productSystem(*systems):
-    factors = []
-    for s in systems:
-        factors.extend(s.factors)
-    return RootSystem(factors)
 
 
 def systemFromLabel(label):

@@ -56,10 +56,6 @@ def _primitive(vec):
     return tuple(c // g for c in ints)
 
 
-def _real_rows(mat, nrows, ncols):
-    return [[mat.get(i, j)[0] for j in range(ncols)] for i in range(nrows)]
-
-
 def _det(rows):
     n = len(rows)
     rows = [[rat(x) for x in row] for row in rows]

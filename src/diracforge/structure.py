@@ -215,22 +215,6 @@ class CompactFrame:
                            for b in range(self.dim))
                      for a in range(self.dim))
 
-    def bracketMatrix(self, coef_x, coef_y):
-        """Bracket of two frame-coefficient vectors, as coefficients."""
-        out = [ZERO] * self.dim
-        for a, ca in enumerate(coef_x):
-            if not ca:
-                continue
-            for b, cb in enumerate(coef_y):
-                if not cb:
-                    continue
-                f = self.bracketCoefficients(a, b)
-                s = ca * cb
-                for c in range(self.dim):
-                    if f[c]:
-                        out[c] += s * f[c]
-        return tuple(out)
-
     def directionWeight(self, a):
         """Torus weight content of a frame direction: zero on the Cartan,
         the pair (A_b, B_b) spans weights +-b."""

@@ -74,24 +74,68 @@ def test_rejects_bad_highest_weights():
 
 # ------------------------------------------------------------------- oracles
 
+# a handful of weights on the larger systems, where a whole box costs seconds
+PICKED = {
+    "A3": ((1, 0, 1), (2, 1, 0), (0, 2, 1)),
+    "A4": ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 1), (1, 1, 0, 1)),
+    "D4": ((1, 0, 0, 0), (0, 1, 0, 0), (2, 0, 0, 0), (1, 0, 1, 1)),
+}
+
+
+def weights_of(rs, top):
+    """A box of dominant weights for an int top, else the weights given."""
+    if isinstance(top, int):
+        return dominant_box(rs, top)
+    return [tuple(map(rat, lam)) for lam in top]
+
+
+def picked(*labels):
+    return [pytest.param(label, PICKED[label], id=label + "-picked")
+            for label in labels]
+
+
 @pytest.mark.parametrize("label,top", [("A1", 6), ("A2", 3), ("A3", 2),
-                                       ("B2", 2), ("C2", 2), ("A1xT1", 3)])
+                                       ("B2", 2), ("C2", 2), ("A1xT1", 3)]
+                         + picked("A4", "D4"))
 def test_dimension_matches_weyl_product_formula(label, top):
     rs = systemFromLabel(label)
-    for lam in dominant_box(rs, top):
+    for lam in weights_of(rs, top):
         assert irreducibleCharacter(rs, lam).dimension() == weylDimension(rs, lam)
 
 
-@pytest.mark.parametrize("label,top", [("A1", 5), ("A2", 2), ("B2", 2), ("C2", 2)])
+@pytest.mark.parametrize("label,top", [("A1", 5), ("A2", 2), ("B2", 2), ("C2", 2)]
+                         + picked("A3", "A4", "D4"))
 def test_weyl_character_identity(label, top):
     # chi_lam * sum_w sign(w) e^{w rho} == sum_w sign(w) e^{w(lam+rho)}
     rs = systemFromLabel(label)
     denom = FormalCharacter(rs, dict(rs.signedOrbit(rs.rho)))
-    for lam in dominant_box(rs, top):
+    for lam in weights_of(rs, top):
         chi = irreducibleCharacter(rs, lam)
         lam_rho = tuple(a + b for a, b in zip(lam, rs.rho))
         numer = FormalCharacter(rs, dict(rs.signedOrbit(lam_rho)))
         assert chi.convolve(denom) == numer
+
+
+@pytest.mark.parametrize("lam,zero_mult", [
+    ((1, 0, 0, 0), 0),  # the vector representation C^8
+    ((2, 0, 0, 0), 3),  # Sym^2 C^8 minus the trivial: four e_i - e_i, less one
+    ((0, 1, 0, 0), 4),  # the adjoint: the rank
+])
+def test_d4_zero_weight_multiplicities(lam, zero_mult):
+    D4 = systemFromLabel("D4")
+    assert irreducibleCharacter(D4, lam).coefficient(D4.zeroWeight()) == zero_mult
+
+
+def test_inherited_rational_gram():
+    # h of A2:u2 is A1xT1 with the gram inherited from A2, whose denominators
+    # are not 1; V_(n, t) is still the string n, n-2, ..., -n at charge t
+    h = pairFromLabel("A2:u2").h
+    assert any(x.denominator > 1 for row in h.gram for x in row)
+    for n in range(4):
+        for t in (-3, 0, 2):
+            chi = irreducibleCharacter(h, (n, t))
+            assert chi.entries == {(rat(n - 2 * k), rat(t)): 1
+                                   for k in range(n + 1)}
 
 
 @pytest.mark.parametrize("label,top", [("A1", 4), ("A2", 2), ("B2", 2)])

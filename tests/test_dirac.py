@@ -1,6 +1,8 @@
 import pytest
 
+from diracforge import dirac
 from diracforge.characters import FormalCharacter
+from diracforge.cli import main
 from diracforge.clifford import buildClifford, buildCliffordFrame
 from diracforge.dirac import (BadOperator, DiracOperator, RelativePieces,
                               cubicDirac, kernelIndex, piCasimir,
@@ -217,6 +219,25 @@ def test_relative_size_limit(monkeypatch):
     monkeypatch.setattr("diracforge.dirac.RELATIVE_SIZE_LIMIT", 4)
     with pytest.raises(TooLarge):
         RelativePieces(pairFromLabel("A1:T"), (2,))
+
+
+def test_clifford_split_built_once_per_pair(monkeypatch, capsys):
+    # the split depends only on the pair; a sweep over four lambdas and a
+    # kernelIndex over several lambdas each build it once
+    calls = []
+    real = dirac.splitCliffordForPair
+
+    def counting(pair):
+        calls.append(pair)
+        return real(pair)
+
+    monkeypatch.setattr(dirac, "splitCliffordForPair", counting)
+    assert main(["verify-relative", "--pair", "A2:u2", "--lambda-max", "1"]) == 0
+    assert capsys.readouterr().out.count(" blocks ok") == 4
+    assert len(calls) == 1
+    pair = pairFromLabel("A1:T")
+    assert dict(kernelIndex(pair, {(3,): 1}).entries) == {(rat(2),): 1}
+    assert calls[1:] == [pair]
 
 
 # ----------------------------------------------------------- kernel index

@@ -68,6 +68,21 @@ def test_build_examples():
     assert t1.rho == (rat(0),)
 
 
+def test_weight_coercion():
+    rs = systemFromLabel("A2")
+    w = rs.weight((1, -2))
+    assert w == (rat(1), rat(-2))
+    assert all(type(c) is type(rat(0)) for c in w)
+    mixed = rs.weight((rat(1, 2), 3))
+    assert mixed == (rat(1, 2), rat(3))
+    assert all(type(c) is type(rat(0)) for c in mixed)
+    given = (rat(1, 3), rat(-2))
+    assert rs.weight(given) == given
+    for bad in ((1,), (rat(1),), (rat(1), rat(2), rat(3))):
+        with pytest.raises(SystemMismatch):
+            rs.weight(bad)
+
+
 def test_unsupported():
     for fam, rank in [("A", 5), ("A", 0), ("B", 3), ("C", 1), ("D", 5),
                       ("E", 8), ("Torus", 5)]:
