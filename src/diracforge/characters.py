@@ -300,34 +300,41 @@ def _orbit(reflections, mu):
     return seen
 
 
+def _character_from_ints(rs, weights):
+    """The weight-basis character of {int weight: multiplicity}.
+
+    One sort of the int tuples orders it (int order is the rational order),
+    and each distinct coordinate becomes one shared rational object."""
+    order = sorted(weights)
+    scalars = {c: rat(c) for c in {c for w in order for c in w}}
+    return FormalCharacter(rs, {tuple([scalars[c] for c in w]): weights[w]
+                               for w in order})
+
+
 def _cached_character(rs, lam, doc):
     """The character a cache document holds, or None unless the document is
-    for (rs, lam) and its multiplicities are positive ints that sum to the
-    Weyl dimension.  A wrong entry counts as a miss, never as an answer."""
+    for (rs, lam), its coordinates are ints, and its multiplicities are
+    positive ints that sum to the Weyl dimension.  A wrong entry counts as
+    a miss, never as an answer."""
     if not isinstance(doc, dict) \
             or doc.get("system") != cache.system_key(rs) \
             or doc.get("lambda") != ",".join(weightToStrings(lam)) \
             or not isinstance(doc.get("entries"), dict):
         return None
-    entries = {}
-    coords = {}  # a big character repeats few distinct coordinates
-    try:
-        for key, m in doc["entries"].items():
-            if type(m) is not int or m <= 0:  # rejects bool too
-                return None
-            w = []
-            for tok in key.split(","):
-                c = coords.get(tok)
-                if c is None:
-                    c = coords[tok] = rat_from_str(tok)
-                w.append(c)
-            entries[tuple(w)] = m
-        chi = FormalCharacter(rs, entries)
-    except (DiracforgeError, ValueError, ZeroDivisionError):
+    weights = {}
+    for key, m in doc["entries"].items():
+        if type(m) is not int or m <= 0:  # rejects bool too
+            return None
+        try:
+            w = tuple(map(int, key.split(",")))
+        except ValueError:  # every weight of V_lam has int coordinates
+            return None
+        if len(w) != rs.rank:
+            return None
+        weights[w] = m
+    if sum(weights.values()) != weylDimension(rs, lam):
         return None
-    if chi.dimension() != weylDimension(rs, lam):
-        return None
-    return chi
+    return _character_from_ints(rs, weights)
 
 
 def irreducibleCharacter(rs, lam):
@@ -348,19 +355,12 @@ def irreducibleCharacter(rs, lam):
     for mu, m in _freudenthal(rs, tuple(int(c) for c in lam)).items():
         for v in _orbit(reflections, mu):
             weights[v] = m
-    order = sorted(weights)  # int order is the rational order
-    distinct = {c for w in order for c in w}
-    scalars = {c: rat(c) for c in distinct}  # one shared object per value
-    strings = {c: str(c) for c in distinct}  # str(int) == rat_str(int)
-    chi = FormalCharacter(rs, {tuple([scalars[c] for c in w]): weights[w]
-                               for w in order})
-
     doc = {"system": cache.system_key(rs),
            "lambda": ",".join(weightToStrings(lam)),
-           "entries": {",".join([strings[c] for c in w]): weights[w]
-                       for w in order}}
+           # str(int) == rat_str(int)
+           "entries": {",".join(map(str, w)): m for w, m in weights.items()}}
     cache.store(rs, lam, doc)
-    return chi
+    return _character_from_ints(rs, weights)
 
 
 def fullWeightMultiset(rs, lam):

@@ -5,7 +5,7 @@ the imaginary map is empty while the matrix is real.  No zero is ever
 stored and no row is ever empty, so zero-ness is emptiness, equality is map
 equality, and every operation costs what the stored entries cost.  Rows are
 never shared between matrices, because ``put`` edits them in place.
-Scalars cross the API boundary as ``(re, im)`` pairs of backend rationals.
+Scalars cross the API boundary as ``(re, im)`` pairs of ``Fraction``.
 
 Adjointness is always relative to an explicitly recorded Hermitian form S:
 ``A`` is skew-adjoint for S when  A^H S + S A = 0  and self-adjoint when

@@ -1,10 +1,6 @@
 """Exact rational scalars.
 
-All payload arithmetic in this package is exact.  The scalar type is
-``gmpy2.mpq`` when gmpy2 is importable (a C bignum kernel, roughly an order of
-magnitude faster) and ``fractions.Fraction`` otherwise.  The two are hash- and
-comparison-compatible, so the choice never leaks into results.  Set
-``DIRACFORGE_RATIONAL=fraction`` to force the stdlib fallback.
+All payload arithmetic in this package is exact, on ``fractions.Fraction``.
 
 Wire form: a rational serializes as ``"p"`` or ``"p/q"`` in lowest terms.
 """
@@ -12,33 +8,19 @@ Wire form: a rational serializes as ``"p"`` or ``"p/q"`` in lowest terms.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
-_choice = os.environ.get("DIRACFORGE_RATIONAL", "")
+# read by the benchmark environment record (perfbench/run.py)
+RATIONAL_BACKEND = "fraction"
 
-if _choice != "fraction":
-    try:
-        from gmpy2 import mpq as _mpq
-    except ImportError:
-        _mpq = None
-else:
-    _mpq = None
 
-if _mpq is not None:
-    RATIONAL_BACKEND = "gmpy2"
+def rat(p=0, q=1):
+    """Fraction(p, q); the two-argument form rejects floats and strings."""
+    return Fraction(p, q)
 
-    def rat(p=0, q=1):
-        return _mpq(p, q)
-else:
-    RATIONAL_BACKEND = "fraction"
-
-    def rat(p=0, q=1):
-        return Fraction(p, q)
 
 ZERO = rat(0)
 ONE = rat(1)
-HALF = rat(1, 2)
 
 
 def rat_from_str(s):

@@ -320,13 +320,19 @@ def _non_integer(doc):
     doc["entries"]["1,1"] = 1.0
 
 
+def _fractional_weight(doc):
+    # the multiplicities still sum to the Weyl dimension
+    doc["entries"]["1/2,0"] = doc["entries"].pop("0,0")
+
+
 @pytest.mark.parametrize("edit", [
     lambda text: text[:len(text) // 2],
     _edit_doc(_foreign_lambda),
     _edit_doc(_inflate),
     _edit_doc(_non_integer),
+    _edit_doc(_fractional_weight),
 ], ids=["truncated", "foreign-lambda", "inflated-multiplicity",
-        "non-integer-entry"])
+        "non-integer-entry", "fractional-weight"])
 def test_wrong_cache_entry_is_a_miss(tmp_path, monkeypatch, edit):
     path, chi = _corrupt_entry(tmp_path, monkeypatch, edit)
     good = irreducibleCharacter(A2, (1, 1))

@@ -1,16 +1,17 @@
 """Differential tests: the sparse ExactMatrix against the dense kernels.
 
 Random Q(i) matrices are built as flat row-major lists, fed to the
-reference kernels in ``_matops_py`` (and to elementwise list arithmetic),
-and compared entry by entry with the sparse results.  After every
-operation the storage invariant is checked: no stored zero, no empty row.
+reference kernels in ``diracforge.matops`` (and to elementwise list
+arithmetic), and compared entry by entry with the sparse results.  After
+every operation the storage invariant is checked: no stored zero, no
+empty row.
 """
 
 import random
 
 import pytest
 
-from diracforge import _matops_py as ref
+from diracforge import matops as ref
 from diracforge.exactmat import ExactMatrix
 from diracforge.rationals import ONE, ZERO, rat
 
@@ -265,3 +266,14 @@ def _with(mat, n, i, j, z):
     im = [mat.get(r, c)[1] for r in range(n) for c in range(n)]
     re[i * n + j], im[i * n + j] = z
     return re, im
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rat(0.5),
+    lambda: rat("1/2"),
+    lambda: ExactMatrix.from_rows([[0.5]]),
+], ids=["float", "string", "float-entry"])
+def test_inexact_scalars_are_rejected(build):
+    # one float would turn every later equality into an approximate one
+    with pytest.raises(TypeError):
+        build()
