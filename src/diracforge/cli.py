@@ -17,7 +17,7 @@ from itertools import product as cartesian
 
 from . import cache
 from .characters import (ConeSeries, FormalCharacter, irreducibleCharacter,
-                         restrictCharacter, tensorDecompose, weylDimension)
+                         restrictCharacter, tensorDecompose)
 from .clifford import buildCliffordFrame
 from .dirac import spectralCheckRelative, verifyKostantIdentity
 from .errors import DiracforgeError, SpectralMismatch, VerificationError

@@ -314,14 +314,8 @@ def commutantDimension(cl):
     """Dimension of {X : X gamma_a = gamma_a X for all a}, solved exactly."""
     n = cl.size
     ident = ExactMatrix.identity(n)
-    rows = []
-    for g in cl.gamma:
-        op = g.kron(ident) - ident.kron(g.transpose())
-        for i in range(op.nrows):
-            rows.append(op.row(i))
-    if not rows:
-        return n * n
-    stacked = ExactMatrix.from_rows(rows)
+    stacked = ExactMatrix.vstack([g.kron(ident) - ident.kron(g.transpose())
+                                  for g in cl.gamma], n * n)
     return stacked.nullspace().ncols
 
 
@@ -464,11 +458,8 @@ def spinorWeights(pair, pframe, s_p):
     cartan_local = [pframe.hIndices.index(p) for p in range(rank)]
     actions = [hSpinAction(pframe, s_p, cartan_local[p]) for p in range(rank)]
     for m in actions:
-        for i in range(m.nrows):
-            for j in range(m.ncols):
-                if i != j and m.get(i, j) != (ZERO, ZERO):
-                    raise CliffordConstructionError(
-                        "torus spin action is not diagonal")
+        if m != ExactMatrix.diag([m.get(v, v) for v in range(m.nrows)]):
+            raise CliffordConstructionError("torus spin action is not diagonal")
     weights = []
     for v in range(s_p.size):
         coords = []

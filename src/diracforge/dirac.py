@@ -19,7 +19,7 @@ from .clifford import (PStructure, hSpinAction, spinRepresentation,
                        spinorWeights, splitCliffordForPair)
 from .errors import (DimensionMismatch, DiracforgeError, NotScalar,
                      SpectralMismatch, TooLarge)
-from .exactmat import ExactMatrix, _gmul, commutator
+from .exactmat import ExactMatrix, commutator
 from .rationals import ZERO, rat, rat_str
 from .reps import buildLieRep
 
@@ -64,7 +64,8 @@ class DiracOperator:
 
 def cubicDirac(rep, cl, q):
     """D^q = sum (pi(X_i) (x) c(X_i) + q (x) ad(X_i) c(X_i)), contracted
-    through the dual frame of rep's gram; q = 1/3 is the cubic operator."""
+    through the dual frame of rep's gram; q = 1/3 is the cubic operator.
+    meta["spin"] keeps the spin map ads[a] = ad(X_a) on the spinors."""
     frame = rep.frame
     if cl.dim != frame.dim:
         raise DimensionMismatch("Clifford module has %d directions, frame %d"
@@ -92,7 +93,7 @@ def cubicDirac(rep, cl, q):
     if cl.grading is not None:
         grading = idv.kron(cl.grading)
     form = rep.form.kron(cl.form)
-    meta = {"lambda": rep.lam, "q": q, "relative": False}
+    meta = {"lambda": rep.lam, "q": q, "relative": False, "spin": ads}
     return DiracOperator(total, grading, form, meta)
 
 
@@ -148,12 +149,11 @@ def verifyKostantIdentity(rep, cl):
     expected = rs.innerProduct(shifted, shifted)
 
     n = sq.nrows
-    ident = ExactMatrix.identity(n)
     cas_v = piCasimir(rep)
     pi_only = sq - cas_v.kron(ExactMatrix.identity(cl.size))
     pi_const = _scalar_of(pi_only)
 
-    ads = spinRepresentation(rep.frame, cl)
+    ads = op.meta["spin"]
     ginv = rep.frame.gramInverse
     idv = ExactMatrix.identity(rep.dimension)
     deltas = [rep.pi[a].kron(ExactMatrix.identity(cl.size))
@@ -299,6 +299,16 @@ def relativeCubicDirac(pair, lam, pieces=None):
     return op
 
 
+def _joint_kernel(mats, idx, n):
+    """The vectors supported on the coordinates idx that every n x n
+    matrix in mats kills, as the columns of an n x d matrix."""
+    sel = ExactMatrix.zeros(n, len(idx))
+    for c, i in enumerate(idx):
+        sel.put(i, c, 1)
+    return sel * ExactMatrix.vstack([m * sel for m in mats],
+                                    len(idx)).nullspace()
+
+
 def spectralCheckRelative(pair, lam):
     """Blockwise exact check: D^2 acts on each H-isotypic W_mu as
     |lam + rho_G|^2 - |mu + rho_H|^2.  Returns the block report and the
@@ -328,33 +338,14 @@ def spectralCheckRelative(pair, lam):
         mu_shift = tuple(m + r for m, r in zip(mu, h.rho))
         expect = lam_norm - h.innerProduct(mu_shift, mu_shift)
         idx = [i for i, w in enumerate(hweights) if w == mu]
-        stack = []
-        for e in raising:
-            for r in range(n):
-                stack.append([e.get(r, c) for c in idx])
-        if stack:
-            hw = ExactMatrix.from_rows(stack).nullspace()
-            vecs = [[hw.get(r, k) for r in range(len(idx))]
-                    for k in range(hw.ncols)]
-        else:
-            vecs = [[(rat(1) if r == t else ZERO, ZERO)
-                     for r in range(len(idx))] for t in range(len(idx))]
-        if len(vecs) != mult:
+        hw = _joint_kernel(raising, idx, n)
+        if hw.ncols != mult:
             raise SpectralMismatch(
                 "isotypic multiplicity %d but %d highest weight vectors"
-                % (mult, len(vecs)))
-        for coef in vecs:
-            full = [(ZERO, ZERO)] * n
-            for c, i in zip(coef, idx):
-                full[i] = c
-            for r in range(n):
-                acc = (ZERO, ZERO)
-                for i in idx:
-                    z = _gmul(sq.get(r, i), full[i])
-                    acc = (acc[0] + z[0], acc[1] + z[1])
-                if acc != _gmul((expect, ZERO), full[r]):
-                    raise SpectralMismatch(
-                        "D^2 is not the predicted scalar on mu = %s" % (mu,))
+                % (mult, hw.ncols))
+        if sq * hw != hw.scale(expect):
+            raise SpectralMismatch(
+                "D^2 is not the predicted scalar on mu = %s" % (mu,))
         blocks.append({"mu": mu, "multiplicity": mult,
                        "scalar": expect, "match": True})
         if expect == 0:
@@ -428,14 +419,5 @@ def _graded_kernel_multiplicity(pair, lam, mu):
     for sign in (1, -1):
         idx = [i for i, w in enumerate(hweights)
                if w == mu and op.grading.get(i, i)[0] == sign]
-        if not idx:
-            out.append(0)
-            continue
-        stack = []
-        for r in range(n):
-            stack.append([op.matrix.get(r, c) for c in idx])
-        for e in raising:
-            for r in range(n):
-                stack.append([e.get(r, c) for c in idx])
-        out.append(ExactMatrix.from_rows(stack).nullspace().ncols)
+        out.append(_joint_kernel([op.matrix] + raising, idx, n).ncols)
     return out[0], out[1]

@@ -7,6 +7,11 @@ equality, and every operation costs what the stored entries cost.  Rows are
 never shared between matrices, because ``put`` edits them in place.
 Scalars cross the API boundary as ``(re, im)`` pairs of ``Fraction``.
 
+This is the one linear-algebra core of the package: a vector is a 1 x n
+or n x 1 matrix, ``vstack`` stacks the row blocks of several matrices
+into one system, and ``rref``/``nullspace`` do every elimination.  Other
+modules keep no vector arithmetic of their own.
+
 Adjointness is always relative to an explicitly recorded Hermitian form S:
 ``A`` is skew-adjoint for S when  A^H S + S A = 0  and self-adjoint when
 A^H S = S A.  No orthonormalization is ever performed, so every check stays
@@ -33,17 +38,8 @@ def gauss_str(z):
     return rat_str(re) + ("-" if im < 0 else "+") + tail
 
 
-def _gmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
 def _gadd(a, b):
     return (a[0] + b[0], a[1] + b[1])
-
-
-def _gdiv(a, b):
-    nrm = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) / nrm, (a[1] * b[0] - a[0] * b[1]) / nrm)
 
 
 # -- one component: {i: {j: value}} with no zero and no empty row ----------
@@ -196,6 +192,21 @@ class ExactMatrix:
         return m
 
     @classmethod
+    def vstack(cls, mats, ncols):
+        """The rows of each matrix in turn, as one matrix of width ncols;
+        ncols also gives the width when mats is empty."""
+        out = cls(0, ncols)
+        for m in mats:
+            if m.ncols != ncols:
+                raise DimensionMismatch("vstack: %d columns, need %d"
+                                        % (m.ncols, ncols))
+            for part, opart in ((m.re, out.re), (m.im, out.im)):
+                for i, row in part.items():
+                    opart[out.nrows + i] = dict(row)
+            out.nrows += m.nrows
+        return out
+
+    @classmethod
     def from_rows(cls, rows):
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
@@ -233,16 +244,6 @@ class ExactMatrix:
 
     def row(self, i):
         return [self.get(i, j) for j in range(self.ncols)]
-
-    def sparse_rows(self):
-        """Per row, the (column, entry) pairs of its non-zeros."""
-        out = []
-        for i in range(self.nrows):
-            rr = self.re.get(i, {})
-            ri = self.im.get(i, {})
-            out.append([(j, (rr.get(j, ZERO), ri.get(j, ZERO)))
-                        for j in sorted(rr.keys() | ri.keys())])
-        return out
 
     # -- structure ------------------------------------------------------
 

@@ -40,6 +40,16 @@ def _coords(w):
     return ",".join(weightToStrings(w))
 
 
+def _integral_direction(xi):
+    """xi as a tuple of ints; a fractional coordinate is rejected, never
+    truncated."""
+    for i, x in enumerate(xi):
+        if not is_integer(rat(x)):
+            raise NotIntegral("circle direction coordinate %d is %s, not an "
+                              "integer" % (i + 1, rat_str(rat(x))))
+    return tuple(int(x) for x in xi)
+
+
 def _primitive(vec):
     """Scale a nonzero rational vector to a primitive integer vector,
     keeping its direction."""
@@ -406,7 +416,7 @@ def kirwanDecomposeCircle(model, xi, c, window):
                                    sys.zeroWeight())
         return [KirwanComponent(sys.zeroWeight(), series, c == 0)]
 
-    xi = tuple(int(rat(x)) for x in xi)
+    xi = _integral_direction(xi)
     if _primitive(xi) != xi:
         raise DiracforgeError("circle direction (%s) must be a primitive "
                               "integer vector" % _coords(xi))
@@ -497,7 +507,7 @@ def qrCheckCircle(model, xi, c, window=None):
     if model.dimension == 0:
         xi = ()
     else:
-        xi = tuple(int(rat(x)) for x in xi)
+        xi = _integral_direction(xi)
     if window is None:
         if model.dimension == 0:
             window = rat(4)

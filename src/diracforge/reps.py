@@ -4,91 +4,37 @@ V_lambda is realized inside a tensor ambient built from fundamental wedge
 representations: Lambda^k of a type A factor's defining block carries
 omega_k, torus coordinates act as scalars, and the canonical highest
 weight vector generates V_lambda under the simple lowering operators.
-The generated basis is grouped by weight and orthogonalized without
-normalization, so everything stays over Q(i): the invariant Hermitian
-form comes out diagonal and every pi(X) is skew-adjoint for it.
 
-The build is self-checking: the expansion of each image over the basis is
-verified entry-exactly (this is the invariance of the cyclic subspace),
-the simultaneous torus eigenvalues must reproduce irreducibleCharacter,
-and bracket relations are compared against the frame's structure
-constants (in full at small dimension, on a Cartan-anchored subset past
-that).
+Every step is an ExactMatrix product or elimination; vectors are
+1 x ambient rows.  The closure runs one height level at a time: the
+weight space at mu is the row space of the stacked images of the weight
+spaces mu + alpha_i on the level above, reduced with ``rref`` (pivot
+entries 1).  Each weight space is orthogonalized without normalization,
+so everything stays over Q(i): the invariant Hermitian form comes out
+diagonal and every pi(X) is skew-adjoint for it.  With B the ambient x
+dim matrix of basis columns, pi(X) restricts to the projection
+M = diag(1/|b|^2) B^H (pi_X B).
+
+The build is self-checking: B M == pi_X B must hold entry-exactly (this
+is the invariance of the cyclic subspace), the simultaneous torus
+eigenvalues must reproduce irreducibleCharacter, and bracket relations
+are compared against the frame's structure constants (in full at small
+dimension, on a Cartan-anchored subset past that).
 """
 
 import itertools
 from bisect import bisect_left
-from collections import deque
 
 from .characters import (FormalCharacter, _require_dominant_integral,
                          irreducibleCharacter, weylDimension)
 from .errors import BadStructureConstants, TooLarge
-from .exactmat import ExactMatrix, _gadd, _gdiv, _gmul, commutator
-from .rationals import ZERO, is_integer, rat
-from .structure import CARTAN, buildFrame
-
-GZERO = (ZERO, ZERO)
-GONE = (rat(1), ZERO)
+from .exactmat import ExactMatrix, _gadd, commutator
+from .rationals import ZERO, rat
+from .structure import buildFrame
 
 DIM_LIMIT = 64
 AMBIENT_LIMIT = 1024
 FULL_BRACKET_LIMIT = 24
-
-
-def _gsub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _gconj(a):
-    return (a[0], -a[1])
-
-
-def _matvec(rows, vec):
-    out = []
-    for row in rows:
-        acc = GZERO
-        for j, z in row:
-            v = vec[j]
-            if v[0] or v[1]:
-                acc = _gadd(acc, _gmul(z, v))
-        out.append(acc)
-    return out
-
-
-def _dot(u, v):
-    acc = GZERO
-    for a, b in zip(u, v):
-        if (a[0] or a[1]) and (b[0] or b[1]):
-            acc = _gadd(acc, _gmul(_gconj(a), b))
-    return acc
-
-
-class _Reducer:
-    """Incremental row reduction over Q(i); insert returns the reduced
-    vector when it enlarges the span, None when dependent."""
-
-    def __init__(self):
-        self.rows = []
-
-    def insert(self, vec):
-        vec = list(vec)
-        for pivot, row in self.rows:
-            c = vec[pivot]
-            if c[0] or c[1]:
-                for i, rz in enumerate(row):
-                    if rz[0] or rz[1]:
-                        vec[i] = _gsub(vec[i], _gmul(c, rz))
-        pivot = None
-        for i, z in enumerate(vec):
-            if z[0] or z[1]:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        lead = vec[pivot]
-        vec = [_gdiv(z, lead) if (z[0] or z[1]) else GZERO for z in vec]
-        self.rows.append((pivot, vec))
-        return tuple(vec)
 
 
 def _wedge_matrix(local, k):
@@ -129,6 +75,27 @@ def _factor_block(frame, a):
         for j in range(bsize):
             sub.put(i, j, frame.matrices[a].get(boff + i, boff + j))
     return bi, fam, sub
+
+
+def _orthogonal_rows(red, rank):
+    """Gram-Schmidt without normalization on the first rank rows of red:
+    the rows as 1 x n matrices and their norms, which must be real and
+    positive."""
+    rows = []
+    norms = []
+    for r in range(rank):
+        pick = ExactMatrix.zeros(1, red.nrows)
+        pick.put(0, r, 1)
+        vec = pick * red
+        if rows:
+            done = ExactMatrix.vstack(rows, red.ncols)
+            inv = ExactMatrix.diag([1 / n for n in norms])
+            vec = vec - vec * done.ctranspose() * inv * done
+        nz = (vec * vec.ctranspose()).get(0, 0)
+        assert nz[1] == 0 and nz[0] > 0
+        rows.append(vec)
+        norms.append(nz[0])
+    return rows, norms
 
 
 class LieRep:
@@ -213,108 +180,74 @@ def buildLieRep(rs, lam):
         pis.append(total)
 
     # ambient weights from the (diagonal) torus actions
+    weights = [tuple(pis[p].get(v, v)[1] for p in range(rs.rank))
+               for v in range(ambient)]
     for p in range(rs.rank):
-        for i, row in enumerate(pis[p].sparse_rows()):
-            assert all(j == i and z[0] == 0 for j, z in row)
-    weights = []
-    for v in range(ambient):
-        weights.append(tuple(pis[p].get(v, v)[1] for p in range(rs.rank)))
+        assert pis[p] == ExactMatrix.diag([(ZERO, w[p]) for w in weights])
 
-    # highest weight vector: the all-tops tensor basis vector is index 0
+    # highest weight vector: the all-tops tensor basis vector is index 0;
+    # vectors are 1 x ambient rows, so X acts on them through X^T
     assert weights[0] == lam
+    top = ExactMatrix.zeros(1, ambient)
+    top.put(0, 0, 1)
     simple_dirs = []
     for i in range(len(rs.simple_positions)):
         beta = [rat(0)] * rs.rank
         for j, sp in enumerate(rs.simple_positions):
             beta[sp] = rat(rs.cartanMatrix[i][j])
         adir = frame.index(("A", tuple(beta)))
-        simple_dirs.append((adir, tuple(beta)))
-    lower_rows = []
-    raise_rows = []
-    for adir, _ in simple_dirs:
         fa, fb = pis[adir], pis[adir + 1]
         lower = fa.scale(rat(-1, 2)) + fb.scale((ZERO, rat(-1, 2)))
         raiser = fa.scale(rat(1, 2)) + fb.scale((ZERO, rat(-1, 2)))
-        lower_rows.append(lower.sparse_rows())
-        raise_rows.append(raiser.sparse_rows())
-    top = [GZERO] * ambient
-    top[0] = GONE
-    for rr in raise_rows:
-        assert not any(z[0] or z[1] for z in _matvec(rr, top))
+        assert (top * raiser.transpose()).is_zero()
+        simple_dirs.append((tuple(beta), lower.transpose()))
 
-    # cyclic closure under the lowering operators, grouped by weight
-    groups = {}
-    reducers = {}
-    reducers[lam] = _Reducer()
-    groups[lam] = [reducers[lam].insert(top)]
-    queue = deque([(lam, groups[lam][0])])
-    while queue:
-        w, vec = queue.popleft()
-        for si, (adir, beta) in enumerate(simple_dirs):
-            img = _matvec(lower_rows[si], vec)
-            if not any(z[0] or z[1] for z in img):
-                continue
-            nw = tuple(c - b for c, b in zip(w, beta))
-            if nw not in reducers:
-                reducers[nw] = _Reducer()
-                groups[nw] = []
-            red = reducers[nw].insert(img)
-            if red is not None:
-                groups[nw].append(red)
-                queue.append((nw, red))
+    # cyclic closure under the lowering operators, one height level at a
+    # time: the weight space at nw is the row space of the images of the
+    # level above; its reduced echelon rows (pivot entries 1) are
+    # orthogonalized at once, and distinct weights are orthogonal
+    groups = {lam: _orthogonal_rows(top, 1)}
+    level = [lam]
+    while level:
+        images = {}
+        for w in level:
+            block = ExactMatrix.vstack(groups[w][0], ambient)
+            for beta, lower_t in simple_dirs:
+                img = block * lower_t
+                if not img.is_zero():
+                    nw = tuple(c - b for c, b in zip(w, beta))
+                    images.setdefault(nw, []).append(img)
+        for nw, imgs in images.items():
+            red, pivots = ExactMatrix.vstack(imgs, ambient).rref()
+            groups[nw] = _orthogonal_rows(red, len(pivots))
+        level = list(images)
     basis = []
     basis_weights = []
+    norms = []
     for w in sorted(groups):
-        for vec in groups[w]:
-            basis.append(list(vec))
-            basis_weights.append(w)
+        rows, group_norms = groups[w]
+        basis.extend(rows)
+        basis_weights.extend([w] * len(rows))
+        norms.extend(group_norms)
     if len(basis) != dim:
         raise BadStructureConstants(
             "cyclic closure gave %d vectors, Weyl dimension is %d"
             % (len(basis), dim))
-
-    # orthogonalize within weight groups; distinct weights are orthogonal
-    start = 0
-    norms = []
-    for w in sorted(groups):
-        block = len(groups[w])
-        for i in range(start, start + block):
-            for j in range(start, i):
-                c = _gdiv(_dot(basis[j], basis[i]), (norms[j], ZERO))
-                if c[0] or c[1]:
-                    basis[i] = [_gsub(x, _gmul(c, y))
-                                for x, y in zip(basis[i], basis[j])]
-            nz = _dot(basis[i], basis[i])
-            assert nz[1] == 0 and nz[0] > 0
-            norms.append(nz[0])
-        start += block
-    for i in range(dim):
-        for j in range(i):
-            assert _dot(basis[i], basis[j]) == GZERO
     form = ExactMatrix.diag(norms)
+    cols = ExactMatrix.vstack(basis, ambient).transpose()
+    cols_h = cols.ctranspose()
+    assert cols_h * cols == form
 
-    # restrict every direction: project the image and verify the expansion
-    weight_of_group = {}
-    for i, w in enumerate(basis_weights):
-        weight_of_group.setdefault(w, []).append(i)
+    # restrict every direction: M = diag(1/n) B^H (pi_a B) projects the
+    # images onto the basis, and B M == pi_a B says they never left it
+    inv = ExactMatrix.diag([1 / n for n in norms])
     rep_pi = []
     for a in range(frame.dim):
-        rows = pis[a].sparse_rows()
-        m = ExactMatrix.zeros(dim)
-        for j in range(dim):
-            img = _matvec(rows, basis[j])
-            support = {weights[v] for v, z in enumerate(img) if z[0] or z[1]}
-            recon = [GZERO] * ambient
-            for w in support:
-                for i in weight_of_group.get(w, ()):
-                    c = _gdiv(_dot(basis[i], img), (norms[i], ZERO))
-                    if c[0] or c[1]:
-                        m.put(i, j, c)
-                        recon = [_gadd(x, _gmul(c, y))
-                                 for x, y in zip(recon, basis[i])]
-            if recon != img:
-                raise BadStructureConstants(
-                    "image of basis vector left the cyclic subspace")
+        img = pis[a] * cols
+        m = inv * (cols_h * img)
+        if cols * m != img:
+            raise BadStructureConstants(
+                "image of basis vector left the cyclic subspace")
         rep_pi.append(m)
 
     rep = LieRep(rs, frame, lam, rep_pi, form, basis_weights)

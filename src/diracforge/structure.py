@@ -18,10 +18,8 @@ Only type A simple factors (plus tori) have defining blocks here; the
 B/C/D root systems stay available in liecore but have no frame.
 """
 
-from .errors import (UnsupportedType, NotOrthogonal, BadStructureConstants,
-                     SystemMismatch)
+from .errors import UnsupportedType, NotOrthogonal, BadStructureConstants
 from .exactmat import ExactMatrix, commutator
-from .liecore import RootSystem
 from .rationals import rat, ZERO
 
 CARTAN, ROOT_A, ROOT_B = "iH", "A", "B"

@@ -224,6 +224,19 @@ def test_singular_level_is_usage_error(capsys, cp1_model):
     assert "critical value" in err
 
 
+def test_fractional_circle_direction_is_usage_error(capsys, cp1_model,
+                                                    tmp_path):
+    # 3/2 used to be truncated to the direction 1 and answered for it
+    out_dir = tmp_path / "components"
+    for argv in (("qr-toric",),
+                 ("decompose", "--window", "4", "--out", str(out_dir))):
+        rc, out, err = run(capsys, *argv, "--model", cp1_model,
+                           "--xi", "3/2", "--c", "2")
+        assert rc == 2 and out == ""
+        assert "coordinate 1 is 3/2" in err
+    assert not out_dir.exists()
+
+
 def test_unknown_normalization_rejected(capsys):
     rc, _, err = run(capsys, "root-system", "--type", "A1",
                      "--normalization", "short-root-2")

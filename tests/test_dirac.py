@@ -8,7 +8,7 @@ from diracforge.dirac import (BadOperator, DiracOperator, RelativePieces,
                               cubicDirac, kernelIndex, piCasimir,
                               qSweepReport, relativeCubicDirac,
                               spectralCheckRelative, verifyKostantIdentity)
-from diracforge.errors import DimensionMismatch, TooLarge
+from diracforge.errors import DimensionMismatch, SpectralMismatch, TooLarge
 from diracforge.exactmat import ExactMatrix
 from diracforge.liecore import pairFromLabel, systemFromLabel
 from diracforge.rationals import ZERO, rat
@@ -76,6 +76,22 @@ def test_affine_constant_audit_su2():
     report = verifyKostantIdentity(rep, cl)
     assert report["readings"]["piOnly"] == "1/2"
     assert report["readings"]["tensorDiagonal"] == "failure"
+
+
+def test_spin_map_built_once_per_kostant_check(monkeypatch):
+    # the spin map (and its structure-constant checks) depends only on the
+    # frame and the module; the audit reuses the one cubicDirac built
+    rep, cl = build("A2", (1, 0))
+    calls = []
+    real = dirac.spinRepresentation
+
+    def counting(structure, module):
+        calls.append(structure)
+        return real(structure, module)
+
+    monkeypatch.setattr(dirac, "spinRepresentation", counting)
+    assert verifyKostantIdentity(rep, cl)["scalarMatches"]
+    assert len(calls) == 1
 
 
 def test_q_sweep_scalar_only_at_third():
@@ -196,6 +212,24 @@ def test_relative_su3_u2_spectrum():
     }
     assert report["kernelCandidates"] == [
         (rat(1), rat(-6)), (rat(1), rat(6)), (rat(3), rat(0))]
+
+
+def test_relative_check_catches_a_wrong_square(monkeypatch):
+    real = DiracOperator.square
+
+    def shifted(op):
+        return real(op) + ExactMatrix.identity(op.matrix.nrows)
+
+    monkeypatch.setattr(DiracOperator, "square", shifted)
+    with pytest.raises(SpectralMismatch, match="not the predicted scalar"):
+        spectralCheckRelative(pairFromLabel("A2:u2"), (1, 1))
+
+
+def test_relative_check_counts_highest_weight_vectors(monkeypatch):
+    # without raising operators every weight vector of W_mu looks highest
+    monkeypatch.setattr(RelativePieces, "raisingOps", lambda rp: [])
+    with pytest.raises(SpectralMismatch, match="isotypic multiplicity"):
+        spectralCheckRelative(pairFromLabel("A2:u2"), (1, 1))
 
 
 def test_relative_full_torus_kernel_is_weyl_orbit():

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from diracforge import matops as ref
+from diracforge.errors import DimensionMismatch
 from diracforge.exactmat import ExactMatrix
 from diracforge.rationals import ONE, ZERO, rat
 
@@ -97,6 +98,14 @@ def test_add_sub_neg_scale(seed):
                             [x - y for x, y in zip(da[1], db[1])]))
         check(-a, n, m, ([-x for x in da[0]], [-x for x in da[1]]))
         check(a + (-a), n, m, ([ZERO] * (n * m), [ZERO] * (n * m)))
+        stacked = ExactMatrix.vstack([a, b, a], m)
+        check(stacked, 3 * n, m, (da[0] + db[0] + da[0], da[1] + db[1] + da[1]))
+        if n and m:
+            stacked.put(0, 0, (rat(7), rat(7)))  # no row is shared
+            check(a, n, m, da)
+        check(ExactMatrix.vstack([], m), 0, m, ([], []))
+        with pytest.raises(DimensionMismatch):
+            ExactMatrix.vstack([a, ExactMatrix.zeros(1, m + 1)], m)
         assert (a - a).is_zero() and a - a == ExactMatrix.zeros(n, m)
         for zr, zi in ((rat(0), rat(0)), (rat(-3, 2), rat(0)),
                        (rat(0), rat(2)), (rat(1), rat(1))):

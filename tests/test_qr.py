@@ -171,6 +171,13 @@ def test_direction_must_be_primitive():
         kirwanDecomposeCircle(cp1(4), (2,), 1, 8)
 
 
+def test_fractional_direction_is_rejected():
+    with pytest.raises(NotIntegral, match="coordinate 2 is 5/2"):
+        kirwanDecomposeCircle(cp2(4), (1, rat(5, 2)), 2, 8)
+    with pytest.raises(NotIntegral, match="coordinate 1 is 3/2"):
+        qrCheckCircle(cp1(4), (rat(3, 2),), 2)
+
+
 def test_window_must_be_positive():
     with pytest.raises(DiracforgeError):
         kirwanDecomposeCircle(cp1(4), (1,), 2, 0)
