@@ -26,7 +26,8 @@ c(e) is skew-adjoint with respect to it.
 from . import structure as _structure
 from .errors import (TooLarge, CliffordConstructionError,
                      BadStructureConstants, DimensionMismatch)
-from .exactmat import ExactMatrix, anticommutator
+from .exactmat import (ExactMatrix, anticommutator, combination, contract,
+                       inverse_rows)
 from .rationals import rat, ZERO, exact_sqrt, squarefree_core
 
 
@@ -40,10 +41,14 @@ def _pair_block(d1, d2):
     return b1, b2
 
 
-def _conic_point(d1, d2, bound=48):
-    """Rational (x, y) with x^2 + d1 y^2 = d2, by bounded search."""
-    for den in range(1, bound + 1):
-        for num in range(0, bound + 1):
+_CONIC_BOUND = 48
+
+
+def _conic_point(d1, d2):
+    """Rational (x, y) with x^2 + d1 y^2 = d2, by a search over
+    y = num/den with 0 <= num <= _CONIC_BOUND and 1 <= den <= _CONIC_BOUND."""
+    for den in range(1, _CONIC_BOUND + 1):
+        for num in range(0, _CONIC_BOUND + 1):
             y = rat(num, den)
             rest = d2 - d1 * y * y
             if rest < 0:
@@ -60,7 +65,10 @@ def _mixed_block(d1, d2):
     pt = _conic_point(d1, d2)
     if pt is None:
         raise CliffordConstructionError(
-            "no rational point found on x^2 + %s y^2 = %s" % (d1, d2))
+            "bounded search found no rational point on x^2 + %s y^2 = %s "
+            "with y = p/q, 0 <= p <= %d, 1 <= q <= %d; whether the conic "
+            "has one was not decided"
+            % (d1, d2, _CONIC_BOUND, _CONIC_BOUND))
     x, y = pt
     b1 = ExactMatrix.from_rows([[ZERO, -d1], [rat(1), ZERO]])
     b2 = ExactMatrix.from_rows([[(ZERO, x), (ZERO, d1 * y)],
@@ -93,12 +101,11 @@ class CliffordModule:
         d = self.dim
         ident = ExactMatrix.identity(self.size)
         zero = ExactMatrix.zeros(self.size)
+        failed = _relation_failure(self.gamma, self.gram, self.size)
+        if failed is not None:
+            raise CliffordConstructionError(
+                "relation failed at directions %d, %d" % failed)
         for a in range(d):
-            for b in range(a, d):
-                if anticommutator(self.gamma[a], self.gamma[b]) \
-                        != ident.scale(-2 * self.gram[a][b]):
-                    raise CliffordConstructionError(
-                        "relation failed at directions %d, %d" % (a, b))
             if not self.gamma[a].is_skewadjoint_wrt(self.form):
                 raise CliffordConstructionError(
                     "generator %d is not skew-adjoint for the form" % a)
@@ -123,11 +130,19 @@ class CliffordModule:
 
     def cliffordOf(self, coef):
         """c(v) for v = sum coef_a e_a over the input directions."""
-        out = ExactMatrix.zeros(self.size)
-        for a, c in enumerate(coef):
-            if c:
-                out = out + self.gamma[a].scale(c)
-        return out
+        return combination(coef, self.gamma, self.size)
+
+
+def _relation_failure(gamma, gram, size):
+    """The first (a, b), a <= b, at which gamma_a gamma_b + gamma_b gamma_a
+    differs from -2 gram[a][b], or None when every relation holds."""
+    ident = ExactMatrix.identity(size)
+    for a in range(len(gamma)):
+        for b in range(a, len(gamma)):
+            if anticommutator(gamma[a], gamma[b]) \
+                    != ident.scale(-2 * gram[a][b]):
+                return a, b
+    return None
 
 
 def _orthogonalize(gram):
@@ -157,11 +172,7 @@ def _orthogonalize(gram):
             raise CliffordConstructionError("frame gram is not positive definite")
         v_in_e.append(tuple(vec))
         norms.append(n)
-    vmat = ExactMatrix.from_rows([[v_in_e[k][i] for i in range(d)]
-                                  for k in range(d)])
-    inv = vmat.solve(ExactMatrix.identity(d))
-    back = [[inv.get(j, k)[0] for k in range(d)] for j in range(d)]
-    return back, norms
+    return inverse_rows(v_in_e), norms
 
 
 def _plan_blocks(norms, pair_hints):
@@ -282,13 +293,8 @@ def buildCliffordFrame(gram, pair_hints=()):
             for _ in range(nblocks):
                 grading = grading.kron(J)
 
-    gamma = []
-    for j in range(d):
-        g = ExactMatrix.zeros(size)
-        for k in range(d):
-            if back[j][k]:
-                g = g + pivot_gamma[k].scale(back[j][k])
-        gamma.append(g)
+    pivots = [pivot_gamma[k] for k in range(d)]
+    gamma = [combination(back[j], pivots, size) for j in range(d)]
 
     pivot_data = {"norms": tuple(norms), "blocks": tuple(blocks),
                   "leftover": leftover}
@@ -330,12 +336,9 @@ class RawStructure:
         self.gram = tuple(tuple(rat(c) for c in row) for row in gram)
         self._f = tuple(tuple(tuple(rat(c) for c in col) for col in row)
                         for row in f)
-        gm = ExactMatrix.from_rows([[c for c in row] for row in self.gram])
-        inv = gm.solve(ExactMatrix.identity(self.dim))
-        if inv is None:
+        self.gramInverse = inverse_rows(self.gram)
+        if self.gramInverse is None:
             raise BadStructureConstants("gram is singular")
-        self.gramInverse = tuple(tuple(inv.get(i, j)[0] for j in range(self.dim))
-                                 for i in range(self.dim))
 
     def bracketCoefficients(self, a, b):
         return self._f[a][b]
@@ -395,22 +398,14 @@ def spinRepresentation(structure, cl):
         raise DimensionMismatch("Clifford module has %d directions, "
                                 "structure has %d" % (cl.dim, d))
     f = _validate_structure(structure)
-    ginv = structure.gramInverse
-    quarter = rat(1, 4)
-    ads = []
-    for a in range(d):
-        acc = ExactMatrix.zeros(cl.size)
-        for c in range(d):
-            bracket = f[a][c]
-            if not any(bracket):
-                continue
-            cbr = cl.cliffordOf(bracket)
-            for b in range(d):
-                w = ginv[b][c]
-                if w:
-                    acc = acc + (cl.gamma[b] * cbr).scale(w * quarter)
-        ads.append(acc)
-    return ads
+    return [_spin_of(f[a], cl, structure.gramInverse) for a in range(d)]
+
+
+def _spin_of(brackets, cl, ginv):
+    """(1/4) sum_{b,c} (G^-1)_{bc} c(X_b) c([X, X_c]), where brackets[c]
+    holds the coefficients of [X, X_c] over the directions of cl."""
+    cbr = [cl.cliffordOf(br) for br in brackets]
+    return contract(cl.gamma, cbr, ginv, cl.size).scale(rat(1, 4))
 
 
 # ---------------------------------------------------------------- pair split
@@ -435,20 +430,9 @@ def hSpinAction(pframe, s_p, h_local):
     """Spin action on S_p of the h-frame direction with local index
     h_local: (1/4) sum (Gp^-1)_{bc} c(u_b) c([Y, u_c]); lands in p exactly
     because [h, p] is inside p."""
-    d = len(pframe.pIndices)
-    acc = ExactMatrix.zeros(s_p.size)
-    ginv = pframe.pGramInverse
-    quarter = rat(1, 4)
-    for c in range(d):
-        br = pframe.hBracketOnP(h_local, c)
-        if not any(br):
-            continue
-        cbr = s_p.cliffordOf(br)
-        for b in range(d):
-            w = ginv[b][c]
-            if w:
-                acc = acc + (s_p.gamma[b] * cbr).scale(w * quarter)
-    return acc
+    brackets = [pframe.hBracketOnP(h_local, c)
+                for c in range(len(pframe.pIndices))]
+    return _spin_of(brackets, s_p, pframe.pGramInverse)
 
 
 def spinorWeights(pair, pframe, s_p):
@@ -486,9 +470,8 @@ def _fix_grading_sign(pair, pframe, s_p):
 
 class SpinorEmbedding:
     """Cl(g)-module structure on S_h (x) S_p: h-directions act through
-    c_h (x) grading_p, p-directions through 1 (x) c_p.  basisChange is the
-    identity because this tensor model is the package's spinor model for
-    pair computations; gammaFull is indexed like the ambient frame."""
+    c_h (x) grading_p, p-directions through 1 (x) c_p; gammaFull is
+    indexed like the ambient frame."""
 
     def __init__(self, pframe, s_h, s_p):
         self.pairFrame = pframe
@@ -501,15 +484,9 @@ class SpinorEmbedding:
             gammas[a] = id_h.kron(s_p.gamma[local])
         self.gammaFull = tuple(gammas)
         self.size = s_h.size * s_p.size
-        self.form = s_h.form.kron(s_p.form)
-        self.basisChange = ExactMatrix.identity(self.size)
-        ident = ExactMatrix.identity(self.size)
-        for a in range(pframe.frame.dim):
-            for b in range(a, pframe.frame.dim):
-                if anticommutator(gammas[a], gammas[b]) \
-                        != ident.scale(-2 * self.gramFull[a][b]):
-                    raise CliffordConstructionError(
-                        "tensor model broke a Clifford relation")
+        if _relation_failure(gammas, self.gramFull, self.size) is not None:
+            raise CliffordConstructionError(
+                "tensor model broke a Clifford relation")
 
 
 def splitCliffordForPair(pair):

@@ -2,14 +2,22 @@
 
 All sums over the frame are dual contracted: sum_i X_i (x) X_i in an
 orthonormal basis becomes sum_{a,b} (G^-1)_{ab} X_a (x) X_b here, so the
-operators are basis independent without ever leaving Q(i).
+operators are basis independent without ever leaving Q(i).  The sums run
+through exactmat's combination and contract, with the dual gammas
+c^a = sum_b (G^-1)_{ab} c(X_b).  The operator is assembled as
+sum_a pi_a (x) c^a + 1 (x) K, where the spin part K = q sum_a ad_a c^a is
+summed in S and tensored once.
 
 The square identities are exact matrix statements and are checked as
 such.  The full operator satisfies D^2 = Cas_V + |rho|^2 with the Casimir
 acting through pi alone; the report of verifyKostantIdentity audits this
 against the tensor-diagonal reading of the Casimir and against the two
 candidate values for the affine constant (they agree by the strange
-formula, which is part of the audit's point).
+formula, which is part of the audit's point).  With delta_a = pi_a (x) 1 +
+1 (x) ad_a and G^-1 symmetric, the tensor-diagonal Casimir
+-sum (G^-1)_{ab} delta_a delta_b is read expanded, as
+Cas_V (x) 1 - 1 (x) sum (G^-1)_{ab} ad_a ad_b - 2 sum_a pi_a (x) ad^a
+with ad^a = sum_b (G^-1)_{ab} ad_b, so no product is formed on V (x) S.
 """
 
 import itertools
@@ -19,7 +27,8 @@ from .clifford import (PStructure, hSpinAction, spinRepresentation,
                        spinorWeights, splitCliffordForPair)
 from .errors import (DimensionMismatch, DiracforgeError, NotScalar,
                      SpectralMismatch, TooLarge)
-from .exactmat import ExactMatrix, commutator
+from .exactmat import ExactMatrix, combination, commutator, contract, \
+    inverse_rows
 from .rationals import ZERO, rat, rat_str
 from .reps import buildLieRep
 
@@ -73,22 +82,9 @@ def cubicDirac(rep, cl, q):
     if cl.gram != frame.gram:
         raise DimensionMismatch("Clifford gram differs from the frame gram")
     q = rat(q)
-    ginv = frame.gramInverse
     ads = spinRepresentation(frame, cl)
-    n = rep.dimension * cl.size
     idv = ExactMatrix.identity(rep.dimension)
-    total = ExactMatrix.zeros(n)
-    for a in range(frame.dim):
-        spin_part = ExactMatrix.zeros(cl.size)
-        cli_part = ExactMatrix.zeros(cl.size)
-        for b in range(frame.dim):
-            w = ginv[a][b]
-            if w:
-                cli_part = cli_part + cl.gamma[b].scale(w)
-        if q:
-            spin_part = ads[a] * cli_part
-        total = total + rep.pi[a].kron(cli_part) \
-            + idv.kron(spin_part).scale(q)
+    total = _assemble(rep.pi, cl, frame.gramInverse, ads, q, idv)
     grading = None
     if cl.grading is not None:
         grading = idv.kron(cl.grading)
@@ -97,18 +93,27 @@ def cubicDirac(rep, cl, q):
     return DiracOperator(total, grading, form, meta)
 
 
+def _pi_dual(pi, mats, ginv, dim_v, size):
+    """sum_a pi_a (x) sum_b (G^-1)_{ab} mats_b on V (x) S, where V and S
+    have dimensions dim_v and size."""
+    out = ExactMatrix.zeros(dim_v * size)
+    for p, row in zip(pi, ginv):
+        out = out + p.kron(combination(row, mats, size))
+    return out
+
+
+def _assemble(pi, cl, ginv, ads, q, idv):
+    """sum_a pi_a (x) c^a + idv (x) q sum_a ad_a c^a, with the dual gammas
+    c^a = sum_b (G^-1)_{ab} c(X_b); the spin part is summed in S and
+    tensored once."""
+    spin = contract(ads, cl.gamma, ginv, cl.size).scale(q)
+    return _pi_dual(pi, cl.gamma, ginv, idv.nrows, cl.size) + idv.kron(spin)
+
+
 def piCasimir(rep):
     """-sum (G^-1)_{ab} pi(X_a) pi(X_b); scalar <lam, lam + 2 rho> on an
     irreducible."""
-    frame = rep.frame
-    ginv = frame.gramInverse
-    cas = ExactMatrix.zeros(rep.dimension)
-    for a in range(frame.dim):
-        for b in range(frame.dim):
-            w = ginv[a][b]
-            if w:
-                cas = cas - (rep.pi[a] * rep.pi[b]).scale(w)
-    return cas
+    return -contract(rep.pi, rep.pi, rep.frame.gramInverse, rep.dimension)
 
 
 def _adjoint_trace_24th(rs):
@@ -133,6 +138,17 @@ def _adjoint_trace_24th(rs):
     return total / 24, rho2
 
 
+def _tensor_diagonal_casimir(rep, ads, cas_v, size):
+    """-sum (G^-1)_{ab} delta_a delta_b with delta_a = pi_a (x) 1 + 1 (x)
+    ad_a, read expanded as in the module docstring; cas_v = piCasimir(rep)
+    and the spin map ads acts on spinors of dimension size."""
+    ginv = rep.frame.gramInverse
+    idv = ExactMatrix.identity(rep.dimension)
+    cross = _pi_dual(rep.pi, ads, ginv, rep.dimension, size)
+    return cas_v.kron(ExactMatrix.identity(size)) \
+        - idv.kron(contract(ads, ads, ginv, size)) - cross.scale(2)
+
+
 def verifyKostantIdentity(rep, cl):
     """Exact square identity for the full cubic operator.
 
@@ -148,22 +164,11 @@ def verifyKostantIdentity(rep, cl):
     shifted = tuple(l + r for l, r in zip(rep.lam, rs.rho))
     expected = rs.innerProduct(shifted, shifted)
 
-    n = sq.nrows
     cas_v = piCasimir(rep)
     pi_only = sq - cas_v.kron(ExactMatrix.identity(cl.size))
     pi_const = _scalar_of(pi_only)
 
-    ads = op.meta["spin"]
-    ginv = rep.frame.gramInverse
-    idv = ExactMatrix.identity(rep.dimension)
-    deltas = [rep.pi[a].kron(ExactMatrix.identity(cl.size))
-              + idv.kron(ads[a]) for a in range(rep.frame.dim)]
-    diag_cas = ExactMatrix.zeros(n)
-    for a in range(rep.frame.dim):
-        for b in range(rep.frame.dim):
-            w = ginv[a][b]
-            if w:
-                diag_cas = diag_cas - (deltas[a] * deltas[b]).scale(w)
+    diag_cas = _tensor_diagonal_casimir(rep, op.meta["spin"], cas_v, cl.size)
     diag_const = _scalar_of(sq - diag_cas)
 
     trace_24th, rho2 = _adjoint_trace_24th(rs)
@@ -274,19 +279,9 @@ def relativeCubicDirac(pair, lam, pieces=None):
     rp = pieces if pieces is not None else RelativePieces(pair, lam)
     rep, s_p, pframe = rp.rep, rp.s_p, rp.pframe
     n = rep.dimension * s_p.size
-    total = ExactMatrix.zeros(n)
-    if s_p.dim:
-        ads = spinRepresentation(PStructure(pframe), s_p)
-        ginv = pframe.pGramInverse
-        third = rat(1, 3)
-        for li, a in enumerate(pframe.pIndices):
-            cli = ExactMatrix.zeros(s_p.size)
-            for lj in range(len(pframe.pIndices)):
-                w = ginv[li][lj]
-                if w:
-                    cli = cli + s_p.gamma[lj].scale(w)
-            total = total + rep.pi[a].kron(cli) \
-                + rp.idv.kron(ads[li] * cli).scale(third)
+    pi = [rep.pi[a] for a in pframe.pIndices]
+    ads = spinRepresentation(PStructure(pframe), s_p)
+    total = _assemble(pi, s_p, pframe.pGramInverse, ads, rat(1, 3), rp.idv)
     grading = rp.idv.kron(s_p.grading) if s_p.dim \
         else ExactMatrix.identity(n)
     form = rep.form.kron(s_p.form)
@@ -360,15 +355,13 @@ def _coordinate_ball(rs, norm_target):
     """Dominant integral lam with |lam + rho|^2 = norm_target, via the
     Cauchy-Schwarz coordinate bound |v_i| <= sqrt(target (G^-1)_ii)."""
     rank = rs.rank
-    gm = ExactMatrix.from_rows([[rs.gram[i][j] for j in range(rank)]
-                                for i in range(rank)])
-    ginv = gm.solve(ExactMatrix.identity(rank))
+    ginv = inverse_rows(rs.gram)
     out = []
     if norm_target < 0:
         return out
     bounds = []
     for i in range(rank):
-        cap = norm_target * ginv.get(i, i)[0]
+        cap = norm_target * ginv[i][i]
         b = 0
         while rat(b * b) <= cap:
             b += 1

@@ -12,6 +12,12 @@ or n x 1 matrix, ``vstack`` stacks the row blocks of several matrices
 into one system, and ``rref``/``nullspace`` do every elimination.  Other
 modules keep no vector arithmetic of their own.
 
+Frame sums happen in one place too.  ``combination`` is a linear
+combination sum_a c_a M_a, ``contract`` is the dual-frame contraction
+sum_{a,b} (G^-1)_{ab} L_a R_b, and ``inverse_rows`` gives the gram inverse
+G^-1 those sums run through.  Cliffords of a vector, dual gammas, the
+Casimir, the spin map and the Dirac assembly are all built from them.
+
 Adjointness is always relative to an explicitly recorded Hermitian form S:
 ``A`` is skew-adjoint for S when  A^H S + S A = 0  and self-adjoint when
 A^H S = S A.  No orthonormalization is ever performed, so every check stays
@@ -434,6 +440,35 @@ class ExactMatrix:
         if self.nrows * self.ncols > 64:
             return "<ExactMatrix %dx%d>" % (self.nrows, self.ncols)
         return "ExactMatrix(%r)" % (self.to_strings(),)
+
+
+def combination(coefs, mats, n):
+    """sum_a coefs[a] mats[a] as an n x n matrix."""
+    out = ExactMatrix.zeros(n)
+    for c, m in zip(coefs, mats):
+        if c:
+            out = out + m.scale(c)
+    return out
+
+
+def contract(left, right, ginv, n):
+    """sum_{a,b} ginv[a][b] left[a] right[b] as an n x n matrix, summed as
+    sum_a left[a] combination(ginv[a], right)."""
+    out = ExactMatrix.zeros(n)
+    for a, row in enumerate(ginv):
+        if any(row):
+            out = out + left[a] * combination(row, right, n)
+    return out
+
+
+def inverse_rows(rows):
+    """The inverse of a square rational matrix given by its rows, as a
+    tuple of row tuples; None when the matrix is singular."""
+    n = len(rows)
+    inv = ExactMatrix.from_rows(rows).solve(ExactMatrix.identity(n))
+    if inv is None:
+        return None
+    return tuple(tuple(inv.get(i, j)[0] for j in range(n)) for i in range(n))
 
 
 def commutator(a, b):

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from .characters import (FormalCharacter, _require_dominant_integral,
                          irreducibleCharacter, weylDimension)
 from .errors import BadStructureConstants, TooLarge
-from .exactmat import ExactMatrix, _gadd, commutator
+from .exactmat import ExactMatrix, _gadd, combination, commutator
 from .rationals import ZERO, rat
 from .structure import buildFrame
 
@@ -276,11 +276,7 @@ def _verify_rep(rep):
                 for p in frame.cartanIndices():
                     pairs.extend(((p, start), (p, start + 1)))
     for a, b in pairs:
-        coef = frame.bracketCoefficients(a, b)
-        want = ExactMatrix.zeros(d)
-        for c, x in enumerate(coef):
-            if x:
-                want = want + rep.pi[c].scale(x)
+        want = combination(frame.bracketCoefficients(a, b), rep.pi, d)
         if commutator(rep.pi[a], rep.pi[b]) != want:
             raise BadStructureConstants("bracket relation failed at (%d, %d)"
                                         % (a, b))

@@ -19,7 +19,7 @@ B/C/D root systems stay available in liecore but have no frame.
 """
 
 from .errors import UnsupportedType, NotOrthogonal, BadStructureConstants
-from .exactmat import ExactMatrix, commutator
+from .exactmat import ExactMatrix, combination, commutator, inverse_rows
 from .rationals import rat, ZERO
 
 CARTAN, ROOT_A, ROOT_B = "iH", "A", "B"
@@ -169,11 +169,8 @@ class CompactFrame:
             if na[0] != CARTAN:
                 assert g[a][a] == 2
         self.gram = tuple(tuple(row) for row in g)
-        gm = ExactMatrix.from_rows([[c for c in row] for row in g])
-        inv = gm.solve(ExactMatrix.identity(d))
-        assert inv is not None
-        self.gramInverse = tuple(tuple(inv.get(i, j)[0] for j in range(d))
-                                 for i in range(d))
+        self.gramInverse = inverse_rows(self.gram)
+        assert self.gramInverse is not None
 
     # -------------------------------------------------------------- brackets
 
@@ -197,11 +194,7 @@ class CompactFrame:
                           for e in range(self.dim)), start=ZERO)
                      for c in range(self.dim))
         # the frame must close: reconstruct and compare exactly
-        recon = ExactMatrix.zeros(self.matrixSize, self.matrixSize)
-        for c, co in enumerate(coef):
-            if co:
-                recon = recon + self.matrices[c].scale(co)
-        if recon != m:
+        if combination(coef, self.matrices, self.matrixSize) != m:
             raise BadStructureConstants(
                 "bracket of %s and %s left the frame span"
                 % (self.names[a], self.names[b]))
@@ -247,19 +240,7 @@ class PairFrame:
                            for a in self.pIndices)
         self.hGram = tuple(tuple(self.frame.gram[a][b] for b in self.hIndices)
                            for a in self.hIndices)
-        d = len(self.pIndices)
-        if d:
-            gm = ExactMatrix.from_rows([[c for c in row] for row in self.pGram])
-            inv = gm.solve(ExactMatrix.identity(d))
-            self.pGramInverse = tuple(tuple(inv.get(i, j)[0] for j in range(d))
-                                      for i in range(d))
-        else:
-            self.pGramInverse = ()
-        dh = len(self.hIndices)
-        gh = ExactMatrix.from_rows([[c for c in row] for row in self.hGram])
-        invh = gh.solve(ExactMatrix.identity(dh))
-        self.hGramInverse = tuple(tuple(invh.get(i, j)[0] for j in range(dh))
-                                  for i in range(dh))
+        self.pGramInverse = inverse_rows(self.pGram)
         self._check_reductive()
 
     def _check_reductive(self):

@@ -1,7 +1,7 @@
 import pytest
 
 from diracforge.clifford import (CliffordModule, PStructure, RawStructure,
-                                 SpinorEmbedding, buildClifford,
+                                 SpinorEmbedding, _mixed_block, buildClifford,
                                  buildCliffordFrame, commutantDimension,
                                  hSpinAction, spinRepresentation,
                                  spinorWeights, splitCliffordForPair)
@@ -113,6 +113,26 @@ def test_mismatched_hint_classes_rejected():
         buildCliffordFrame(gram, ((0, 1),))
 
 
+def test_wrong_gamma_names_the_failed_relation():
+    cl = buildClifford(3)
+    gamma = (cl.gamma[0], cl.gamma[0], cl.gamma[2])  # c(e_1) replaced
+    with pytest.raises(CliffordConstructionError,
+                       match="^relation failed at directions 0, 1$"):
+        CliffordModule(cl.gram, gamma, cl.grading, cl.gradingReason, cl.form,
+                       cl.doubled, cl.pivotData)
+
+
+def test_mixed_block_error_names_the_bounded_search():
+    # 6X^2 + 9Y^2 = 5Z^2 has no non-zero solution; the search only says
+    # it found nothing within its bound, never that no point exists
+    with pytest.raises(CliffordConstructionError) as err:
+        _mixed_block(rat(3, 2), rat(5, 6))
+    assert str(err.value) == (
+        "bounded search found no rational point on x^2 + 3/2 y^2 = 5/6 "
+        "with y = p/q, 0 <= p <= 48, 1 <= q <= 48; whether the conic has "
+        "one was not decided")
+
+
 def test_grading_sign_flip():
     cl = buildClifford(2)
     flipped = cl.withGradingSign(-1)
@@ -173,6 +193,13 @@ def test_spin_rep_from_raw_structure():
     ads = check_equivariance(st, cl)
     assert spin_casimir(st, ads, cl.size) \
         == ExactMatrix.identity(cl.size).scale(rat(3, 2))
+
+
+def test_singular_raw_gram_rejected():
+    gram = [[rat(1), rat(1)], [rat(1), rat(1)]]
+    f = [[[ZERO, ZERO], [ZERO, ZERO]], [[ZERO, ZERO], [ZERO, ZERO]]]
+    with pytest.raises(BadStructureConstants, match="^gram is singular$"):
+        RawStructure(gram, f)
 
 
 def test_bad_structure_rejected():

@@ -1,0 +1,199 @@
+"""Frame sums through exactmat's combination and contract, against
+per-direction reference loops.
+
+The reference functions below spell every dual-frame sum out term by term:
+the dual gamma c^a = sum_b (G^-1)_{ab} c(X_b) built one direction at a
+time, the operator summed on V (x) S one direction at a time, the spin map
+as a double sum over (G^-1)_{bc}, and the tensor-diagonal Casimir as d^2
+products of the n x n matrices delta_a = pi_a (x) 1 + 1 (x) ad_a.  The
+package's operators must equal them as matrices, not only in their
+readings.
+"""
+
+import pytest
+
+from diracforge import dirac
+from diracforge.clifford import (PStructure, buildCliffordFrame, hSpinAction,
+                                 spinRepresentation)
+from diracforge.dirac import (RelativePieces, cubicDirac, piCasimir,
+                              relativeCubicDirac)
+from diracforge.exactmat import (ExactMatrix, combination, contract,
+                                 inverse_rows)
+from diracforge.liecore import pairFromLabel, systemFromLabel
+from diracforge.rationals import ZERO, rat
+from diracforge.reps import buildLieRep
+
+KOSTANT_CASES = [
+    ("A1", (0,)), ("A1", (1,)),
+    ("A2", (0, 0)), ("A2", (1, 0)), ("A2", (2, 0)), ("A2", (1, 1)),
+    ("A1xA1", (1, 2)), ("A1xT1", (3, 2)), ("T2", (1, 1)),
+]
+
+RELATIVE_CASES = [
+    ("A1:T", (3,)), ("A2:u2", (1, 0)), ("A2:T", (1, 1)), ("A2:full", (1, 0)),
+]
+
+
+def case_id(case):
+    return "%s-%s" % (case[0], ",".join(str(c) for c in case[1]))
+
+
+def build(label, lam):
+    rep = buildLieRep(systemFromLabel(label), lam)
+    fr = rep.frame
+    hints = tuple((i, i + 1) for i, nm in enumerate(fr.names) if nm[0] == "A")
+    return rep, buildCliffordFrame(fr.gram, hints)
+
+
+# ------------------------------------------------------------- references
+
+def ref_clifford_of(coef, gamma, size):
+    out = ExactMatrix.zeros(size)
+    for a, c in enumerate(coef):
+        if c:
+            out = out + gamma[a].scale(c)
+    return out
+
+
+def ref_spin(brackets_of, gamma, ginv, size):
+    """ad_a = (1/4) sum_{b,c} (G^-1)_{bc} c(X_b) c([X_a, X_c])."""
+    d = len(gamma)
+    ads = []
+    for a in range(len(brackets_of)):
+        acc = ExactMatrix.zeros(size)
+        for c in range(d):
+            bracket = brackets_of[a][c]
+            if not any(bracket):
+                continue
+            cbr = ref_clifford_of(bracket, gamma, size)
+            for b in range(d):
+                w = ginv[b][c]
+                if w:
+                    acc = acc + (gamma[b] * cbr).scale(w * rat(1, 4))
+        ads.append(acc)
+    return ads
+
+
+def ref_assembly(pi, gamma, ginv, ads, q, dim_v, size):
+    """sum_a (pi_a (x) c^a + q 1 (x) ad_a c^a), one direction at a time."""
+    idv = ExactMatrix.identity(dim_v)
+    total = ExactMatrix.zeros(dim_v * size)
+    for a in range(len(pi)):
+        cli = ExactMatrix.zeros(size)
+        for b in range(len(gamma)):
+            w = ginv[a][b]
+            if w:
+                cli = cli + gamma[b].scale(w)
+        total = total + pi[a].kron(cli) + idv.kron(ads[a] * cli).scale(q)
+    return total
+
+
+def ref_pi_casimir(rep):
+    ginv = rep.frame.gramInverse
+    cas = ExactMatrix.zeros(rep.dimension)
+    for a in range(rep.frame.dim):
+        for b in range(rep.frame.dim):
+            w = ginv[a][b]
+            if w:
+                cas = cas - (rep.pi[a] * rep.pi[b]).scale(w)
+    return cas
+
+
+def ref_tensor_diagonal_casimir(rep, ads, size):
+    """-sum (G^-1)_{ab} delta_a delta_b from d^2 products on V (x) S."""
+    ginv = rep.frame.gramInverse
+    ids = ExactMatrix.identity(size)
+    idv = ExactMatrix.identity(rep.dimension)
+    deltas = [rep.pi[a].kron(ids) + idv.kron(ads[a])
+              for a in range(rep.frame.dim)]
+    cas = ExactMatrix.zeros(rep.dimension * size)
+    for a in range(rep.frame.dim):
+        for b in range(rep.frame.dim):
+            w = ginv[a][b]
+            if w:
+                cas = cas - (deltas[a] * deltas[b]).scale(w)
+    return cas
+
+
+def frame_spin(rep, cl):
+    fr = rep.frame
+    brackets = [[fr.bracketCoefficients(a, c) for c in range(fr.dim)]
+                for a in range(fr.dim)]
+    return ref_spin(brackets, cl.gamma, fr.gramInverse, cl.size)
+
+
+# ------------------------------------------------------------ full operator
+
+@pytest.mark.parametrize("case", KOSTANT_CASES, ids=case_id)
+def test_cubic_dirac_matches_per_direction_assembly(case):
+    rep, cl = build(*case)
+    ads = frame_spin(rep, cl)
+    assert spinRepresentation(rep.frame, cl) == ads
+    for q in (rat(1, 3), rat(1)):
+        op = cubicDirac(rep, cl, q)
+        assert op.matrix == ref_assembly(rep.pi, cl.gamma,
+                                         rep.frame.gramInverse, ads, q,
+                                         rep.dimension, cl.size)
+
+
+@pytest.mark.parametrize("case", KOSTANT_CASES, ids=case_id)
+def test_tensor_diagonal_casimir_matches_products(case):
+    rep, cl = build(*case)
+    ads = frame_spin(rep, cl)
+    got = dirac._tensor_diagonal_casimir(rep, ads, piCasimir(rep), cl.size)
+    assert got == ref_tensor_diagonal_casimir(rep, ads, cl.size)
+
+
+@pytest.mark.parametrize("case", KOSTANT_CASES, ids=case_id)
+def test_pi_casimir_matches_double_sum(case):
+    rep = buildLieRep(systemFromLabel(case[0]), case[1])
+    assert piCasimir(rep) == ref_pi_casimir(rep)
+
+
+# -------------------------------------------------------- relative operator
+
+@pytest.mark.parametrize("case", RELATIVE_CASES, ids=case_id)
+def test_relative_dirac_matches_per_direction_assembly(case):
+    pair = pairFromLabel(case[0])
+    rp = RelativePieces(pair, case[1])
+    pf, s_p, rep = rp.pframe, rp.s_p, rp.rep
+    st = PStructure(pf)
+    brackets = [[st.bracketCoefficients(a, c) for c in range(st.dim)]
+                for a in range(st.dim)]
+    ads = ref_spin(brackets, s_p.gamma, pf.pGramInverse, s_p.size)
+    assert spinRepresentation(st, s_p) == ads
+    pi = [rep.pi[a] for a in pf.pIndices]
+    want = ref_assembly(pi, s_p.gamma, pf.pGramInverse, ads, rat(1, 3),
+                        rep.dimension, s_p.size)
+    assert relativeCubicDirac(pair, case[1], rp).matrix == want
+
+
+@pytest.mark.parametrize("label", ["A1:T", "A2:u2", "A2:T"])
+def test_h_spin_action_matches_double_sum(label):
+    pair = pairFromLabel(label)
+    rp = RelativePieces(pair, (0,) * pair.g.rank)
+    pf, s_p = rp.pframe, rp.s_p
+    d = len(pf.pIndices)
+    for hl in range(len(pf.hIndices)):
+        brackets = [[pf.hBracketOnP(hl, c) for c in range(d)]]
+        want = ref_spin(brackets, s_p.gamma, pf.pGramInverse, s_p.size)[0]
+        assert hSpinAction(pf, s_p, hl) == want
+
+
+# ----------------------------------------------------------------- helpers
+
+def test_combination_and_contract_expand_their_sums():
+    a = ExactMatrix.from_rows([[1, 2], [0, (0, 1)]])
+    b = ExactMatrix.from_rows([[0, 1], [1, 0]])
+    assert combination((rat(2), ZERO), (a, b), 2) == a.scale(2)
+    assert combination((), (), 3) == ExactMatrix.zeros(3)
+    ginv = ((rat(1), rat(1, 2)), (rat(-1), ZERO))
+    want = a * a + (a * b).scale(rat(1, 2)) - b * a
+    assert contract((a, b), (a, b), ginv, 2) == want
+
+
+def test_inverse_rows():
+    assert inverse_rows(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
+    assert inverse_rows([[rat(1, 2)]]) == ((rat(2),),)
+    assert inverse_rows([[1, 2], [2, 4]]) is None
+    assert inverse_rows(()) == ()
