@@ -51,9 +51,6 @@ class FormalCharacter:
         return sum(m * weylDimension(self.system, lam)
                    for lam, m in self.entries.items())
 
-    def isZero(self):
-        return not self.entries
-
     def mapWeights(self, fn, system=None):
         out = {}
         for w, m in self.entries.items():
@@ -97,13 +94,6 @@ class FormalCharacter:
             raise SystemMismatch("characters live on different systems")
         if self.basis != other.basis:
             raise DiracforgeError("basis flags differ")
-
-    def isWeylInvariant(self):
-        for w, m in self.entries.items():
-            for v in self.system.weylOrbit(w):
-                if self.entries.get(v, 0) != m:
-                    return False
-        return True
 
     def __eq__(self, other):
         return (isinstance(other, FormalCharacter)
@@ -149,10 +139,6 @@ class FormalCharacter:
         return cls(system, entries, basis)
 
 
-def trivialCharacter(rs, basis=FormalCharacter.WEIGHT):
-    return FormalCharacter(rs, {rs.zeroWeight(): 1}, basis)
-
-
 # ------------------------------------------------------------- irreducibles
 
 def _require_dominant_integral(rs, lam):
@@ -195,8 +181,7 @@ def _reflections(rs):
 def _dominant_below(rs, lam):
     """(height, mu) for each dominant mu with lam - mu in the nonnegative-
     integer root lattice, the height being the number of simple roots in
-    lam - mu.  Works on whatever scalars lam holds: ints in the Freudenthal
-    kernel, rationals in dominantWeightsBelow."""
+    lam - mu.  lam and each mu are tuples of ints."""
     if not rs.simple_positions:
         return [(0, lam)]
     simple_set = set(rs.simple_positions)
@@ -215,11 +200,6 @@ def _dominant_below(rs, lam):
         if all(mu[p] >= 0 for p, _ in reflections):
             out.append((sum(cvec), tuple(mu)))
     return out
-
-
-def dominantWeightsBelow(rs, lam):
-    """All dominant mu with lam - mu in the nonnegative-integer root lattice."""
-    return sorted(mu for _, mu in _dominant_below(rs, rs.weight(lam)))
 
 
 def _freudenthal(rs, lam):
@@ -363,12 +343,6 @@ def irreducibleCharacter(rs, lam):
     return _character_from_ints(rs, weights)
 
 
-def fullWeightMultiset(rs, lam):
-    """Weight-basis character of V_lam (alias kept for callers that think
-    of it as a multiset rather than a function)."""
-    return irreducibleCharacter(rs, lam)
-
-
 # ----------------------------------------------------------- decompositions
 
 def decomposeCharacter(chi):
@@ -503,9 +477,6 @@ class ConeSeries:
 
     def support(self):
         return sorted(self.entries)
-
-    def isZero(self):
-        return not self.entries
 
     def isComplete(self):
         return self.window is None
@@ -703,8 +674,3 @@ def polarizationWitness(sigma, alpha, strict=False):
         if p < 0 or (strict and p == 0):
             return False, w
     return True, None
-
-
-def isPolarized(sigma, alpha, strict=False):
-    ok, _ = polarizationWitness(sigma, alpha, strict)
-    return ok

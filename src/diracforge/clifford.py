@@ -2,14 +2,12 @@
 
 Sign convention throughout: c(e)^2 = -|e|^2 (wedge minus contraction).
 
-buildClifford(n) is the Euclidean module: n anticommuting matrices of size
-2^floor(n/2) squaring to -I, built from iterated 2x2 blocks.
-
-For the orthogonal-but-not-orthonormal frames of structure.py the same
-machinery runs against the frame gram: the form is congruence-diagonalized
-(no square roots), the diagonal directions are paired into exact 2x2 block
-generators, and the generators are mapped back to the original frame
-directions, so c(e_a)c(e_b) + c(e_b)c(e_a) = -2 G_ab holds entry-exactly.
+buildCliffordFrame builds the module for an exact positive-definite gram,
+such as the orthogonal-but-not-orthonormal frames of structure.py: the form
+is congruence-diagonalized (no square roots), the diagonal directions are
+paired into exact 2x2 block generators, iterated by Kronecker products, and
+the generators are mapped back to the original frame directions, so
+c(e_a)c(e_b) + c(e_b)c(e_a) = -2 G_ab holds entry-exactly.
 
 Pairing needs matched square classes.  A leftover direction whose norm is
 not a rational square has no irreducible module over Q(i); the builder then
@@ -26,8 +24,8 @@ c(e) is skew-adjoint with respect to it.
 from . import structure as _structure
 from .errors import (TooLarge, CliffordConstructionError,
                      BadStructureConstants, DimensionMismatch)
-from .exactmat import (ExactMatrix, anticommutator, combination, contract,
-                       inverse_rows)
+from .exactmat import (ExactMatrix, anticommutator, combination, commutator,
+                       contract, inverse_rows)
 from .rationals import rat, ZERO, exact_sqrt, squarefree_core
 
 
@@ -216,7 +214,8 @@ def buildCliffordFrame(gram, pair_hints=()):
     """
     d = len(gram)
     if d > 12:
-        raise TooLarge("frame has %d directions; 12 is the desk-scale limit" % d)
+        raise TooLarge("frame has %d directions, so S would be at least %d "
+                       "wide; limit 12 directions" % (d, 2 ** (d // 2)))
     gram = tuple(tuple(rat(c) for c in row) for row in gram)
     if d == 0:
         return CliffordModule(gram, [], ExactMatrix.identity(1), None,
@@ -302,86 +301,31 @@ def buildCliffordFrame(gram, pair_hints=()):
                           pivot_data)
 
 
-def buildClifford(n):
-    """Euclidean module: n gammas of size 2^floor(n/2), identity form."""
-    if not 1 <= n <= 12:
-        raise TooLarge("Euclidean Clifford size limit is 12 directions")
-    gram = [[rat(1) if i == j else ZERO for j in range(n)] for i in range(n)]
-    cl = buildCliffordFrame(gram)
-    if cl.size <= 8:
-        # the commutant solve is cubic in size^2; only affordable when small
-        k = commutantDimension(cl)
-        if k != 1:
-            raise CliffordConstructionError("commutant dimension %d" % k)
-    return cl
-
-
-def commutantDimension(cl):
-    """Dimension of {X : X gamma_a = gamma_a X for all a}, solved exactly."""
-    n = cl.size
-    ident = ExactMatrix.identity(n)
-    stacked = ExactMatrix.vstack([g.kron(ident) - ident.kron(g.transpose())
-                                  for g in cl.gamma], n * n)
-    return stacked.nullspace().ncols
-
-
 # ----------------------------------------------------------------- spin rep
-
-class RawStructure:
-    """Bare (gram, structure constants) carrier for spinRepresentation
-    when no matrix frame is involved (toy and abelian cases)."""
-
-    def __init__(self, gram, f):
-        self.dim = len(gram)
-        self.gram = tuple(tuple(rat(c) for c in row) for row in gram)
-        self._f = tuple(tuple(tuple(rat(c) for c in col) for col in row)
-                        for row in f)
-        self.gramInverse = inverse_rows(self.gram)
-        if self.gramInverse is None:
-            raise BadStructureConstants("gram is singular")
-
-    def bracketCoefficients(self, a, b):
-        return self._f[a][b]
-
 
 def _validate_structure(structure):
     d = structure.dim
     f = [[structure.bracketCoefficients(a, b) for b in range(d)]
          for a in range(d)]
-    g = structure.gram
     for a in range(d):
         for b in range(d):
             if any(x + y for x, y in zip(f[a][b], f[b][a])):
                 raise BadStructureConstants("brackets are not antisymmetric")
-            for c in range(d):
-                # invariance: <[a,b],c> + <b,[a,c]> = 0 (gives skewness)
-                lhs = sum((f[a][b][e] * g[e][c] for e in range(d)
-                           if f[a][b][e]), start=ZERO)
-                rhs = sum((g[b][e] * f[a][c][e] for e in range(d)
-                           if f[a][c][e]), start=ZERO)
-                if lhs + rhs != 0:
-                    raise BadStructureConstants("form is not invariant")
-    # projected structures (ad^p) are deliberately non-Lie; they opt out
-    if d <= 9 and getattr(structure, "requireJacobi", True):
+    # ad[a] has column b = [X_a, X_b]; invariance of the form is
+    # <[a,b],c> + <b,[a,c]> = 0, i.e. ad[a] skew-adjoint for the gram
+    ad = [ExactMatrix.from_rows([list(col) for col in f[a]]).transpose()
+          for a in range(d)]
+    gram = ExactMatrix.from_rows(structure.gram)
+    for a in range(d):
+        if not ad[a].is_skewadjoint_wrt(gram):
+            raise BadStructureConstants("form is not invariant")
+    # given antisymmetry, Jacobi is [ad_a, ad_b] = ad_[a,b]; projected
+    # structures (ad^p) are deliberately non-Lie and opt out
+    if getattr(structure, "requireJacobi", True):
         for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    acc = [ZERO] * d
-                    for e in range(d):
-                        if f[b][c][e]:
-                            for x in range(d):
-                                if f[a][e][x]:
-                                    acc[x] += f[a][e][x] * f[b][c][e]
-                        if f[c][a][e]:
-                            for x in range(d):
-                                if f[b][e][x]:
-                                    acc[x] += f[b][e][x] * f[c][a][e]
-                        if f[a][b][e]:
-                            for x in range(d):
-                                if f[c][e][x]:
-                                    acc[x] += f[c][e][x] * f[a][b][e]
-                    if any(acc):
-                        raise BadStructureConstants("Jacobi identity fails")
+            for b in range(a + 1, d):
+                if commutator(ad[a], ad[b]) != combination(f[a][b], ad, d):
+                    raise BadStructureConstants("Jacobi identity fails")
     return f
 
 

@@ -67,9 +67,6 @@ class DiracOperator:
     def square(self):
         return self.matrix * self.matrix
 
-    def kernel(self):
-        return self.matrix.nullspace()
-
 
 def cubicDirac(rep, cl, q):
     """D^q = sum (pi(X_i) (x) c(X_i) + q (x) ad(X_i) c(X_i)), contracted
@@ -200,17 +197,6 @@ def verifyKostantIdentity(rep, cl):
     }
 
 
-def qSweepReport(rep, cl, qs=(rat(1, 3), rat(1, 2), rat(0), rat(1))):
-    """Whether (D^q)^2 is scalar for each q; scalar only at 1/3 for
-    nonabelian systems at regular weights.  Report, never an assertion."""
-    out = {}
-    for q in qs:
-        sq = cubicDirac(rep, cl, q).square()
-        s = _scalar_of(sq)
-        out[rat_str(rat(q))] = rat_str(s) if s is not None else "non-scalar"
-    return out
-
-
 # ------------------------------------------------------------ relative case
 
 def _pair_split(pair):
@@ -233,8 +219,10 @@ class RelativePieces:
         _, s_p, emb = _pair_split(pair)
         self.s_p = s_p
         self.pframe = emb.pairFrame
-        if self.rep.dimension * s_p.size > RELATIVE_SIZE_LIMIT:
-            raise TooLarge("V (x) S_p exceeds the desk-scale limit")
+        size = self.rep.dimension * s_p.size
+        if size > RELATIVE_SIZE_LIMIT:
+            raise TooLarge("V (x) S_p would be %d x %d; limit %d"
+                           % (size, size, RELATIVE_SIZE_LIMIT))
         self.idv = ExactMatrix.identity(self.rep.dimension)
         self.ids = ExactMatrix.identity(s_p.size)
         self.spin_weights = spinorWeights(pair, self.pframe, s_p) \

@@ -18,6 +18,11 @@ sum_{a,b} (G^-1)_{ab} L_a R_b, and ``inverse_rows`` gives the gram inverse
 G^-1 those sums run through.  Cliffords of a vector, dual gammas, the
 Casimir, the spin map and the Dirac assembly are all built from them.
 
+Checks are matrix identities here as well.  Structure constants pass when
+each ad_a is skew-adjoint for the gram and [ad_a, ad_b] = ad_[a,b]; a toric
+vertex is unimodular when the inverse of its normals is integral; and the
+gram a subgroup inherits is the one product toG^T G toG.
+
 Adjointness is always relative to an explicitly recorded Hermitian form S:
 ``A`` is skew-adjoint for S when  A^H S + S A = 0  and self-adjoint when
 A^H S = S A.  No orthonormalization is ever performed, so every check stays

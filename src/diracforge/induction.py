@@ -86,12 +86,6 @@ def _induct_series(pair, sigma):
     return ConeSeries(g, entries, alpha_g, 0, window)
 
 
-def coadjointSpinorShift(pair):
-    """The H-weight rho_G - rho_H: the twist carried by the spinor bundle
-    of G x_H U over the orbit G/H."""
-    return pair.shift
-
-
 def multiplicityTransferCheck(pair, chi):
     """Trivial-multiplicity transfer through induction.
 

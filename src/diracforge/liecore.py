@@ -16,8 +16,7 @@ Conventions, fixed once and used by every downstream module:
 
 from .rationals import rat, ZERO, ONE, rat_str, rat_from_str, is_integer
 from .exactmat import ExactMatrix
-from .errors import (UnsupportedType, SystemMismatch, IncompatiblePair,
-                     NotIntegral)
+from .errors import UnsupportedType, SystemMismatch, IncompatiblePair
 
 NORMALIZATION = "long-root-2"
 
@@ -236,9 +235,6 @@ class RootSystem:
                     total += lam[i] * row[j] * mu[j]
         return total
 
-    def norm2(self, lam):
-        return self.innerProduct(lam, lam)
-
     def rootCoefficients(self, v):
         """Expansion of v over the simple roots; None if v is outside their span."""
         v = self.weight(v)
@@ -292,16 +288,6 @@ class RootSystem:
             frontier = nxt
         return sorted(seen)
 
-    def signedOrbit(self, lam):
-        """[(w(lam), sign(w))] for regular lam; raises on singular input."""
-        out = []
-        for v in self.weylOrbit(lam):
-            dom, w = self.makeDominant(v)
-            if not self.isDominantRegular(dom):
-                raise NotIntegral("signedOrbit needs a regular weight")
-            out.append((v, w.sign))
-        return out
-
     def isRegular(self, lam):
         lam = self.weight(lam)
         return all(self.innerProduct(lam, a) != 0 for a in self.positiveRoots)
@@ -316,11 +302,6 @@ class RootSystem:
                 acc[i] += a[i]
         return tuple(c / 2 for c in acc)
 
-    # -- serialization --------------------------------------------------------
-
-    def to_json(self):
-        return {"factors": [{"family": f, "rank": r} for f, r in self.factors]}
-
     def __eq__(self, other):
         return (isinstance(other, RootSystem)
                 and self.factors == other.factors
@@ -334,12 +315,6 @@ class RootSystem:
 
 
 # ---------------------------------------------------------------- builders
-
-def buildRootSystem(family, rank):
-    if family == "T":
-        family = "Torus"
-    return RootSystem([(family, rank)])
-
 
 def systemFromLabel(label):
     """Parse labels like "A2", "T1", "A1xT1", "Torus2"."""
@@ -360,38 +335,12 @@ def systemFromLabel(label):
     return RootSystem(factors)
 
 
-def systemFromJSON(doc):
-    try:
-        factors = [(f["family"], int(f["rank"])) for f in doc["factors"]]
-    except (KeyError, TypeError) as exc:
-        raise UnsupportedType("bad root-system descriptor: %s" % exc) from None
-    return RootSystem(factors)
-
-
 def weightToStrings(lam):
     return [rat_str(c) for c in lam]
 
 
 def weightFromStrings(parts):
     return tuple(rat_from_str(p) for p in parts)
-
-
-# spec-level free functions; thin delegates kept for a stable API surface
-
-def innerProduct(rs, lam, mu):
-    return rs.innerProduct(lam, mu)
-
-
-def makeDominant(rs, lam):
-    return rs.makeDominant(lam)
-
-
-def isRegular(rs, lam):
-    return rs.isRegular(lam)
-
-
-def weylOrbit(rs, lam):
-    return rs.weylOrbit(lam)
 
 
 # ------------------------------------------------------------ equal-rank pairs
@@ -503,20 +452,10 @@ class EqualRankPair:
                 toH_rows.append(row)
             self._toH = ExactMatrix.from_rows(toH_rows)
             toG = self._toH.solve(ExactMatrix.identity(g.rank))
-            gramH = [[ZERO] * g.rank for _ in range(g.rank)]
-            for i in range(g.rank):
-                for j in range(g.rank):
-                    acc = ZERO
-                    for a in range(g.rank):
-                        ca = toG.get(a, i)[0]
-                        if not ca:
-                            continue
-                        for b in range(g.rank):
-                            cb = toG.get(b, j)[0]
-                            if cb:
-                                acc += ca * g.gram[a][b] * cb
-                    gramH[i][j] = acc
-            self.h = RootSystem(hfactors, gram=gramH)
+            gramH = toG.transpose() * ExactMatrix.from_rows(g.gram) * toG
+            self.h = RootSystem(hfactors, gram=[
+                [gramH.get(i, j)[0] for j in range(g.rank)]
+                for i in range(g.rank)])
             self._toG = toG
 
         if len(keep) == nsimple:
@@ -547,12 +486,6 @@ class EqualRankPair:
         col = ExactMatrix.from_rows([[c] for c in lam])
         out = self._toG * col
         return tuple(out.get(i, 0)[0] for i in range(self.g.rank))
-
-    def pWeightsH(self):
-        return tuple(self.weightToH(a) for a in self.pRoots)
-
-    def isTrivial(self):
-        return len(self.keep) == len(self.g.simple_positions)
 
     def __repr__(self):
         return "EqualRankPair(%s)" % (self.label or

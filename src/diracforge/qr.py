@@ -66,26 +66,6 @@ def _primitive(vec):
     return tuple(c // g for c in ints)
 
 
-def _det(rows):
-    n = len(rows)
-    rows = [[rat(x) for x in row] for row in rows]
-    det = rat(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return det
-
-
 class _Vertex:
     __slots__ = ("point", "edges", "active")
 
@@ -148,10 +128,10 @@ class ToricModel:
             inv = mat.solve(ExactMatrix.identity(n))
             if inv is None:
                 continue
-            rhs = [-self.halfSpaces[j][1] for j in subset]
-            point = tuple(
-                sum((inv.get(i, k)[0] * rhs[k] for k in range(n)), ZERO)
-                for i in range(n))
+            rhs = ExactMatrix.from_rows([[-self.halfSpaces[j][1]]
+                                         for j in subset])
+            col = inv * rhs
+            point = tuple(col.get(i, 0)[0] for i in range(n))
             if not self.containsPoint(point):
                 continue
             active = tuple(j for j, (nor, off) in enumerate(self.halfSpaces)
@@ -162,13 +142,18 @@ class ToricModel:
                     "simple" % (_coords(point), len(active)))
             if point in seen:
                 continue
-            edges = [_primitive([inv.get(i, k)[0] for i in range(n)])
+            # the normals are a lattice basis exactly when their inverse
+            # is integral; its columns are then the primitive edges
+            for i in range(n):
+                for k in range(n):
+                    x = inv.get(i, k)[0]
+                    if not is_integer(x):
+                        raise NotDelzant(
+                            "normals at vertex (%s) are not a lattice basis: "
+                            "their inverse has entry %s at (%d, %d)"
+                            % (_coords(point), rat_str(x), i + 1, k + 1))
+            edges = [tuple(int(inv.get(i, k)[0]) for i in range(n))
                      for k in range(n)]
-            d = _det(edges)
-            if d not in (1, -1):
-                raise NotDelzant(
-                    "edge directions at vertex (%s) span index %s, not a "
-                    "lattice basis" % (_coords(point), rat_str(abs(d))))
             seen[point] = _Vertex(point, edges, active)
         return [seen[p] for p in sorted(seen)]
 

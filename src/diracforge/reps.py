@@ -151,7 +151,8 @@ def buildLieRep(rs, lam):
     for _, _, wdim in slots:
         ambient *= wdim
         if ambient > AMBIENT_LIMIT:
-            raise TooLarge("tensor ambient exceeds %d" % AMBIENT_LIMIT)
+            raise TooLarge("tensor ambient reached %d wide; limit %d"
+                           % (ambient, AMBIENT_LIMIT))
 
     # per-direction ambient action
     wedge_cache = {}

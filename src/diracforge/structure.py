@@ -201,20 +201,6 @@ class CompactFrame:
         self._bracket_cache[key] = coef
         return coef
 
-    def structureConstants(self):
-        return tuple(tuple(self.bracketCoefficients(a, b)
-                           for b in range(self.dim))
-                     for a in range(self.dim))
-
-    def directionWeight(self, a):
-        """Torus weight content of a frame direction: zero on the Cartan,
-        the pair (A_b, B_b) spans weights +-b."""
-        nm = self.names[a]
-        if nm[0] == CARTAN:
-            return self.system.zeroWeight()
-        return nm[1]
-
-
 def buildFrame(rs):
     return CompactFrame(rs)
 
@@ -270,7 +256,3 @@ class PairFrame:
         coef = self.frame.bracketCoefficients(self.hIndices[hi],
                                               self.pIndices[j])
         return self.pProjection(coef)
-
-    def pWeight(self, i):
-        """H-weight of the i-th p-direction's root pair."""
-        return self.pair.weightToH(self.frame.directionWeight(self.pIndices[i]))

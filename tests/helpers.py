@@ -1,0 +1,68 @@
+"""Helpers that only the tests use, kept out of the package.
+
+- ``buildClifford`` is the Euclidean module (identity gram) and
+  ``commutantDimension`` the dimension of its commutant;
+- ``RawStructure`` carries a bare (gram, structure constants) pair into
+  ``spinRepresentation`` when no matrix frame is involved;
+- ``qSweepReport`` says whether (D^q)^2 is scalar for several q;
+- ``isWeylInvariant`` compares a character along the Weyl orbits of its
+  support.
+"""
+
+from diracforge.clifford import buildCliffordFrame
+from diracforge.dirac import _scalar_of, cubicDirac
+from diracforge.errors import BadStructureConstants
+from diracforge.exactmat import ExactMatrix, inverse_rows
+from diracforge.rationals import ZERO, rat, rat_str
+
+
+def buildClifford(n):
+    """Euclidean module: n gammas of size 2^floor(n/2), identity form."""
+    return buildCliffordFrame([[rat(1) if i == j else ZERO for j in range(n)]
+                               for i in range(n)])
+
+
+def commutantDimension(cl):
+    """Dimension of {X : X gamma_a = gamma_a X for all a}, solved exactly."""
+    n = cl.size
+    ident = ExactMatrix.identity(n)
+    stacked = ExactMatrix.vstack([g.kron(ident) - ident.kron(g.transpose())
+                                  for g in cl.gamma], n * n)
+    return stacked.nullspace().ncols
+
+
+class RawStructure:
+    """Bare (gram, structure constants) carrier for spinRepresentation
+    when no matrix frame is involved (toy and abelian cases)."""
+
+    def __init__(self, gram, f):
+        self.dim = len(gram)
+        self.gram = tuple(tuple(rat(c) for c in row) for row in gram)
+        self._f = tuple(tuple(tuple(rat(c) for c in col) for col in row)
+                        for row in f)
+        self.gramInverse = inverse_rows(self.gram)
+        if self.gramInverse is None:
+            raise BadStructureConstants("gram is singular")
+
+    def bracketCoefficients(self, a, b):
+        return self._f[a][b]
+
+
+def qSweepReport(rep, cl, qs=(rat(1, 3), rat(1, 2), rat(0), rat(1))):
+    """Whether (D^q)^2 is scalar for each q; scalar only at 1/3 for
+    nonabelian systems at regular weights."""
+    out = {}
+    for q in qs:
+        s = _scalar_of(cubicDirac(rep, cl, q).square())
+        out[rat_str(rat(q))] = rat_str(s) if s is not None else "non-scalar"
+    return out
+
+
+def isWeylInvariant(chi):
+    """Whether every weight of chi's support carries the multiplicity of
+    its whole Weyl orbit."""
+    for w, m in chi.entries.items():
+        for v in chi.system.weylOrbit(w):
+            if chi.entries.get(v, 0) != m:
+                return False
+    return True

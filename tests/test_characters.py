@@ -5,17 +5,18 @@ import random
 import pytest
 
 from diracforge import cache
-from diracforge.characters import (ConeSeries, FormalCharacter, characterToSeries,
-                                   decomposeCharacter, dominantWeightsBelow,
-                                   dualWeight, fullWeightMultiset,
-                                   irreducibleCharacter, isPolarized,
+from diracforge.characters import (ConeSeries, FormalCharacter, _dominant_below,
+                                   characterToSeries, decomposeCharacter,
+                                   dualWeight, irreducibleCharacter,
                                    polarizationWitness, restrictCharacter,
-                                   tensorDecompose, trivialCharacter,
-                                   trivialMultiplicity, weylDimension)
+                                   tensorDecompose, trivialMultiplicity,
+                                   weylDimension)
 from diracforge.errors import (DiracforgeError, NotDominant, NotIntegral,
                                SystemMismatch, WindowTooSmall)
 from diracforge.liecore import pairFromLabel, systemFromLabel
 from diracforge.rationals import rat
+
+from helpers import isWeylInvariant
 
 A1 = systemFromLabel("A1")
 A2 = systemFromLabel("A2")
@@ -57,12 +58,13 @@ def test_trivial_and_torus_characters():
     assert irreducibleCharacter(A2, (0, 0)).entries == {(rat(0), rat(0)): 1}
     chi = irreducibleCharacter(T1, (5,))
     assert chi.entries == {(rat(5),): 1}
-    assert trivialCharacter(A2).dimension() == 1
+    assert FormalCharacter(A2, {(0, 0): 1}).dimension() == 1
 
 
 def test_dominant_weights_below():
-    assert dominantWeightsBelow(A1, (4,)) == [(rat(0),), (rat(2),), (rat(4),)]
-    assert set(dominantWeightsBelow(A2, (1, 1))) == {(rat(0), rat(0)), (rat(1), rat(1))}
+    assert sorted(mu for _, mu in _dominant_below(A1, (4,))) \
+        == [(0,), (2,), (4,)]
+    assert {mu for _, mu in _dominant_below(A2, (1, 1))} == {(0, 0), (1, 1)}
 
 
 def test_rejects_bad_highest_weights():
@@ -103,16 +105,21 @@ def test_dimension_matches_weyl_product_formula(label, top):
         assert irreducibleCharacter(rs, lam).dimension() == weylDimension(rs, lam)
 
 
+def signed_orbit(rs, lam):
+    """{w(lam): sign(w)} over the Weyl group, for a regular lam."""
+    return {v: rs.makeDominant(v)[1].sign for v in rs.weylOrbit(lam)}
+
+
 @pytest.mark.parametrize("label,top", [("A1", 5), ("A2", 2), ("B2", 2), ("C2", 2)]
                          + picked("A3", "A4", "D4"))
 def test_weyl_character_identity(label, top):
     # chi_lam * sum_w sign(w) e^{w rho} == sum_w sign(w) e^{w(lam+rho)}
     rs = systemFromLabel(label)
-    denom = FormalCharacter(rs, dict(rs.signedOrbit(rs.rho)))
+    denom = FormalCharacter(rs, signed_orbit(rs, rs.rho))
     for lam in weights_of(rs, top):
         chi = irreducibleCharacter(rs, lam)
         lam_rho = tuple(a + b for a, b in zip(lam, rs.rho))
-        numer = FormalCharacter(rs, dict(rs.signedOrbit(lam_rho)))
+        numer = FormalCharacter(rs, signed_orbit(rs, lam_rho))
         assert chi.convolve(denom) == numer
 
 
@@ -142,11 +149,7 @@ def test_inherited_rational_gram():
 def test_characters_are_weyl_invariant(label, top):
     rs = systemFromLabel(label)
     for lam in dominant_box(rs, top):
-        assert irreducibleCharacter(rs, lam).isWeylInvariant()
-
-
-def test_full_weight_multiset_is_the_character():
-    assert fullWeightMultiset(A2, (1, 1)) == irreducibleCharacter(A2, (1, 1))
+        assert isWeylInvariant(irreducibleCharacter(rs, lam))
 
 
 # ------------------------------------------------------------ decompositions
@@ -230,7 +233,7 @@ def test_trivial_multiplicity_examples():
     square = irreducibleCharacter(A1, (1,)).convolve(irreducibleCharacter(A1, (1,)))
     assert trivialMultiplicity(square) == 1
     assert trivialMultiplicity(irreducibleCharacter(A2, (1, 1))) == 0
-    assert trivialMultiplicity(trivialCharacter(A2)) == 1
+    assert trivialMultiplicity(FormalCharacter(A2, {(0, 0): 1})) == 1
 
 
 def test_dual_weights():
@@ -243,20 +246,21 @@ def test_dual_weights():
 
 
 def test_character_arithmetic_guards():
+    one = FormalCharacter(A1, {(0,): 1})
+    irr = FormalCharacter(A1, {(0,): 1}, FormalCharacter.IRREDUCIBLE)
     with pytest.raises(SystemMismatch):
-        trivialCharacter(A1).convolve(trivialCharacter(T1))
+        one.convolve(FormalCharacter(T1, {(0,): 1}))
     with pytest.raises(DiracforgeError):
-        trivialCharacter(A1) + trivialCharacter(A1, FormalCharacter.IRREDUCIBLE)
+        one + irr
     with pytest.raises(DiracforgeError):
-        trivialCharacter(A1, FormalCharacter.IRREDUCIBLE).convolve(
-            trivialCharacter(A1, FormalCharacter.IRREDUCIBLE))
+        irr.convolve(irr)
 
 
 def test_character_file_round_trip():
     chi = irreducibleCharacter(A2, (1, 1))
     again = FormalCharacter.from_lines(chi.to_lines())
     assert again == chi
-    dec = decomposeCharacter(chi - trivialCharacter(A2))
+    dec = decomposeCharacter(chi - FormalCharacter(A2, {(0, 0): 1}))
     again = FormalCharacter.from_lines(dec.to_lines())
     assert again == dec and again.basis == FormalCharacter.IRREDUCIBLE
     with pytest.raises(DiracforgeError):
@@ -407,16 +411,18 @@ def test_cone_series_interval_comparison():
 
 def test_polarization_certificates():
     s = geometric_tail(5)
-    assert isPolarized(s, (-1,))
-    assert not isPolarized(s, (-1,), strict=True)  # the origin sits on the wall
-    assert isPolarized(s, (rat(-1, 2),))           # positive multiples also fine
+    assert polarizationWitness(s, (-1,)) == (True, None)
+    # the origin sits on the wall
+    assert polarizationWitness(s, (-1,), strict=True) == (False, (rat(0),))
+    # positive multiples also fine
+    assert polarizationWitness(s, (rat(-1, 2),)) == (True, None)
     with pytest.raises(WindowTooSmall):
-        isPolarized(s, (1,))
+        polarizationWitness(s, (1,))
     short = ConeSeries(T1, {}, (1,), 0, -1)
     with pytest.raises(WindowTooSmall):
-        isPolarized(short, (1,))
+        polarizationWitness(short, (1,))
     neg = ConeSeries(T1, {(k,): -1 for k in range(1, 6)}, (1,), -1, 5)
-    assert isPolarized(neg, (1,), strict=True)
+    assert polarizationWitness(neg, (1,), strict=True) == (True, None)
     ok, witness = polarizationWitness(neg.shift((-2,)), (1,))
     assert not ok and witness == (rat(-1),)
 
@@ -426,13 +432,13 @@ def test_polarization_of_complete_series():
     cs = characterToSeries(chi, (1,))
     assert cs.isComplete()
     for direction in [(1,), (7,), (rat(1, 3),)]:
-        assert isPolarized(cs, direction, strict=True)
+        assert polarizationWitness(cs, direction, strict=True) == (True, None)
     ok, witness = polarizationWitness(cs, (-1,))
     assert not ok and witness in {(rat(2),), (rat(5),)}
     bilateral = ConeSeries(T1, {(k,): 1 for k in range(-2, 3)}, (1,), None, 2,
                            lower=-2)
     with pytest.raises(WindowTooSmall):
-        isPolarized(bilateral, (1,))
+        polarizationWitness(bilateral, (1,))
 
 
 def test_cone_series_file_round_trip():

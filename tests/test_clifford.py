@@ -1,8 +1,7 @@
 import pytest
 
-from diracforge.clifford import (CliffordModule, PStructure, RawStructure,
-                                 SpinorEmbedding, _mixed_block, buildClifford,
-                                 buildCliffordFrame, commutantDimension,
+from diracforge.clifford import (CliffordModule, PStructure, SpinorEmbedding,
+                                 _mixed_block, buildCliffordFrame,
                                  hSpinAction, spinRepresentation,
                                  spinorWeights, splitCliffordForPair)
 from diracforge.errors import (BadStructureConstants, CliffordConstructionError,
@@ -11,6 +10,8 @@ from diracforge.exactmat import ExactMatrix, anticommutator, commutator
 from diracforge.liecore import pairFromLabel, systemFromLabel
 from diracforge.rationals import ZERO, rat
 from diracforge.structure import PairFrame, buildFrame
+
+from helpers import RawStructure, buildClifford, commutantDimension
 
 
 def frame_module(label):
@@ -50,12 +51,15 @@ def test_euclidean_relations_explicit():
 
 
 def test_euclidean_size_limit():
-    with pytest.raises(TooLarge):
-        buildClifford(13)
+    gram = [[rat(1) if i == j else ZERO for j in range(13)] for i in range(13)]
+    with pytest.raises(TooLarge, match="^frame has 13 directions, so S would "
+                                       "be at least 64 wide; limit 12 "
+                                       "directions$"):
+        buildCliffordFrame(gram)
 
 
 def test_commutant_is_scalars():
-    for n in (2, 3, 4, 5):
+    for n in range(1, 8):
         assert commutantDimension(buildClifford(n)) == 1
 
 
@@ -210,6 +214,41 @@ def test_bad_structure_rejected():
         spinRepresentation(RawStructure(gram, f), cl)  # not antisymmetric
 
 
+def totally_antisymmetric(d, triples):
+    """f[a][b][c] = c_abc for the totally antisymmetric extension of
+    c_abc = 1 on each listed (a, b, c)."""
+    f = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
+    for a, b, c in triples:
+        for (x, y, z), sign in (((a, b, c), 1), ((b, c, a), 1),
+                                ((c, a, b), 1), ((b, a, c), -1),
+                                ((a, c, b), -1), ((c, b, a), -1)):
+            f[x][y][z] = rat(sign)
+    return f
+
+
+def test_non_invariant_form_rejected():
+    # su(2) brackets [e_a, e_b] = e_c are antisymmetric and satisfy
+    # Jacobi, but diag(1, 1, 4) is not an invariant form for them
+    gram = [[rat(1), ZERO, ZERO], [ZERO, rat(1), ZERO], [ZERO, ZERO, rat(4)]]
+    st = RawStructure(gram, totally_antisymmetric(3, [(0, 1, 2)]))
+    with pytest.raises(BadStructureConstants, match="^form is not invariant$"):
+        spinRepresentation(st, buildCliffordFrame(gram))
+
+
+@pytest.mark.parametrize("d", [5, 10])
+def test_jacobi_failure_rejected(d):
+    # c_012 = c_034 = 1 is invariant for the identity gram, and
+    # [e_1, [e_3, e_4]] + [e_3, [e_4, e_1]] + [e_4, [e_1, e_3]] = -e_2;
+    # at d = 10 the table sits on the last five directions and the first
+    # five are central
+    k = d - 5
+    st = RawStructure(
+        [[rat(1) if i == j else ZERO for j in range(d)] for i in range(d)],
+        totally_antisymmetric(d, [(k, k + 1, k + 2), (k, k + 3, k + 4)]))
+    with pytest.raises(BadStructureConstants, match="^Jacobi identity fails$"):
+        spinRepresentation(st, buildClifford(d))
+
+
 # -------------------------------------------------------------- pair split
 
 PAIR_SIZE = {"A1:T": (2, 2), "A2:u2": (4, 4), "A2:T": (2, 8)}
@@ -247,7 +286,7 @@ def test_spinor_weights_are_half_sums():
     pair = pairFromLabel("A2:T")
     _, s_p, emb = splitCliffordForPair(pair)
     ws = spinorWeights(pair, emb.pairFrame, s_p)
-    roots = [emb.pairFrame.frame.directionWeight(a)
+    roots = [emb.pairFrame.frame.names[a][1]
              for a in emb.pairFrame.pIndices[::2]]
     half = rat(1, 2)
     expected = set()

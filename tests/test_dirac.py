@@ -3,16 +3,18 @@ import pytest
 from diracforge import dirac
 from diracforge.characters import FormalCharacter
 from diracforge.cli import main
-from diracforge.clifford import buildClifford, buildCliffordFrame
+from diracforge.clifford import buildCliffordFrame
 from diracforge.dirac import (BadOperator, DiracOperator, RelativePieces,
                               cubicDirac, kernelIndex, piCasimir,
-                              qSweepReport, relativeCubicDirac,
-                              spectralCheckRelative, verifyKostantIdentity)
+                              relativeCubicDirac, spectralCheckRelative,
+                              verifyKostantIdentity)
 from diracforge.errors import DimensionMismatch, SpectralMismatch, TooLarge
 from diracforge.exactmat import ExactMatrix
 from diracforge.liecore import pairFromLabel, systemFromLabel
 from diracforge.rationals import ZERO, rat
 from diracforge.reps import buildLieRep
+
+from helpers import buildClifford, qSweepReport
 
 
 def frame_clifford(rep):
@@ -250,8 +252,10 @@ def test_trivial_pair_operator_is_zero():
 
 
 def test_relative_size_limit(monkeypatch):
+    # V_2 of A1 is 3 wide and S_p of A1:T is 2 wide
     monkeypatch.setattr("diracforge.dirac.RELATIVE_SIZE_LIMIT", 4)
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge,
+                       match=r"^V \(x\) S_p would be 6 x 6; limit 4$"):
         RelativePieces(pairFromLabel("A1:T"), (2,))
 
 

@@ -1,6 +1,8 @@
-"""Every module-level import of the package binds a name its module uses.
+"""Every module-level import of the package binds a name its module uses,
+and every module-level definition is used somewhere in the package.
 
-``__init__.py`` is left out: its imports are the package's re-exports.
+``__init__.py`` is left out of the import check: its imports are the
+package's re-exports, and they count as uses for the definition check.
 """
 
 import ast
@@ -10,8 +12,13 @@ import pytest
 
 import diracforge
 
-MODULES = sorted(path for path in pathlib.Path(diracforge.__file__).parent
-                 .glob("*.py") if path.name != "__init__.py")
+SOURCES = sorted(pathlib.Path(diracforge.__file__).parent.glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
+
+# read by perfbench, which lies outside the package: run.py records
+# BACKEND_NAME and RATIONAL_BACKEND, spans.py wraps the two products
+BENCHMARK_READ = {("matops", "BACKEND_NAME"), ("matops", "mul_real"),
+                  ("matops", "mul_cplx"), ("rationals", "RATIONAL_BACKEND")}
 
 
 def unused_imports(source):
@@ -36,3 +43,54 @@ def test_unused_import_is_found():
     assert unused_imports("from __future__ import annotations\n"
                           "import os\nfrom a.b import c as d, e\n"
                           "import x.y\nprint(e, x.y)\n") == ["d", "os"]
+
+
+def _names_in(node):
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def unreferenced_definitions(sources):
+    """(module, name) for each module-level def, class or assignment in
+    sources ({module: text}) whose name no other top-level statement of
+    any module mentions."""
+    statements = []
+    defined = []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            statements.append((node, _names_in(node)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.append((module, node.name, node))
+            elif isinstance(node, ast.Assign):
+                defined.extend((module, target.id, node)
+                               for target in node.targets
+                               if isinstance(target, ast.Name))
+    return sorted((module, name) for module, name, node in defined
+                  if module != "__init__"
+                  and not any(name in names for other, names in statements
+                              if other is not node))
+
+
+def test_every_definition_is_used_in_the_package():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert set(unreferenced_definitions(sources)) == BENCHMARK_READ
+
+
+def test_unreferenced_definition_is_found():
+    sources = {"__init__": "from .a import shown\n",
+               "a": "LIMIT = 3\n"
+                    "def shown(): return helper() + LIMIT\n"
+                    "def helper(): return 1\n"
+                    "def tested_only(): return 2\n"
+                    "def recursive(n): return recursive(n - 1)\n"
+                    "class Spare: pass\n"}
+    assert unreferenced_definitions(sources) == [
+        ("a", "Spare"), ("a", "recursive"), ("a", "tested_only")]

@@ -171,7 +171,7 @@ def test_moving_base_allowed_explicitly():
 def test_empty_base_gives_zero_series():
     base = FormalCharacter(T1, {})
     s = bundleIndex(T1, base, [(1,)], (1,), (0,), 5)
-    assert s.isZero()
+    assert s.entries == {}
 
 
 # ---------------------------------------------------------- vanishing

@@ -1,3 +1,5 @@
+from math import gcd, lcm
+
 import pytest
 
 from diracforge.characters import FormalCharacter, characterToSeries
@@ -5,6 +7,7 @@ from diracforge.errors import (ConventionMismatch, DiracforgeError,
                                NonGenericDirection, NotDelzant, NotIntegral,
                                NotPrequantized, QRViolation, SingularShift,
                                UnsupportedType)
+from diracforge.exactmat import ExactMatrix
 from diracforge.liecore import systemFromLabel
 from diracforge.qr import (CoadjointModel, ToricModel, coadjointQuantization,
                            cp1, cp2, fixedPointCharacter, hirzebruch,
@@ -45,9 +48,46 @@ def test_lower_dimensional_rejected():
 
 
 def test_weighted_projective_rejected():
-    # P(1,1,2): the top vertex has edge lattice index two
-    with pytest.raises(NotDelzant):
+    # P(1,1,2): the top vertex has edge lattice index two, so the inverse
+    # of its normals (1,0), (-1,-2) has the entry -1/2
+    with pytest.raises(NotDelzant, match=r"^normals at vertex \(0,1\) are "
+                       r"not a lattice basis: their inverse has entry -1/2 "
+                       r"at \(2, 1\)$"):
         ToricModel([((1, 0), 0), ((0, 1), 0), ((-1, -2), 2)])
+
+
+def unimodular_edges(model, vertex):
+    """The edges at a vertex by the determinant route: the primitive
+    columns of the inverse of the active normals, which must span a
+    lattice basis (determinant +-1)."""
+    n = model.dimension
+    rows = [list(model.halfSpaces[j][0]) for j in vertex.active]
+    inv = ExactMatrix.from_rows(rows).solve(ExactMatrix.identity(n))
+    edges = []
+    for k in range(n):
+        col = [inv.get(i, k)[0] for i in range(n)]
+        scale = lcm(*(c.denominator for c in col))
+        ints = [int(c * scale) for c in col]
+        g = gcd(*ints)
+        edges.append(tuple(c // g for c in ints))
+    assert det(edges) in (1, -1)
+    return edges
+
+
+def det(rows):
+    """Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]))
+
+
+@pytest.mark.parametrize("model", [cp1(3), cp2(2), hirzebruch(4, 2),
+                                   pointModel()],
+                         ids=["cp1", "cp2", "hirzebruch", "point"])
+def test_edges_match_the_determinant_route(model):
+    for v in model.vertices:
+        assert v.edges == unimodular_edges(model, v)
 
 
 def test_non_simple_vertex_rejected():

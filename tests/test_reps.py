@@ -140,11 +140,13 @@ def test_rejects_non_integral():
 
 
 def test_dimension_limit():
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="^dim V = 101 exceeds the desk-scale "
+                                       "limit 64$"):
         buildLieRep(systemFromLabel("A1"), (100,))
 
 
 def test_ambient_limit():
     # dim 36 passes the first gate, the 3^7 tensor ambient does not
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="^tensor ambient reached 2187 wide; "
+                                       "limit 1024$"):
         buildLieRep(systemFromLabel("A2"), (0, 7))
