@@ -148,28 +148,23 @@ def _orthogonalize(gram):
     back[j][k] expands input direction e_j over the orthogonal pivots v_k
     and norms[k] = <v_k, v_k> > 0."""
     d = len(gram)
-    v_in_e = []
+    g = ExactMatrix.from_rows(gram)
+    rows = []   # v_k as 1 x d rows over the input directions
     norms = []
-
-    def form(x, y):
-        return sum((x[i] * gram[i][j] * y[j]
-                    for i in range(d) for j in range(d)
-                    if x[i] and gram[i][j] and y[j]), start=ZERO)
-
     for k in range(d):
-        vec = [ZERO] * d
-        vec[k] = rat(1)
-        e_k = tuple(vec)
-        for j in range(k):
-            c = form(e_k, v_in_e[j]) / norms[j]
-            if c:
-                for i in range(d):
-                    vec[i] -= c * v_in_e[j][i]
-        n = form(vec, vec)
+        vec = ExactMatrix.zeros(1, d)
+        vec.put(0, k, 1)
+        if rows:
+            # subtract sum_j <e_k, v_j> / <v_j, v_j> v_j in one product
+            done = ExactMatrix.vstack(rows, d)
+            inv = ExactMatrix.diag([1 / n for n in norms])
+            vec = vec - vec * g * done.transpose() * inv * done
+        n = (vec * g * vec.transpose()).get(0, 0)[0]
         if n <= 0:
             raise CliffordConstructionError("frame gram is not positive definite")
-        v_in_e.append(tuple(vec))
+        rows.append(vec)
         norms.append(n)
+    v_in_e = [tuple(x for x, _ in vec.row(0)) for vec in rows]
     return inverse_rows(v_in_e), norms
 
 

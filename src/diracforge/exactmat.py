@@ -1,11 +1,21 @@
 """Sparse exact matrices over the Gaussian rationals.
 
-A matrix keeps one map of non-zero rows per component, ``{i: {j: value}}``;
-the imaginary map is empty while the matrix is real.  No zero is ever
-stored and no row is ever empty, so zero-ness is emptiness, equality is map
-equality, and every operation costs what the stored entries cost.  Rows are
+A matrix is stored as integer numerators over one common denominator:
+``re`` and ``im`` map each non-zero row to its non-zero entries,
+``{i: {j: int}}``, and the entry at (i, j) is (re + i im) / ``den``.  The
+imaginary map is empty while the matrix is real.  The form is kept
+reduced: ``den`` is a positive int, gcd(den, every numerator) == 1, and
+den == 1 when nothing is stored.  No zero is ever stored and no row is
+ever empty, so zero-ness is emptiness and equality is map equality plus
+the denominator.  Sums bring both sides to the lcm of their denominators,
+products and Kronecker products multiply numerators and denominators, and
+each result is reduced once; no entry is ever a ``Fraction``.  Rows are
 never shared between matrices, because ``put`` edits them in place.
-Scalars cross the API boundary as ``(re, im)`` pairs of ``Fraction``.
+
+Scalars cross the API boundary as ``(re, im)`` pairs of ``Fraction``:
+``get``, ``trace`` and ``scalar_of_identity`` return them, and every
+method that takes a scalar accepts an int, a ``Fraction`` or a pair of
+them.  Floats and strings raise ``TypeError``.
 
 This is the one linear-algebra core of the package: a vector is a 1 x n
 or n x 1 matrix, ``vstack`` stacks the row blocks of several matrices
@@ -29,14 +39,36 @@ A^H S = S A.  No orthonormalization is ever performed, so every check stays
 inside exact arithmetic.
 """
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .rationals import ZERO, ONE, rat, rat_str
 from . import matops
 from .errors import DimensionMismatch
 
 
-def gauss(re=0, im=0):
-    """Coerce to a Gaussian rational pair."""
-    return (rat(re), rat(im))
+def _rat(x):
+    """x as an exact rational: an int or Fraction as it is, anything else
+    through rat, which rejects floats and strings."""
+    return x if isinstance(x, (int, Fraction)) else rat(x)
+
+
+def _parts(z):
+    """A scalar or (re, im) pair as two exact rationals."""
+    if isinstance(z, tuple):
+        return _rat(z[0]), _rat(z[1])
+    return _rat(z), 0
+
+
+def _split(z):
+    """A scalar or (re, im) pair as ints (pr, pi, q) with z = (pr + i pi)/q
+    and q > 0."""
+    re, im = _parts(z)
+    dr, di = re.denominator, im.denominator
+    if dr == di:
+        return re.numerator, im.numerator, dr
+    q = lcm(dr, di)
+    return re.numerator * (q // dr), im.numerator * (q // di), q
 
 
 def gauss_str(z):
@@ -53,14 +85,14 @@ def _gadd(a, b):
     return (a[0] + b[0], a[1] + b[1])
 
 
-# -- one component: {i: {j: value}} with no zero and no empty row ----------
+# -- one component: {i: {j: int}} with no zero and no empty row -------------
 
 def _neg(a):
     return {i: {j: -v for j, v in row.items()} for i, row in a.items()}
 
 
 def _times(a, s):
-    """s * a for a non-zero rational s."""
+    """s * a for a non-zero int s."""
     return {i: {j: s * v for j, v in row.items()} for i, row in a.items()}
 
 
@@ -105,6 +137,18 @@ def _accumulate(acc, a, b, negate=False):
                 p = x * y
                 s = orow.get(j)
                 orow[j] = p if s is None else s + p
+
+
+def _axpy(acc, a, s):
+    """acc += s * a for an int s; acc may collect zeros, see _pruned."""
+    for i, row in a.items():
+        orow = acc.get(i)
+        if orow is None:
+            acc[i] = {j: s * v for j, v in row.items()}
+            continue
+        for j, v in row.items():
+            t = orow.get(j)
+            orow[j] = s * v if t is None else t + s * v
 
 
 def _pruned(acc):
@@ -156,12 +200,45 @@ def _store(part, i, j, v):
             del part[i]
 
 
+def _reduced(re, im, den):
+    """(re, im, den) divided by gcd(den, every numerator), so den == 1 when
+    nothing is stored.  The gcd scan stops as soon as it reaches 1."""
+    if den == 1:
+        return re, im, den
+    g = den
+    for part in (re, im):
+        for row in part.values():
+            g = gcd(g, *row.values())
+            if g == 1:
+                return re, im, den
+    return ({i: {j: v // g for j, v in row.items()} for i, row in re.items()},
+            {i: {j: v // g for j, v in row.items()} for i, row in im.items()},
+            den // g)
+
+
+def _over_lcm(re, im):
+    """Maps of non-zero rationals as (numerators, numerators, den) over the
+    lcm of their denominators.  That lcm is already reduced: a prime power
+    exactly dividing it divides one entry's denominator exactly, and that
+    entry's numerator, times a factor prime to it, stays prime to it."""
+    den = 1
+    for part in (re, im):
+        for row in part.values():
+            for v in row.values():
+                d = v.denominator
+                if den % d:
+                    den = lcm(den, d)
+    return tuple({i: {j: v.numerator * (den // v.denominator)
+                      for j, v in row.items()} for i, row in part.items()}
+                 for part in (re, im)) + (den,)
+
+
 def _dense(part, nrows, ncols):
     rows = [[ZERO] * ncols for _ in range(nrows)]
     for i, row in part.items():
         dense = rows[i]
         for j, v in row.items():
-            dense[j] = v
+            dense[j] = Fraction(v)
     return rows
 
 
@@ -175,13 +252,16 @@ def _from_dense(rows):
 
 
 class ExactMatrix:
-    __slots__ = ("nrows", "ncols", "re", "im")
+    __slots__ = ("nrows", "ncols", "re", "im", "den")
 
-    def __init__(self, nrows, ncols, re=None, im=None):
+    def __init__(self, nrows, ncols, re=None, im=None, den=1):
+        """The matrix (re + i im) / den; the parts must already be in the
+        reduced form the module docstring describes."""
         self.nrows = nrows
         self.ncols = ncols
         self.re = {} if re is None else re
         self.im = {} if im is None else im  # empty means identically real
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
@@ -191,29 +271,41 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n, scale=None):
-        s = ONE if scale is None else rat(scale)
-        return cls(n, n, {i: {i: s} for i in range(n)} if s else {})
+        s = 1 if scale is None else _rat(scale)
+        if not s:
+            return cls(n, n)
+        v = s.numerator
+        return cls(n, n, {i: {i: v} for i in range(n)}, None, s.denominator)
 
     @classmethod
     def diag(cls, values):
         n = len(values)
-        m = cls(n, n)
-        for i, v in enumerate(values):
-            m.put(i, i, v)
-        return m
+        re = {}
+        im = {}
+        for i, z in enumerate(values):
+            x, y = _parts(z)
+            if x:
+                re[i] = {i: x}
+            if y:
+                im[i] = {i: y}
+        return cls(n, n, *_over_lcm(re, im))
 
     @classmethod
     def vstack(cls, mats, ncols):
         """The rows of each matrix in turn, as one matrix of width ncols;
-        ncols also gives the width when mats is empty."""
-        out = cls(0, ncols)
+        ncols also gives the width when mats is empty.  The lcm of the
+        blocks' reduced denominators needs no further reduction."""
+        den = lcm(*(m.den for m in mats))
+        out = cls(0, ncols, None, None, den)
         for m in mats:
             if m.ncols != ncols:
                 raise DimensionMismatch("vstack: %d columns, need %d"
                                         % (m.ncols, ncols))
+            f = den // m.den
             for part, opart in ((m.re, out.re), (m.im, out.im)):
                 for i, row in part.items():
-                    opart[out.nrows + i] = dict(row)
+                    opart[out.nrows + i] = dict(row) if f == 1 else \
+                        {j: f * v for j, v in row.items()}
             out.nrows += m.nrows
         return out
 
@@ -221,37 +313,52 @@ class ExactMatrix:
     def from_rows(cls, rows):
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
-        m = cls(nrows, ncols)
+        re = {}
+        im = {}
         for i, row in enumerate(rows):
             if len(row) != ncols:
                 raise DimensionMismatch("ragged rows")
             rr = {}
             ri = {}
             for j, v in enumerate(row):
-                z = v if isinstance(v, tuple) else gauss(v)
-                if z[0]:
-                    rr[j] = rat(z[0])
-                if z[1]:
-                    ri[j] = rat(z[1])
+                x, y = _parts(v)
+                if x:
+                    rr[j] = x
+                if y:
+                    ri[j] = y
             if rr:
-                m.re[i] = rr
+                re[i] = rr
             if ri:
-                m.im[i] = ri
-        return m
+                im[i] = ri
+        return cls(nrows, ncols, *_over_lcm(re, im))
 
     # -- entry access ---------------------------------------------------
 
     def get(self, i, j):
         row = self.re.get(i)
-        r = ZERO if row is None else row.get(j, ZERO)
+        r = 0 if row is None else row.get(j, 0)
         row = self.im.get(i)
-        return (r, ZERO if row is None else row.get(j, ZERO))
+        m = 0 if row is None else row.get(j, 0)
+        den = self.den
+        return (Fraction(r, den) if r else ZERO,
+                Fraction(m, den) if m else ZERO)
 
     def put(self, i, j, z):
-        if not isinstance(z, tuple):
-            z = gauss(z)
-        _store(self.re, i, j, rat(z[0]))
-        _store(self.im, i, j, rat(z[1]))
+        pr, pi, q = _split(z)
+        den = self.den
+        if q != den:
+            common = lcm(den, q)
+            f = common // den
+            if f != 1:
+                for part in (self.re, self.im):
+                    for row in part.values():
+                        for k in row:
+                            row[k] *= f
+            f = common // q
+            pr, pi, den = pr * f, pi * f, common
+        _store(self.re, i, j, pr)
+        _store(self.im, i, j, pi)
+        self.re, self.im, self.den = _reduced(self.re, self.im, den)
 
     def row(self, i):
         return [self.get(i, j) for j in range(self.ncols)]
@@ -264,8 +371,8 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.nrows, self.ncols, self.re, self.im) \
-            == (other.nrows, other.ncols, other.re, other.im)
+        return (self.nrows, self.ncols, self.den, self.re, self.im) \
+            == (other.nrows, other.ncols, other.den, other.re, other.im)
 
     def __hash__(self):
         raise TypeError("ExactMatrix is unhashable")
@@ -275,18 +382,16 @@ class ExactMatrix:
         n = self.nrows
         if n != self.ncols or n == 0:
             return None
-        z = self.get(0, 0)
-        for part, v in ((self.re, z[0]), (self.im, z[1])):
-            if not v:
-                if part:
-                    return None
+        for part in (self.re, self.im):
+            if not part:
                 continue
-            if len(part) != n:
+            if len(part) != n or 0 not in part[0]:
                 return None
+            v = part[0][0]
             for i, row in part.items():
                 if len(row) != 1 or row.get(i) != v:
                     return None
-        return z
+        return self.get(0, 0)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -294,32 +399,40 @@ class ExactMatrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("add: %dx%d vs %dx%d" % (
                 self.nrows, self.ncols, other.nrows, other.ncols))
-        return ExactMatrix(self.nrows, self.ncols, _sum(self.re, other.re),
-                           _sum(self.im, other.im))
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        den = self.den
+        if other.den != den:
+            den = lcm(den, other.den)
+            fa, fb = den // self.den, den // other.den
+            if fa != 1:
+                ar, ai = _times(ar, fa), _times(ai, fa)
+            if fb != 1:
+                br, bi = _times(br, fb), _times(bi, fb)
+        return ExactMatrix(self.nrows, self.ncols,
+                           *_reduced(_sum(ar, br), _sum(ai, bi), den))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         return ExactMatrix(self.nrows, self.ncols, _neg(self.re),
-                           _neg(self.im))
+                           _neg(self.im), self.den)
 
     def scale(self, z):
-        if not isinstance(z, tuple):
-            z = gauss(z)
-        zr, zi = rat(z[0]), rat(z[1])
+        pr, pi, q = _split(z)
         n, m = self.nrows, self.ncols
-        if not zi:
-            if not zr:
+        if not pi:
+            if not pr:
                 return ExactMatrix(n, m)
-            return ExactMatrix(n, m, _times(self.re, zr), _times(self.im, zr))
-        # (zr + i zi)(a + i b) = (zr a - zi b) + i (zr b + zi a)
-        re = _times(self.im, -zi)
-        im = _times(self.re, zi)
-        if zr:
-            re = _sum(_times(self.re, zr), re)
-            im = _sum(_times(self.im, zr), im)
-        return ExactMatrix(n, m, re, im)
+            re, im = _times(self.re, pr), _times(self.im, pr)
+        else:
+            # (pr + i pi)(a + i b) = (pr a - pi b) + i (pr b + pi a)
+            re = _times(self.im, -pi)
+            im = _times(self.re, pi)
+            if pr:
+                re = _sum(_times(self.re, pr), re)
+                im = _sum(_times(self.im, pr), im)
+        return ExactMatrix(n, m, *_reduced(re, im, self.den * q))
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -343,7 +456,9 @@ class ExactMatrix:
             _accumulate(im, ar, bi)
         if ai:
             _accumulate(im, ai, br)
-        return ExactMatrix(self.nrows, other.ncols, _pruned(re), _pruned(im))
+        return ExactMatrix(self.nrows, other.ncols,
+                           *_reduced(_pruned(re), _pruned(im),
+                                     self.den * other.den))
 
     def kron(self, other):
         n2, m2 = other.nrows, other.ncols
@@ -356,20 +471,42 @@ class ExactMatrix:
             im = _kron(ar, bi, n2, m2)
         if ai:
             im = _sum(im, _kron(ai, br, n2, m2))
-        return ExactMatrix(self.nrows * n2, self.ncols * m2, re, im)
+        return ExactMatrix(self.nrows * n2, self.ncols * m2,
+                           *_reduced(re, im, self.den * other.den))
 
     def transpose(self):
         return ExactMatrix(self.ncols, self.nrows, _transposed(self.re),
-                           _transposed(self.im))
+                           _transposed(self.im), self.den)
 
     def ctranspose(self):
         return ExactMatrix(self.ncols, self.nrows, _transposed(self.re),
-                           _neg(_transposed(self.im)))
+                           _neg(_transposed(self.im)), self.den)
+
+    def reshape(self, nrows, ncols):
+        """The same entries, read row-major, as an nrows x ncols matrix."""
+        if nrows * ncols != self.nrows * self.ncols:
+            raise DimensionMismatch("reshape: %dx%d to %dx%d" % (
+                self.nrows, self.ncols, nrows, ncols))
+        m = self.ncols
+        parts = []
+        for part in (self.re, self.im):
+            out = {}
+            for i, row in part.items():
+                for j, v in row.items():
+                    r, c = divmod(i * m + j, ncols)
+                    orow = out.get(r)
+                    if orow is None:
+                        out[r] = {c: v}
+                    else:
+                        orow[c] = v
+            parts.append(out)
+        return ExactMatrix(nrows, ncols, *parts, self.den)
 
     def trace(self):
         if self.nrows != self.ncols:
             raise DimensionMismatch("trace of non-square")
-        return tuple(sum((row.get(i, ZERO) for i, row in part.items()), ZERO)
+        return tuple(Fraction(sum(row.get(i, 0) for i, row in part.items()),
+                              self.den)
                      for part in (self.re, self.im))
 
     # -- adjointness w.r.t. a Hermitian form ---------------------------
@@ -383,31 +520,32 @@ class ExactMatrix:
     # -- elimination ----------------------------------------------------
 
     def rref(self):
-        """Return (reduced matrix, pivot column list)."""
+        """Return (reduced matrix, pivot column list).  The numerators alone
+        are eliminated: den * self has the same reduced form."""
         n, m = self.nrows, self.ncols
         rr = _dense(self.re, n, m)
         ri = _dense(self.im, n, m)
         pivots = matops.rref_cplx(rr, ri, n, m, ZERO, ONE)
-        return ExactMatrix(n, m, _from_dense(rr), _from_dense(ri)), pivots
+        return ExactMatrix(n, m, *_over_lcm(_from_dense(rr),
+                                            _from_dense(ri))), pivots
 
     def nullspace(self):
         """Columns spanning {x : self x = 0}, as an ncols x d matrix."""
         red, pivots = self.rref()
         taken = set(pivots)
         free = [j for j in range(self.ncols) if j not in taken]
-        out = ExactMatrix(self.ncols, len(free))
-        for c, j in enumerate(free):
-            out.re[j] = {c: ONE}
+        re = {j: {c: red.den} for c, j in enumerate(free)}
+        im = {}
         # row r of red belongs to pivot column pivots[r]; its entries in
         # the free columns, negated, complete the free columns' vectors
         where = {j: c for c, j in enumerate(free)}
-        for part, opart in ((red.re, out.re), (red.im, out.im)):
+        for part, opart in ((red.re, re), (red.im, im)):
             for r, row in part.items():
                 for j, v in row.items():
                     c = where.get(j)
                     if c is not None:
                         opart.setdefault(pivots[r], {})[c] = -v
-        return out
+        return ExactMatrix(self.ncols, len(free), *_reduced(re, im, red.den))
 
     def solve(self, rhs):
         """Solve self @ x = rhs (rhs a matrix); None when inconsistent."""
@@ -415,25 +553,30 @@ class ExactMatrix:
             raise DimensionMismatch("solve: rhs has %d rows, need %d" % (
                 rhs.nrows, self.nrows))
         m = self.ncols
+        # [self | rhs] over the lcm denominator; its numerators alone make
+        # the integer system that rref reduces
+        den = lcm(self.den, rhs.den)
+        fa, fb = den // self.den, den // rhs.den
         aug = ExactMatrix(self.nrows, m + rhs.ncols)
         for part, rpart, apart in ((self.re, rhs.re, aug.re),
                                    (self.im, rhs.im, aug.im)):
             for i, row in part.items():
-                apart[i] = dict(row)
+                apart[i] = {j: fa * v for j, v in row.items()}
             for i, row in rpart.items():
                 arow = apart.setdefault(i, {})
                 for j, v in row.items():
-                    arow[m + j] = v
+                    arow[m + j] = fb * v
         red, pivots = aug.rref()
         if pivots and pivots[-1] >= m:
             return None
-        x = ExactMatrix(m, rhs.ncols)
-        for part, xpart in ((red.re, x.re), (red.im, x.im)):
+        re = {}
+        im = {}
+        for part, xpart in ((red.re, re), (red.im, im)):
             for r, row in part.items():
                 xrow = {j - m: v for j, v in row.items() if j >= m}
                 if xrow:
                     xpart[pivots[r]] = xrow
-        return x
+        return ExactMatrix(m, rhs.ncols, *_reduced(re, im, red.den))
 
     # -- serialization ----------------------------------------------------
 
@@ -448,12 +591,30 @@ class ExactMatrix:
 
 
 def combination(coefs, mats, n):
-    """sum_a coefs[a] mats[a] as an n x n matrix."""
-    out = ExactMatrix.zeros(n)
+    """sum_a coefs[a] mats[a] as an n x n matrix, summed over one common
+    denominator and reduced once."""
+    terms = []
+    den = 1
     for c, m in zip(coefs, mats):
+        if (m.nrows, m.ncols) != (n, n):
+            raise DimensionMismatch("combination: %dx%d term, need %dx%d"
+                                    % (m.nrows, m.ncols, n, n))
         if c:
-            out = out + m.scale(c)
-    return out
+            pr, pi, q = _split(c)
+            terms.append((pr, pi, q * m.den, m))
+            den = lcm(den, q * m.den)
+    re = {}
+    im = {}
+    for pr, pi, d, m in terms:
+        f = den // d
+        # (pr + i pi)(a + i b) = (pr a - pi b) + i (pr b + pi a)
+        if pr:
+            _axpy(re, m.re, pr * f)
+            _axpy(im, m.im, pr * f)
+        if pi:
+            _axpy(re, m.im, -pi * f)
+            _axpy(im, m.re, pi * f)
+    return ExactMatrix(n, n, *_reduced(_pruned(re), _pruned(im), den))
 
 
 def contract(left, right, ginv, n):

@@ -17,9 +17,9 @@ M = diag(1/|b|^2) B^H (pi_X B).
 
 The build is self-checking: B M == pi_X B must hold entry-exactly (this
 is the invariance of the cyclic subspace), the simultaneous torus
-eigenvalues must reproduce irreducibleCharacter, and bracket relations
-are compared against the frame's structure constants (in full at small
-dimension, on a Cartan-anchored subset past that).
+eigenvalues must reproduce irreducibleCharacter, and the bracket relation
+of every pair of directions is compared against the frame's structure
+constants, at every dimension.
 """
 
 import itertools
@@ -34,7 +34,6 @@ from .structure import buildFrame
 
 DIM_LIMIT = 64
 AMBIENT_LIMIT = 1024
-FULL_BRACKET_LIMIT = 24
 
 
 def _wedge_matrix(local, k):
@@ -264,20 +263,9 @@ def _verify_rep(rep):
             raise BadStructureConstants("pi is not skew-adjoint for the form")
     if rep.character() != irreducibleCharacter(rep.system, rep.lam):
         raise BadStructureConstants("torus character mismatch")
-    if d <= FULL_BRACKET_LIMIT:
-        pairs = [(a, b) for a in range(frame.dim) for b in range(a + 1, frame.dim)]
-    else:
-        # generators suffice at scale: Cartan against the simple pairs,
-        # plus each simple (A, B) pair with itself
-        pairs = []
-        for start, beta in frame.rootPairs:
-            if frame.system.rootCoefficients(beta).count(0) \
-                    == len(frame.system.simple_positions) - 1:
-                pairs.append((start, start + 1))
-                for p in frame.cartanIndices():
-                    pairs.extend(((p, start), (p, start + 1)))
-    for a, b in pairs:
-        want = combination(frame.bracketCoefficients(a, b), rep.pi, d)
-        if commutator(rep.pi[a], rep.pi[b]) != want:
-            raise BadStructureConstants("bracket relation failed at (%d, %d)"
-                                        % (a, b))
+    for a in range(frame.dim):
+        for b in range(a + 1, frame.dim):
+            want = combination(frame.bracketCoefficients(a, b), rep.pi, d)
+            if commutator(rep.pi[a], rep.pi[b]) != want:
+                raise BadStructureConstants(
+                    "bracket relation failed at (%d, %d)" % (a, b))

@@ -104,7 +104,6 @@ class CompactFrame:
                     factor_of_simple[pos] = (bi, local)
                 pos += 1
 
-        self.rootPairs = []
         for beta in rs.positiveRoots:
             coeffs = rs.rootCoefficients(beta)
             # locate the unique simple factor carrying this root
@@ -125,7 +124,6 @@ class CompactFrame:
             f.put(boff + k, boff + j, rat(1))
             a_mat = e - f
             b_mat = (e + f).scale((ZERO, rat(1)))
-            self.rootPairs.append((len(names), beta))
             names.append((ROOT_A, beta))
             mats.append(a_mat)
             names.append((ROOT_B, beta))
@@ -141,22 +139,21 @@ class CompactFrame:
     def index(self, name):
         return self._index[name]
 
-    def cartanIndices(self):
-        return tuple(range(self.system.rank))
-
     # ------------------------------------------------------------------ form
 
-    def form(self, x, y):
-        """Invariant form -tr(xy) of two defining-block matrices."""
-        t = (x * y).trace()
-        if t[1] != 0:
-            raise BadStructureConstants("form produced an imaginary trace")
-        return -t[0]
-
     def _build_gram(self):
-        d = self.dim
-        g = [[self.form(self.matrices[a], self.matrices[b]) for b in range(d)]
-             for a in range(d)]
+        """The invariant form B(x, y) = -tr(xy) on the frame, as products:
+        row a of the pairing is u_a^T read row-major, so the pairing times
+        y read as a column lists tr(u_a y)."""
+        d, n2 = self.dim, self.matrixSize ** 2
+        pairing = ExactMatrix.vstack(
+            [x.transpose().reshape(1, n2) for x in self.matrices], n2)
+        cols = ExactMatrix.vstack(
+            [x.reshape(1, n2) for x in self.matrices], n2).transpose()
+        gm = -(pairing * cols)
+        g = [[gm.get(a, b)[0] for b in range(d)] for a in range(d)]
+        if any(gm.get(a, b)[1] for a in range(d) for b in range(d)):
+            raise BadStructureConstants("form produced an imaginary trace")
         # root directions must be orthogonal to everything but themselves,
         # with squared length 2; the Cartan block is the coroot gram
         for a in range(d):
@@ -171,6 +168,9 @@ class CompactFrame:
         self.gram = tuple(tuple(row) for row in g)
         self.gramInverse = inverse_rows(self.gram)
         assert self.gramInverse is not None
+        # coordinates over the frame through the dual frame: x = sum_c x_c
+        # u_c with x_c = sum_e (G^-1)_{ce} B(x, u_e)
+        self._dual = -(ExactMatrix.from_rows(self.gramInverse) * pairing)
 
     # -------------------------------------------------------------- brackets
 
@@ -189,10 +189,8 @@ class CompactFrame:
             self._bracket_cache[key] = coef
             return coef
         m = commutator(self.matrices[a], self.matrices[b])
-        raw = [self.form(m, self.matrices[c]) for c in range(self.dim)]
-        coef = tuple(sum((self.gramInverse[c][e] * raw[e]
-                          for e in range(self.dim)), start=ZERO)
-                     for c in range(self.dim))
+        coords = self._dual * m.reshape(self.matrixSize ** 2, 1)
+        coef = tuple(coords.get(c, 0)[0] for c in range(self.dim))
         # the frame must close: reconstruct and compare exactly
         if combination(coef, self.matrices, self.matrixSize) != m:
             raise BadStructureConstants(

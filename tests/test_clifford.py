@@ -117,6 +117,19 @@ def test_mismatched_hint_classes_rejected():
         buildCliffordFrame(gram, ((0, 1),))
 
 
+@pytest.mark.parametrize("gram", [
+    [[1, 2], [2, 1]],
+    [[1, 0], [0, -1]],
+    [[1, 1], [1, 1]],
+    [[2, 1, 0], [1, 2, 2], [0, 2, 1]],
+], ids=["indefinite", "negative", "singular", "third-pivot"])
+def test_non_positive_gram_rejected(gram):
+    gram = [[rat(x) for x in row] for row in gram]
+    with pytest.raises(CliffordConstructionError,
+                       match="^frame gram is not positive definite$"):
+        buildCliffordFrame(gram)
+
+
 def test_wrong_gamma_names_the_failed_relation():
     cl = buildClifford(3)
     gamma = (cl.gamma[0], cl.gamma[0], cl.gamma[2])  # c(e_1) replaced

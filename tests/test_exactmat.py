@@ -3,10 +3,12 @@
 Random Q(i) matrices are built as flat row-major lists, fed to the
 reference kernels in ``diracforge.matops`` (and to elementwise list
 arithmetic), and compared entry by entry with the sparse results.  After
-every operation the storage invariant is checked: no stored zero, no
-empty row.
+every operation the storage invariant is checked: int numerators with no
+stored zero and no empty row, over a positive denominator prime to them
+all.
 """
 
+import math
 import random
 
 import pytest
@@ -49,13 +51,21 @@ def build(n, m, d):
 
 
 def check(mat, n, m, d):
-    """mat is n x m, equals the dense pair d, and keeps the invariant."""
+    """mat is n x m, equals the dense pair d, and keeps the invariant: int
+    numerators, no stored zero, no empty row, and a positive int
+    denominator with gcd(den, every numerator) == 1, so den == 1 when
+    nothing is stored."""
     assert (mat.nrows, mat.ncols) == (n, m)
+    nums = []
     for part in (mat.re, mat.im):
         for i, row in part.items():
             assert 0 <= i < n and row, "empty or out-of-range row %r" % i
             for j, v in row.items():
                 assert 0 <= j < m and v, "stored zero at %r" % ((i, j),)
+                assert type(v) is int, "non-int numerator at %r" % ((i, j),)
+                nums.append(v)
+    assert type(mat.den) is int and mat.den > 0
+    assert math.gcd(mat.den, *nums) == 1, "unreduced: den %d" % mat.den
     re, im = d
     assert [mat.get(i, j) for i in range(n) for j in range(m)] \
         == list(zip(re, im))
@@ -172,6 +182,12 @@ def test_kron_transpose_ctranspose(seed):
               [da[1][i * m + j] for j in range(m) for i in range(n)])
         check(a.transpose(), m, n, tr)
         check(a.ctranspose(), m, n, (tr[0], [-x for x in tr[1]]))
+        # the dense pair is row-major, so every reshape keeps it as it is
+        check(a.reshape(m, n), m, n, da)
+        check(a.reshape(1, n * m), 1, n * m, da)
+        check(a.reshape(n * m, 1), n * m, 1, da)
+        with pytest.raises(DimensionMismatch):
+            a.reshape(n * m + 1, 1)
 
 
 def test_kron_cancels_in_the_complex_case():
@@ -194,18 +210,22 @@ def test_rref_nullspace_solve(seed):
               ([ZERO] * (n * null.ncols),) * 2)
         k = rng.randint(1, 3)
         db = dense(rng, n, k, rng.choice(KINDS), fill)
-        rhs = build(n, k, db)
-        x = a.solve(rhs)
-        aug = ([], [])
-        for i in range(n):
-            for c in range(2):
-                aug[c].extend(da[c][i * m:(i + 1) * m] + db[c][i * k:(i + 1) * k])
-        _, aug_pivots = ref_rref(n, m + k, aug)
-        if any(p >= m for p in aug_pivots):
-            assert x is None
-        else:
-            assert x is not None and a * x == rhs
-            check(x, m, k, _ref_solution(n, m, k, aug, aug_pivots))
+        check_solve(build(n, m, da), build(n, k, db), n, m, k, da, db)
+
+
+def check_solve(a, rhs, n, m, k, da, db):
+    """a.solve(rhs) against the dense elimination of [da | db]."""
+    x = a.solve(rhs)
+    aug = ([], [])
+    for i in range(n):
+        for c in range(2):
+            aug[c].extend(da[c][i * m:(i + 1) * m] + db[c][i * k:(i + 1) * k])
+    _, aug_pivots = ref_rref(n, m + k, aug)
+    if any(p >= m for p in aug_pivots):
+        assert x is None
+    else:
+        assert x is not None and a * x == rhs
+        check(x, m, k, _ref_solution(n, m, k, aug, aug_pivots))
 
 
 def _ref_nullspace(m, red, pivots):
@@ -277,11 +297,80 @@ def _with(mat, n, i, j, z):
     return re, im
 
 
+def dense_over(rng, n, m, q):
+    """A full n x m pair of rationals p/q whose (0, 0) entry is 1/q, so the
+    matrix it builds has denominator exactly q."""
+    re = [rat(rng.randint(-6, 6), q) for _ in range(n * m)]
+    re[0] = rat(1, q)
+    return re, [rat(rng.randint(-6, 6), q) for _ in range(n * m)]
+
+
+def pairs(mat):
+    """The entries of mat as a dense (re, im) pair, row-major."""
+    n, m = mat.nrows, mat.ncols
+    return ([mat.get(i, j)[0] for i in range(n) for j in range(m)],
+            [mat.get(i, j)[1] for i in range(n) for j in range(m)])
+
+
+def test_different_routes_give_one_form():
+    a = ExactMatrix.from_rows([[1, (2, -1)], [rat(1, 3), 0],
+                               [(0, rat(5, 6)), -4]])
+    half = rat(1, 2)
+    for route in (a.scale(2).scale(half), a.scale(half) + a.scale(half),
+                  a.scale(rat(1, 3)).scale(3), a.scale((0, 1)).scale((0, -1))):
+        check(route, 3, 2, pairs(a))
+        assert route == a and route.den == a.den == 6
+    one = ExactMatrix.from_rows([[half]]).kron(ExactMatrix.from_rows([[2]]))
+    check(one, 1, 1, ([ONE], [ZERO]))
+    assert one == ExactMatrix.identity(1)
+    third = ExactMatrix.identity(2, rat(1, 3))
+    assert third * third.scale(3) == third
+    assert third * third.scale(9) == ExactMatrix.identity(2)
+
+
+def test_put_rescales_then_reduces():
+    a = ExactMatrix.from_rows([[1, 2], [rat(3, 4), 0]])
+    assert a.den == 4
+    a.put(1, 1, (rat(1, 6), rat(-1, 3)))  # lcm(4, 6): every numerator moves
+    check(a, 2, 2, ([ONE, rat(2), rat(3, 4), rat(1, 6)],
+                    [ZERO, ZERO, ZERO, rat(-1, 3)]))
+    assert a.den == 12
+    a.put(1, 1, 0)  # the last entry that needs the 3 goes
+    check(a, 2, 2, ([ONE, rat(2), rat(3, 4), ZERO], [ZERO] * 4))
+    assert a.den == 4
+    a.put(1, 0, rat(1, 2))  # and now the last one that needs the 4
+    check(a, 2, 2, ([ONE, rat(2), rat(1, 2), ZERO], [ZERO] * 4))
+    assert a.den == 2
+    a.put(1, 0, (0, 5))
+    check(a, 2, 2, ([ONE, rat(2), ZERO, ZERO], [ZERO, ZERO, rat(5), ZERO]))
+    assert a.den == 1
+
+
+@pytest.mark.parametrize("q1,q2", [(3, 4), (2, 6), (5, 1), (1, 1)])
+def test_vstack_and_solve_across_denominators(q1, q2):
+    rng = random.Random(10 * q1 + q2)
+    for n, m, k in ((4, 4, 2), (3, 5, 1), (5, 3, 3)):
+        da, db = dense_over(rng, n, m, q1), dense_over(rng, n, k, q2)
+        dc = dense_over(rng, 2, m, q2)
+        a, rhs, c = build(n, m, da), build(n, k, db), build(2, m, dc)
+        assert (a.den, rhs.den, c.den) == (q1, q2, q2)
+        check(ExactMatrix.vstack([a, c, a], m), 2 * n + 2, m,
+              (da[0] + dc[0] + da[0], da[1] + dc[1] + da[1]))
+        check_solve(a, rhs, n, m, k, da, db)
+
+
 @pytest.mark.parametrize("build", [
     lambda: rat(0.5),
     lambda: rat("1/2"),
     lambda: ExactMatrix.from_rows([[0.5]]),
-], ids=["float", "string", "float-entry"])
+    lambda: ExactMatrix.identity(2).scale(0.5),
+    lambda: ExactMatrix.zeros(1).put(0, 0, 0.5),
+    lambda: ExactMatrix.zeros(1).put(0, 0, (0, 0.5)),
+    lambda: ExactMatrix.identity(2, 0.5),
+    lambda: ExactMatrix.diag([0.5]),
+    lambda: ExactMatrix.identity(2).scale("1/2"),
+], ids=["float", "string", "float-entry", "float-scale", "float-put",
+        "float-imag-put", "float-identity", "float-diag", "string-scale"])
 def test_inexact_scalars_are_rejected(build):
     # one float would turn every later equality into an approximate one
     with pytest.raises(TypeError):

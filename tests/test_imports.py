@@ -94,3 +94,30 @@ def test_unreferenced_definition_is_found():
                     "class Spare: pass\n"}
     assert unreferenced_definitions(sources) == [
         ("a", "Spare"), ("a", "recursive"), ("a", "tested_only")]
+
+
+# ExactMatrix storage: integer numerator maps over one denominator, a
+# format only exactmat may know
+STORAGE = {"re", "im", "den"}
+
+
+def storage_reads(source):
+    """(line, attribute) for each access to an ExactMatrix storage
+    attribute in source."""
+    return sorted((node.lineno, node.attr)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in STORAGE)
+
+
+def test_storage_stays_inside_exactmat():
+    reads = {path.stem: storage_reads(path.read_text()) for path in SOURCES
+             if path.stem != "exactmat"}
+    assert {stem: found for stem, found in reads.items() if found} == {}
+
+
+def test_storage_read_is_found():
+    assert storage_reads("import re\nre.compile('x')\n"
+                         "def f(m, re, den):\n"
+                         "    m.im = {}\n"
+                         "    return m.re.get(0), m.den, re, den\n") \
+        == [(4, "im"), (5, "den"), (5, "re")]

@@ -1,11 +1,12 @@
 import pytest
 
 from diracforge.characters import irreducibleCharacter, weylDimension
-from diracforge.errors import NotDominant, NotIntegral, TooLarge
+from diracforge.errors import (BadStructureConstants, NotDominant,
+                               NotIntegral, TooLarge)
 from diracforge.exactmat import ExactMatrix, commutator
 from diracforge.liecore import systemFromLabel
 from diracforge.rationals import ZERO, rat
-from diracforge.reps import buildLieRep
+from diracforge.reps import LieRep, _verify_rep, buildLieRep
 
 
 def entries(m):
@@ -102,7 +103,7 @@ def test_skew_adjoint_for_diagonal_form(label, lam):
 
 @pytest.mark.parametrize("label,lam", [("A2", (1, 1)), ("A3", (1, 0, 1))])
 def test_all_bracket_relations(label, lam):
-    # check every pair here, independently of the size cutoff inside the build
+    # check every pair here, independently of the check inside the build
     rep = buildLieRep(systemFromLabel(label), lam)
     frame = rep.frame
     zero = ExactMatrix.zeros(rep.dimension)
@@ -113,6 +114,20 @@ def test_all_bracket_relations(label, lam):
                 if x:
                     want = want + rep.pi[c].scale(x)
             assert commutator(rep.pi[a], rep.pi[b]) == want
+
+
+@pytest.mark.parametrize("lam", [(1, 1), (2, 2)], ids=["dim8", "dim27"])
+def test_broken_bracket_is_caught_at_every_size(lam):
+    # negating pi of the highest-root direction A_(1,1) keeps pi
+    # skew-adjoint and the character intact; only a bracket relation sees it
+    rep = buildLieRep(systemFromLabel("A2"), lam)
+    a = rep.frame.index(("A", (rat(1), rat(1))))
+    pi = list(rep.pi)
+    pi[a] = -pi[a]
+    broken = LieRep(rep.system, rep.frame, rep.lam, pi, rep.form, rep.weights)
+    with pytest.raises(BadStructureConstants,
+                       match=r"^bracket relation failed at \(\d+, \d+\)$"):
+        _verify_rep(broken)
 
 
 def test_cartan_acts_by_weight():

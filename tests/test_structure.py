@@ -56,6 +56,17 @@ def test_bracket_reconstruction_and_antisymmetry(label):
             assert rebuilt == mat
 
 
+def test_bracket_outside_the_frame_rejected():
+    # [iH, A] = 2B; doubling B after the dual frame was built breaks the
+    # reconstruction the closure check compares against
+    fr = buildFrame(systemFromLabel("A1"))
+    fr.matrices = fr.matrices[:2] + (fr.matrices[2].scale(2),)
+    with pytest.raises(BadStructureConstants,
+                       match=r"^bracket of \('iH', 0\) and \('A', .*\) left "
+                             r"the frame span$"):
+        fr.bracketCoefficients(0, 1)
+
+
 def structure_constants(fr):
     """f[a][b][c]: the coefficient of X_c in [X_a, X_b]."""
     return [[fr.bracketCoefficients(a, b) for b in range(fr.dim)]
