@@ -19,6 +19,7 @@ highest-weight peeling.
 
 import itertools
 import math
+from operator import add, attrgetter, mul
 
 from . import cache
 from .errors import (NotDominant, NotIntegral, SystemMismatch,
@@ -108,8 +109,7 @@ class FormalCharacter:
 
     def keyed(self):
         """[(coordinate string "p/q,...", multiplicity)] in support order."""
-        return [(",".join(weightToStrings(w)), m)
-                for w, m in sorted(self.entries.items())]
+        return _keyed(self.entries)
 
     # file format: header "<label> <basis-flag>", then "<coords p/q,...> <mult>"
     def to_lines(self, keyed=None):
@@ -284,11 +284,15 @@ def _character_from_ints(rs, weights):
     """The weight-basis character of {int weight: multiplicity}.
 
     One sort of the int tuples orders it (int order is the rational order),
-    and each distinct coordinate becomes one shared rational object."""
+    and each distinct coordinate becomes one shared rational object.  The
+    keys are weights of rs and the multiplicities nonzero ints already, so
+    the entries dict is built once, here, not again by the constructor."""
     order = sorted(weights)
-    scalars = {c: rat(c) for c in {c for w in order for c in w}}
-    return FormalCharacter(rs, {tuple([scalars[c] for c in w]): weights[w]
-                               for w in order})
+    chi = FormalCharacter.__new__(FormalCharacter)
+    chi.system, chi.basis = rs, FormalCharacter.WEIGHT
+    chi.entries = dict(zip(_rational_weights(order, 1),
+                           map(weights.__getitem__, order)))
+    return chi
 
 
 def _cached_character(rs, lam, doc):
@@ -425,17 +429,91 @@ def dualWeight(rs, lam):
     return dom
 
 
+# ------------------------------------------------ int lattice coordinates
+
+_NUM = attrgetter("numerator")
+_DEN = attrgetter("denominator")
+
+
+def _lattice_scale(weights):
+    """The lcm of the coordinate denominators of the weights: 1 on the
+    integral lattice."""
+    return math.lcm(*set(map(_DEN, itertools.chain.from_iterable(weights))))
+
+
+def _int_coords(weights, L):
+    """L w as a tuple of ints for each weight in turn; L a multiple of
+    every coordinate denominator.  Int order on the L w is the rational
+    order on the weights."""
+    if L == 1:
+        return (tuple(map(_NUM, w)) for w in weights)
+    return (tuple([c.numerator * (L // c.denominator) for c in w])
+            for w in weights)
+
+
+def _lattice_coords(weights):
+    """(L, [L w for w in weights]) with L = _lattice_scale(weights)."""
+    L = _lattice_scale(weights)
+    return L, list(_int_coords(weights, L))
+
+
+def _rational_weights(coords, L):
+    """The weights u / L for int tuples u, one shared rational object per
+    distinct coordinate."""
+    scalars = {c: rat(c, L)
+               for c in set(itertools.chain.from_iterable(coords))}
+    return [tuple([scalars[c] for c in u]) for u in coords]
+
+
+def _keyed(entries):
+    """[(coordinate string "p/q,...", value)] of {weight: value}, sorted
+    by weight on the int coordinates.  Entries already in weight order,
+    as a character from ints or a polarized expansion is, are formatted
+    one int tuple at a time, with no sort and no list of tuples."""
+    L = _lattice_scale(entries)
+    keyed = []
+    prev = None
+    ordered = True
+    for u, m in zip(_int_coords(entries, L), entries.values()):
+        ordered = ordered and (prev is None or prev < u)
+        prev = u
+        if L == 1:  # str(int) == rat_str(int)
+            keyed.append((",".join(map(str, u)), m))
+        else:
+            keyed.append((",".join(rat_str(rat(c, L)) for c in u), m))
+    if ordered:
+        return keyed
+    coords = list(_int_coords(entries, L))
+    return [keyed[i] for i in sorted(range(len(keyed)),
+                                     key=coords.__getitem__)]
+
+
+def _translated(weights, beta):
+    """[w + beta for w in weights], added on int coordinates."""
+    L, coords = _lattice_coords([beta, *weights])
+    b = coords[0]
+    return _rational_weights([tuple(map(add, u, b)) for u in coords[1:]], L)
+
+
 # --------------------------------------------------------------- cone series
 
 class ConeSeries:
     """Lattice series with a polarizing direction and explicit certification.
 
+    Pairings run on ints.  (a, den) = system.pairingFunctional(polarizer)
+    gives <w, polarizer> = (a . w) / den, so a lattice weight w has the int
+    numerator n(w) = a . w; a weight with coordinates in (1/L)Z has
+    n(w) = a . (L w) over den * L instead, L the lcm of the coordinate
+    denominators of the weights compared.
+
     Completeness contract: every lattice weight w with
-        lower <= <w, polarizer> <= window
-    has its exact coefficient stored (absent = 0).  window=None means the
-    stored entries are the entire series.  lower=None means certified all
-    the way down, backed by the support bound: offset=None claims nothing,
-    otherwise every support weight satisfies <w, polarizer> >= -offset.
+        ceil(lower * den) <= n(w) <= floor(window * den),
+    that is lower <= <w, polarizer> <= window, has its exact coefficient
+    stored (absent = 0).  window=None means the stored entries are the
+    entire series.  lower=None means certified all the way down, backed by
+    the support bound: offset=None claims nothing, otherwise every support
+    weight satisfies n(w) >= ceil(-offset * den * L), that is
+    <w, polarizer> >= -offset.
     """
 
     def __init__(self, system, entries, polarizer, offset, window, lower=None):
@@ -444,25 +522,36 @@ class ConeSeries:
         self.offset = None if offset is None else rat(offset)
         self.window = None if window is None else rat(window)
         self.lower = None if lower is None else rat(lower)
-        self.entries = {}
+        self._functional = system.pairingFunctional(self.polarizer)
+        kept = []
         for w, m in entries.items():
             m = int(m)
-            if m == 0:
-                continue
-            w = system.weight(w)
-            p = self.pairing(w)
-            if self.window is not None and p > self.window:
+            if m:
+                kept.append((system.weight(w), m))
+        a, den = self._functional
+        L, coords = _lattice_coords([w for w, _ in kept])
+        scale = den * L
+        hi = None if self.window is None else math.floor(self.window * scale)
+        lo = None if self.lower is None else math.ceil(self.lower * scale)
+        floor_ = None if self.offset is None \
+            else math.ceil(-self.offset * scale)
+        self.entries = {}
+        for (w, m), u in zip(kept, coords):
+            n = sum(map(mul, a, u))
+            if hi is not None and n > hi:
                 continue  # beyond the certified window: drop, never guess
-            if self.lower is not None and p < self.lower:
+            if lo is not None and n < lo:
                 continue
-            if self.offset is not None and p < -self.offset:
+            if floor_ is not None and n < floor_:
                 raise DiracforgeError(
                     "weight (%s) violates the declared support bound"
                     % ",".join(weightToStrings(w)))
             self.entries[w] = m
 
     def pairing(self, w):
-        return self.system.innerProduct(w, self.polarizer)
+        a, den = self._functional
+        L, (u,) = _lattice_coords([self.system.weight(w)])
+        return rat(sum(map(mul, a, u)), den * L)
 
     def coefficient(self, w):
         w = self.system.weight(w)
@@ -478,13 +567,19 @@ class ConeSeries:
     def support(self):
         return sorted(self.entries)
 
+    def keyed(self):
+        """[(coordinate string "p/q,...", coefficient)] in support order."""
+        return _keyed(self.entries)
+
     def isComplete(self):
         return self.window is None
 
     def minSupportPairing(self):
         if not self.entries:
             return None
-        return min(self.pairing(w) for w in self.entries)
+        a, den = self._functional
+        L, coords = _lattice_coords(self.entries)
+        return rat(min(sum(map(mul, a, u)) for u in coords), den * L)
 
     def scale(self, k):
         return ConeSeries(self.system,
@@ -492,37 +587,25 @@ class ConeSeries:
                           self.polarizer, self.offset, self.window, self.lower)
 
     def shift(self, beta):
-        """Multiply by e^beta: translate support and all certified bounds."""
+        """Multiply by e^beta: translate support and all certified bounds.
+        Every entry stays inside the translated bounds, so none is checked
+        again."""
         beta = self.system.weight(beta)
         d = self.pairing(beta)
-        entries = {tuple(a + b for a, b in zip(w, beta)): m
-                   for w, m in self.entries.items()}
-        return ConeSeries(self.system, entries, self.polarizer,
-                          None if self.offset is None else self.offset - d,
-                          None if self.window is None else self.window + d,
-                          None if self.lower is None else self.lower + d)
+        out = ConeSeries.__new__(ConeSeries)
+        out.__dict__.update(self.__dict__)
+        out.entries = dict(zip(_translated(self.entries, beta),
+                               self.entries.values()))
+        if self.offset is not None:
+            out.offset = self.offset - d
+        if self.window is not None:
+            out.window = self.window + d
+        if self.lower is not None:
+            out.lower = self.lower + d
+        return out
 
     def __add__(self, other):
-        if self.system != other.system or self.polarizer != other.polarizer:
-            raise SystemMismatch("cone series are not aligned")
-        if self.window is None:
-            window = other.window
-        elif other.window is None:
-            window = self.window
-        else:
-            window = min(self.window, other.window)
-        if self.offset is None or other.offset is None:
-            offset = None
-            lows = [b for b in (self.lower, other.lower) if b is not None]
-            lower = max(lows) if lows else None
-        else:
-            offset = max(self.offset, other.offset)
-            lower = None
-        entries = dict(self.entries)
-        for w, m in other.entries.items():
-            entries[w] = entries.get(w, 0) + m
-        return ConeSeries(self.system, entries, self.polarizer,
-                          offset, window, lower)
+        return sumSeries([self, other])
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -538,8 +621,8 @@ class ConeSeries:
         w = self.system.weight(w)
         d = self.pairing(w)
         entries = dict(self.entries)
-        for v, m in self.entries.items():
-            u = tuple(a - b for a, b in zip(v, w))
+        moved = _translated(self.entries, tuple(-c for c in w))
+        for u, m in zip(moved, self.entries.values()):
             c = entries.get(u, 0) - m
             if c:
                 entries[u] = c
@@ -569,14 +652,21 @@ class ConeSeries:
                 raise WindowTooSmall("series claims no support bound")
         keys = set()
         for s in (self, other):
-            keys.update(w for w in s.entries if lo <= s.pairing(w) <= hi)
-        for w in sorted(keys):
-            if self.entries.get(w, 0) != other.entries.get(w, 0):
-                return False, w
+            a, den = s._functional
+            L, coords = _lattice_coords(s.entries)
+            lo_n = math.ceil(lo * den * L)
+            hi_n = math.floor(hi * den * L)
+            keys.update(w for w, u in zip(s.entries, coords)
+                        if lo_n <= sum(map(mul, a, u)) <= hi_n)
+        bad = [w for w in keys
+               if self.entries.get(w, 0) != other.entries.get(w, 0)]
+        if bad:
+            return False, min(bad)
         return True, None
 
     # header: "<label> cone-series polarizer=... offset=... window=... [lower=...]"
-    def to_lines(self):
+    def to_lines(self, keyed=None):
+        """The file lines; keyed, when given, is self.keyed() already built."""
         head = "%s cone-series polarizer=%s offset=%s window=%s" % (
             self.system.label,
             ",".join(weightToStrings(self.polarizer)),
@@ -585,8 +675,8 @@ class ConeSeries:
         if self.lower is not None:
             head += " lower=%s" % rat_str(self.lower)
         lines = [head]
-        for w in self.support():
-            lines.append("%s %d" % (",".join(weightToStrings(w)), self.entries[w]))
+        lines.extend("%s %d" % kv
+                     for kv in (self.keyed() if keyed is None else keyed))
         return lines
 
     @classmethod
@@ -625,6 +715,36 @@ class ConeSeries:
         return "ConeSeries<%s|%d terms|window %s>" % (
             self.system.label, len(self.entries),
             "none" if self.window is None else rat_str(self.window))
+
+
+def sumSeries(parts):
+    """The sum of one or more aligned cone series, built once.
+
+    The entries add in one dict; window, offset and lower are those a chain
+    of + gives: the least window, the greatest offset while every part has
+    one, and otherwise the greatest lower edge.
+    """
+    first = parts[0]
+    window, offset, lower = first.window, first.offset, first.lower
+    entries = dict(first.entries)
+    for s in parts[1:]:
+        if s.system != first.system or s.polarizer != first.polarizer:
+            raise SystemMismatch("cone series are not aligned")
+        if window is None:
+            window = s.window
+        elif s.window is not None:
+            window = min(window, s.window)
+        if offset is None or s.offset is None:
+            offset = None
+            lows = [b for b in (lower, s.lower) if b is not None]
+            lower = max(lows) if lows else None
+        else:
+            offset = max(offset, s.offset)
+            lower = None
+        for w, m in s.entries.items():
+            entries[w] = entries.get(w, 0) + m
+    return ConeSeries(first.system, entries, first.polarizer,
+                      offset, window, lower)
 
 
 def characterToSeries(chi, polarizer):
@@ -669,8 +789,11 @@ def polarizationWitness(sigma, alpha, strict=False):
         if sigma.window < 0:
             raise WindowTooSmall("window stops short of the zero level")
         # weights past the window pair strictly above window >= 0 already
-    for w in sigma.support():
-        p = sigma.system.innerProduct(w, alpha)
-        if p < 0 or (strict and p == 0):
-            return False, w
+    a, _ = sigma.system.pairingFunctional(alpha)
+    _, coords = _lattice_coords(sigma.entries)
+    least = 1 if strict else 0  # the sign of a . (L w) is that of <w, alpha>
+    bad = [w for w, u in zip(sigma.entries, coords)
+           if sum(map(mul, a, u)) < least]
+    if bad:
+        return False, min(bad)
     return True, None

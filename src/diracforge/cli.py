@@ -256,18 +256,18 @@ def cmd_induct(config, args):
         out = diracInduct(pair, lam)
     else:
         out = inductCharacter(pair, loadCharacterFile(args.input))
-    lines = out.to_lines()
+    keyed = out.keyed()
+    lines = out.to_lines(keyed)
     if args.out:
         _write_text(args.out, lines)
     if isinstance(out, ConeSeries):
         payload = {"pair": pair.label,
-                   "entries": {_wstr(w): out.entries[w]
-                               for w in out.support()},
+                   "entries": dict(keyed),
                    "polarizer": _wstr(out.polarizer),
                    "window": "none" if out.window is None
                              else rat_str(out.window)}
         return payload, lines
-    entries = {_wstr(w): m for w, m in sorted(out.entries.items())}
+    entries = dict(keyed)
     payload = {"pair": pair.label, "entries": entries}
     if args.out:
         payload["out"] = args.out
@@ -366,15 +366,15 @@ def cmd_polarize(config, args):
     shift = (rs.weight(_parse_weight(args.shift)) if args.shift
              else rs.zeroWeight())
     series = vectorSpaceIndex(rs, fiber, alpha, shift, config.window)
-    lines = series.to_lines()
+    keyed = series.keyed()  # formatted once for the lines and the payload
+    lines = series.to_lines(keyed)
     payload = {"system": rs.label, "alpha": _wstr(alpha),
                "shift": _wstr(shift),
                "window": rat_str(config.window),
                "offset": "none" if series.offset is None
                          else rat_str(series.offset),
                "terms": len(series.entries),
-               "entries": {_wstr(w): series.entries[w]
-                           for w in series.support()}}
+               "entries": dict(keyed)}
     if args.strict:
         payload["vanishing"] = vanishingCheck(series, alpha, strict=True)
     if args.out:

@@ -14,6 +14,8 @@ Conventions, fixed once and used by every downstream module:
 * Simple factors follow Bourbaki node ordering.
 """
 
+import math
+
 from .rationals import rat, ZERO, ONE, rat_str, rat_from_str, is_integer
 from .exactmat import ExactMatrix
 from .errors import UnsupportedType, SystemMismatch, IncompatiblePair
@@ -108,6 +110,7 @@ class RootSystem:
             [[rat(x) for x in row] for row in gram]
         if len(self.gram) != self.rank or any(len(r) != self.rank for r in self.gram):
             raise SystemMismatch("gram size != rank")
+        self._functionals = {}
         self._root_coef_mat = self._root_coefficient_matrix()
         self.positiveRoots = self._positive_closure()
         self.rho = tuple(ONE if i in set(self.simple_positions) else ZERO
@@ -234,6 +237,19 @@ class RootSystem:
                 if mu[j]:
                     total += lam[i] * row[j] * mu[j]
         return total
+
+    def pairingFunctional(self, mu):
+        """(a, den): a tuple of ints a and a positive int den with
+        <w, mu> = (a . w) / den for every weight w.  Computed once per mu."""
+        mu = self.weight(mu)
+        out = self._functionals.get(mu)
+        if out is None:
+            col = [sum((g * m for g, m in zip(row, mu) if m), ZERO)
+                   for row in self.gram]
+            den = math.lcm(*(c.denominator for c in col))
+            out = self._functionals[mu] = (tuple(int(c * den) for c in col),
+                                           den)
+        return out
 
     def rootCoefficients(self, v):
         """Expansion of v over the simple roots; None if v is outside their span."""

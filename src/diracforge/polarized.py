@@ -8,13 +8,23 @@ by factor under an exact window budget (a term survives a stage only if
 the remaining factors' minimal pairings cannot push it past the window),
 so the declared window carries no silent truncation.  Every expansion is
 multiplied back against Pi (1 - e^{-w_i}) before it is returned.
+
+The expansion runs on ints: each fiber weight is scaled by L, the lcm of
+the fiber coordinates' denominators, and paired through the system's
+integer functional of alpha, so every term carries its pairing as an int
+numerator over den * L and the window is the one int floor(window den L).
+The terms become rational weights once, at the end, in sorted order with
+one shared rational per distinct coordinate.
 """
 
-from .characters import ConeSeries, FormalCharacter
+import math
+from operator import add, mul, sub
+
+from .characters import ConeSeries, FormalCharacter, sumSeries
 from .errors import (DiracforgeError, NonGenericPolarization, NotIntegral,
                      NonTrivialBaseAction, PolarizationViolated)
-from .characters import polarizationWitness
-from .rationals import ZERO, rat, rat_str
+from .characters import _rational_weights, polarizationWitness
+from .rationals import rat, rat_str
 
 
 def _weight_str(w):
@@ -28,54 +38,99 @@ def polarizedExpand(system, fiberWeights, alpha, window):
     alpha = system.weight(alpha)
     if not any(alpha):
         raise DiracforgeError("zero direction cannot polarize")
+    a, den = system.pairingFunctional(alpha)
+    fiber = [system.weight(w) for w in fiberWeights]
+    L = math.lcm(*(c.denominator for w in fiber for c in w))
+    scale = den * L
+    scaled = []  # (L w, <w, alpha> den L) per fiber weight
     factors = []
-    total_min = ZERO
-    for w in fiberWeights:
-        w = system.weight(w)
-        d = system.innerProduct(w, alpha)
+    total_min = 0
+    for w in fiber:
+        u = tuple(int(c * L) for c in w)
+        d = sum(map(mul, a, u))
+        scaled.append((u, d))
         if d == 0:
             raise NonGenericPolarization(
                 "fiber weight (%s) pairs to zero with the direction"
                 % _weight_str(w))
         if d < 0:
             # sum_{k>=0} e^{-kw}: steps of -w, each raising the pairing by -d
-            factors.append((tuple(-c for c in w), -d, 1, 0))
+            factors.append((tuple(-c for c in u), -d, 1, 0))
         else:
             # flipped: -sum_{k>=1} e^{kw}
-            factors.append((w, d, -1, 1))
+            factors.append((u, d, -1, 1))
             total_min += d
     if not factors:
         return ConeSeries(system, {system.zeroWeight(): 1}, alpha, 0, None)
     window = rat(window)
+    hi = math.floor(window * scale)
 
-    mins = [step if k0 else ZERO for _, step, _, k0 in factors]
-    entries = {system.zeroWeight(): 1}
-    for idx, (wstep, step, sign, k0) in enumerate(factors):
-        budget = window - sum(mins[idx + 1:], ZERO)
+    # budget[i]: the window less the least pairings factors i+1.. can add
+    budget = [hi] * len(factors)
+    for i in range(len(factors) - 2, -1, -1):
+        _, step, _, k0 = factors[i + 1]
+        budget[i] = budget[i + 1] - k0 * step
+    terms = {(0,) * len(a): [1, 0]}  # L-scaled weight -> [coefficient, pairing]
+    for (wstep, step, sign, k0), top in zip(factors, budget):
         new = {}
-        for u, m in entries.items():
-            pu = system.innerProduct(u, alpha)
-            k = k0
-            while pu + k * step <= budget:
-                v = tuple(a + k * b for a, b in zip(u, wstep))
-                c = new.get(v, 0) + m * sign
-                if c:
-                    new[v] = c
+        for u, (m, p) in terms.items():
+            if not m:
+                continue
+            m *= sign
+            p += k0 * step
+            v = tuple(map(add, u, wstep)) if k0 else u
+            while p <= top:
+                t = new.get(v)
+                if t is None:
+                    new[v] = [m, p]
                 else:
-                    new.pop(v, None)
-                k += 1
-        entries = new
-    series = ConeSeries(system, entries, alpha, -total_min, window)
+                    t[0] += m
+                v = tuple(map(add, v, wstep))
+                p += step
+        terms = new
+    terms = {u: t for u, t in terms.items() if t[0]}
 
     # defining property: multiplying back yields 1 on the shrunk window
-    if window - total_min >= 0:
-        chk = series
-        for w in fiberWeights:
-            chk = chk.mulOneMinusExp(system.weight(w))
-        unit = {system.zeroWeight(): 1}
-        if chk.entries != unit:
-            raise DiracforgeError("expansion failed the multiply-back check")
-    return series
+    if hi >= total_min:
+        _multiply_back(terms, scaled, hi, total_min)
+
+    order = sorted(terms)
+    entries = dict(zip(_rational_weights(order, L),
+                       (terms[u][0] for u in order)))
+    return ConeSeries(system, entries, alpha, -rat(total_min, scale), window)
+
+
+def _multiply_back(terms, scaled, hi, least):
+    """Multiply the int terms by Pi (1 - e^{-w}) over the fiber, given as
+    scaled (L w, pairing numerator) pairs, and raise unless the product is
+    1.  Entries past hi are dropped, hi falling by each positive pairing as
+    the window shrinks; an entry below the support bound least, which
+    falls by the same amounts, is an error."""
+    chk = {u: t[0] for u, t in terms.items()}
+    pairs = {u: t[1] for u, t in terms.items()}
+    for u_w, d in scaled:
+        out = dict(chk)
+        for v, m in chk.items():
+            u = tuple(map(sub, v, u_w))
+            c = out.get(u, 0) - m
+            if c:
+                out[u] = c
+            else:
+                out.pop(u, None)
+            pairs.setdefault(u, pairs[v] - d)
+        hi -= max(d, 0)
+        least -= max(d, 0)
+        chk = {}
+        for u, m in out.items():
+            p = pairs[u]
+            if p > hi:
+                continue
+            if p < least:
+                raise DiracforgeError(
+                    "expansion failed the multiply-back check")
+            chk[u] = m
+    if chk != {(0,) * len(scaled[0][0]): 1}:
+        raise DiracforgeError("expansion failed the multiply-back check")
 
 
 def vectorSpaceIndex(system, fiberWeights, alpha, shift, window):
@@ -103,13 +158,10 @@ def bundleIndex(system, baseCharacter, fiberWeights, alpha, shift, window,
                     "base weight (%s) is nonzero; polarization is only "
                     "guaranteed over a trivially acted base" % _weight_str(w))
     fiber = vectorSpaceIndex(system, fiberWeights, alpha, shift, window)
-    out = None
-    for wb, m in sorted(baseCharacter.entries.items()):
-        term = fiber.shift(wb).scale(m)
-        out = term if out is None else out + term
-    if out is None:
+    if not baseCharacter.entries:
         return ConeSeries(system, {}, system.weight(alpha), 0, None)
-    return out
+    return sumSeries([fiber.shift(wb).scale(m)
+                      for wb, m in sorted(baseCharacter.entries.items())])
 
 
 def vanishingCheck(series, alpha, strict=True):

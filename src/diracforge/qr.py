@@ -16,9 +16,11 @@ exercised here.
 
 from itertools import combinations, product as cartesian
 from math import ceil, floor, gcd
+from operator import mul
 
-from .characters import (ConeSeries, FormalCharacter, characterToSeries,
-                         dualWeight, tensorDecompose)
+from .characters import (ConeSeries, FormalCharacter, _lattice_coords,
+                         characterToSeries, dualWeight, sumSeries,
+                         tensorDecompose)
 from .errors import (ConventionMismatch, DiracforgeError, NonGenericDirection,
                      NotDelzant, NotIntegral, NotPrequantized, QRViolation,
                      SingularShift, UnsupportedType, VerificationError)
@@ -289,7 +291,7 @@ def fixedPointCharacter(model, xi, window):
         return ConeSeries(sys, {(): 1}, sys.zeroWeight(), 0, None)
     xi = sys.weight(xi)
     window = rat(window)
-    out = None
+    parts = []
     for v in model.vertices:
         for u in v.edges:
             if _dot(u, xi) == 0:
@@ -298,9 +300,9 @@ def fixedPointCharacter(model, xi, window):
                     % (_coords(u), _coords(v.point)))
         outward = [tuple(-c for c in u) for u in v.edges]
         p = sys.innerProduct(sys.weight(v.point), xi)
-        local = polarizedExpand(sys, outward, xi, window - p).shift(v.point)
-        out = local if out is None else out + local
-    return out
+        parts.append(polarizedExpand(sys, outward, xi, window - p)
+                     .shift(v.point))
+    return sumSeries(parts)
 
 
 # ------------------------------------------------------- circle reduction
@@ -451,14 +453,12 @@ def kirwanDecomposeCircle(model, xi, c, window):
         alpha = tuple(m * x for x in xiw)
         comps.append(KirwanComponent(alpha, series, False))
 
-    # bilateral zero component: global minus the polarized pieces
-    entries = {w: m for w, m in globalSeries.entries.items()
-               if lo <= sys.innerProduct(w, xiw) <= hi}
+    # bilateral zero component: global minus the polarized pieces; the
+    # constructor keeps lo <= <w, xi> <= hi on the integer functional of xi
+    entries = dict(globalSeries.entries)
     for comp in comps:
         for w, m in comp.localSeries.entries.items():
-            p = sys.innerProduct(w, xiw)
-            if lo <= p <= hi:
-                entries[w] = entries.get(w, 0) - m
+            entries[w] = entries.get(w, 0) - m
     zero = ConeSeries(sys, entries, xiw, window - c, hi, lower=lo)
     comps.append(KirwanComponent(sys.zeroWeight(), zero, True))
     comps.sort(key=lambda comp: _dot(comp.alpha, xiw))
@@ -500,20 +500,24 @@ def qrCheckCircle(model, xi, c, window=None):
             vals = [_dot(v.point, xi) for v in model.vertices]
             window = max(vals) - min(vals) + 4
     comps = kirwanDecomposeCircle(model, xi, c, window)
-    xiw = sys.weight(xi)
+    a, den = sys.pairingFunctional(xi)
 
     reduced = _slice_count(model, xi, c)
     rows = []
     mult0 = 0
     for comp in comps:
         level = 0
-        for w, m in comp.localSeries.entries.items():
-            p = sys.innerProduct(w, xiw)
-            if p == c:
+        # <w, xi> - c has the sign of n - c den L, n = a . (L w)
+        entries = comp.localSeries.entries
+        L, coords = _lattice_coords(entries)
+        target = int(c) * den * L
+        side = _dot(comp.alpha, xi)
+        for (w, m), u in zip(entries.items(), coords):
+            n = sum(map(mul, a, u))
+            if n == target:
                 level += m
             elif not comp.containsZero:
-                side = _dot(comp.alpha, xiw)
-                if (p - c) * side < 0:
+                if (n - target) * side < 0:
                     raise QRViolation(
                         "component (%s) has weight (%s) on the wrong side "
                         "of the level" % (_coords(comp.alpha), _coords(w)))

@@ -6,12 +6,15 @@
   ``spinRepresentation`` when no matrix frame is involved;
 - ``qSweepReport`` says whether (D^q)^2 is scalar for several q;
 - ``isWeylInvariant`` compares a character along the Weyl orbits of its
-  support.
+  support;
+- ``fractionPolarizedExpand`` is the polarized expansion on exact
+  rationals, one ``innerProduct`` per term: the oracle for the integer
+  kernel in ``polarized.polarizedExpand``.
 """
 
 from diracforge.clifford import buildCliffordFrame
 from diracforge.dirac import _scalar_of, cubicDirac
-from diracforge.errors import BadStructureConstants
+from diracforge.errors import BadStructureConstants, NonGenericPolarization
 from diracforge.exactmat import ExactMatrix, inverse_rows
 from diracforge.rationals import ZERO, rat, rat_str
 
@@ -66,3 +69,44 @@ def isWeylInvariant(chi):
             if chi.entries.get(v, 0) != m:
                 return False
     return True
+
+
+def fractionPolarizedExpand(system, fiberWeights, alpha, window):
+    """(entries, offset) of the alpha-polarized expansion of
+    Pi (1 - e^{-w_i})^{-1} up to pairing window, computed factor by factor
+    on Fraction weights with every pairing taken by system.innerProduct.
+    Raises NonGenericPolarization on a fiber weight pairing to zero."""
+    alpha = system.weight(alpha)
+    factors = []
+    total_min = ZERO
+    for w in fiberWeights:
+        w = system.weight(w)
+        d = system.innerProduct(w, alpha)
+        if d == 0:
+            raise NonGenericPolarization("fiber weight pairs to zero")
+        if d < 0:
+            # sum_{k>=0} e^{-kw}: steps of -w, each raising the pairing by -d
+            factors.append((tuple(-c for c in w), -d, 1, 0))
+        else:
+            # flipped: -sum_{k>=1} e^{kw}
+            factors.append((w, d, -1, 1))
+            total_min += d
+    window = rat(window)
+    mins = [step if k0 else ZERO for _, step, _, k0 in factors]
+    entries = {system.zeroWeight(): 1}
+    for idx, (wstep, step, sign, k0) in enumerate(factors):
+        budget = window - sum(mins[idx + 1:], ZERO)
+        new = {}
+        for u, m in entries.items():
+            pu = system.innerProduct(u, alpha)
+            k = k0
+            while pu + k * step <= budget:
+                v = tuple(a + k * b for a, b in zip(u, wstep))
+                c = new.get(v, 0) + m * sign
+                if c:
+                    new[v] = c
+                else:
+                    new.pop(v, None)
+                k += 1
+        entries = new
+    return entries, -total_min

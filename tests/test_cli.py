@@ -8,7 +8,8 @@ from diracforge import cache
 from diracforge.characters import ConeSeries, FormalCharacter
 from diracforge.cli import main
 from diracforge.errors import QRViolation
-from diracforge.qr import cp1
+from diracforge.liecore import RootSystem
+from diracforge.qr import cp1, cp2
 
 
 def run(capsys, *argv):
@@ -282,3 +283,41 @@ def test_character_parse_error_names_line(capsys, tmp_path):
                      "--input", str(bad))
     assert rc == 2
     assert "bad.chr:3:" in err
+
+
+# -------------------------------------------- pairings per series entry
+
+@pytest.fixture
+def inner_products(monkeypatch):
+    """A counter of RootSystem.innerProduct calls."""
+    calls = [0]
+    plain = RootSystem.innerProduct
+
+    def counted(self, lam, mu):
+        calls[0] += 1
+        return plain(self, lam, mu)
+
+    monkeypatch.setattr(RootSystem, "innerProduct", counted)
+    return calls
+
+
+def test_polarize_pairs_per_fiber_weight_not_per_entry(capsys,
+                                                       inner_products):
+    fiber = ["1,0,0", "0,1,0", "0,0,1"]
+    rc, doc, _ = runj(capsys, "polarize", "--type", "T3",
+                      "--fiber", ";".join(fiber), "--alpha", "3,1,2",
+                      "--window", "35")
+    assert rc == 0 and doc["terms"] > 900
+    assert inner_products[0] <= 2 * len(fiber)
+
+
+def test_qr_toric_pairs_per_vertex_not_per_entry(capsys, tmp_path,
+                                                 inner_products):
+    model = cp2(4)
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps(model.toDict()))
+    rc, doc, _ = runj(capsys, "qr-toric", "--model", str(path),
+                      "--xi", "1,2", "--c", "3")
+    assert rc == 0 and doc["match"] is True
+    assert sum(row["terms"] for row in doc["components"]) > 100
+    assert inner_products[0] <= 2 * len(model.vertices)

@@ -1,14 +1,18 @@
+from functools import reduce
 from math import gcd, lcm
+from operator import add
 
 import pytest
 
-from diracforge.characters import FormalCharacter, characterToSeries
+from diracforge.characters import (ConeSeries, FormalCharacter,
+                                   characterToSeries, sumSeries)
 from diracforge.errors import (ConventionMismatch, DiracforgeError,
                                NonGenericDirection, NotDelzant, NotIntegral,
                                NotPrequantized, QRViolation, SingularShift,
                                UnsupportedType)
 from diracforge.exactmat import ExactMatrix
 from diracforge.liecore import systemFromLabel
+from diracforge.polarized import polarizedExpand
 from diracforge.qr import (CoadjointModel, ToricModel, coadjointQuantization,
                            cp1, cp2, fixedPointCharacter, hirzebruch,
                            kirwanDecomposeCircle, pointModel, productQRCheck,
@@ -154,6 +158,22 @@ def test_vertex_sum_equals_lattice_enumeration(model, xi, window):
     assert same, witness
 
 
+@pytest.mark.parametrize("model,xi,window", [
+    (cp2(2), (1, 2), 8), (cp2(3), (-2, 1), 9), (hirzebruch(4, 2), (1, 3), 12),
+    (hirzebruch(5, 2), (-1, 2), 10),
+], ids=["cp2", "cp2-other-side", "hirzebruch", "hirzebruch-other-side"])
+def test_vertex_sum_in_one_step_equals_chained_sum(model, xi, window):
+    sys = model.system
+    parts = []
+    for v in model.vertices:
+        outward = [tuple(-c for c in u) for u in v.edges]
+        local = window - sys.innerProduct(v.point, xi)
+        parts.append(polarizedExpand(sys, outward, xi, local).shift(v.point))
+    chain = reduce(add, parts)
+    assert sumSeries(parts) == chain
+    assert fixedPointCharacter(model, xi, window) == chain
+
+
 def test_vertex_sum_point_model():
     s = fixedPointCharacter(pointModel(), (), 4)
     assert dict(s.entries) == {(): 1}
@@ -182,6 +202,20 @@ def test_cp1_interior_level_three_components():
             total[w] = total.get(w, 0) + m
     assert {int(w[0]): m for w, m in total.items() if m} == \
         {k: 1 for k in range(5)}
+
+
+@pytest.mark.parametrize("c,lower", [(2, -6), (rat(3, 2), rat(-13, 2))])
+def test_zero_component_keeps_its_negative_lower_edge(c, lower):
+    # cp1(4): the bilateral piece is sum_k e^{k} on c - 8 <= k <= c + 8
+    zero = [comp for comp in kirwanDecomposeCircle(cp1(4), (1,), c, 8)
+            if comp.containsZero][0].localSeries
+    assert zero.lower == lower and zero.window == c + 8
+    assert {int(w[0]): m for w, m in zero.entries.items()} == \
+        {k: 1 for k in range(-6, 11 if c == 2 else 10)}
+    # a term one step below the edge is dropped, the edge term kept
+    again = ConeSeries(zero.system, {**zero.entries, (-7,): 1},
+                       zero.polarizer, zero.offset, zero.window, zero.lower)
+    assert again == zero
 
 
 def test_cp1_level_outside_image_single_component():
