@@ -12,9 +12,14 @@ The two container types:
   shrink windows instead of guessing.
 
 Irreducible characters come from the Freudenthal recursion, computed on
-integer fundamental coordinates with the gram scaled to integers, and
-converted to exact rationals once, at the end; decompositions use greedy
-highest-weight peeling.
+integer fundamental coordinates with the gram scaled to integers.  The
+kernel ``_irreducible_weights`` answers {int weight: multiplicity} from a
+valid cache entry or from the recursion and the orbit expansion; rational
+weights are built from it only where a FormalCharacter is asked for.
+Decompositions use greedy highest-weight peeling, also on ints: the input
+weights w become int tuples L w (L the lcm of their denominators), each
+support weight's |w + rho|^2 is one pairing with the int gram, and the
+peeled irreducibles come from the same kernel.
 """
 
 import itertools
@@ -22,10 +27,10 @@ import math
 from operator import add, attrgetter, mul
 
 from . import cache
-from .errors import (NotDominant, NotIntegral, SystemMismatch,
-                     WindowTooSmall, DiracforgeError)
+from .errors import (DiracforgeError, InternalError, NotDominant,
+                     NotIntegral, SystemMismatch, WindowTooSmall)
 from .liecore import weightToStrings, weightFromStrings
-from .rationals import rat, ZERO, rat_str, rat_from_str, is_integer
+from .rationals import rat, ZERO, rat_str, rat_from_str
 
 
 class FormalCharacter:
@@ -153,22 +158,27 @@ def _require_dominant_integral(rs, lam):
 
 
 def weylDimension(rs, lam):
-    """Product formula over positive roots; independent of Freudenthal."""
+    """Product formula over positive roots; independent of Freudenthal.
+
+    Runs on int coordinates with the int gram: its scale enters the
+    numerator and the denominator once per root, and cancels."""
     lam = _require_dominant_integral(rs, lam)
-    lam_rho = tuple(a + b for a, b in zip(lam, rs.rho))
+    gram = _int_gram(rs)
+    rho = tuple(map(int, rs.rho))
+    lam_rho = tuple(int(a) + b for a, b in zip(lam, rho))
     # <v, a> = (v G) . a: one product with the gram per vector, not per root
-    covectors = [[sum((v[i] * row[j] for i, row in enumerate(rs.gram)
-                       if v[i]), ZERO) for j in range(rs.rank)]
-                 for v in (lam_rho, rs.rho)]
-    num = rat(1)
-    den = rat(1)
+    top, bottom = [[sum(map(mul, v, col)) for col in zip(*gram)]
+                   for v in (lam_rho, rho)]
+    num = den = 1
     for a in rs.positiveRoots:
-        num *= sum((x * c for x, c in zip(covectors[0], a) if c), ZERO)
-        den *= sum((x * c for x, c in zip(covectors[1], a) if c), ZERO)
-    d = num / den
-    if not is_integer(d):
-        raise AssertionError("non-integral dimension %s" % rat_str(d))
-    return int(d)
+        a = tuple(map(int, a))
+        num *= sum(map(mul, top, a))
+        den *= sum(map(mul, bottom, a))
+    d, rem = divmod(num, den)
+    if rem:
+        raise InternalError("non-integral dimension %s"
+                            % rat_str(rat(num, den)))
+    return d
 
 
 def _reflections(rs):
@@ -202,22 +212,30 @@ def _dominant_below(rs, lam):
     return out
 
 
+def _int_gram(rs):
+    """The gram scaled by the lcm of its denominators, as int rows: a
+    pairing on it is the inner product times one positive constant."""
+    scale = math.lcm(*(x.denominator for row in rs.gram for x in row))
+    return [[int(x * scale) for x in row] for row in rs.gram]
+
+
+def _pairing(gram, u, v):
+    """u G v for int tuples u, v and int rows G."""
+    return sum(a * g * b for a, row in zip(u, gram) for g, b in zip(row, v))
+
+
 def _freudenthal(rs, lam):
     """{dominant mu: multiplicity in V_lam} for lam dominant integral.
 
     Every weight of V_lam is lam minus a sum of Cartan rows, so the
-    recursion runs on int tuples.  The gram is scaled by the lcm of its
-    denominators; the quotient acc / denom does not change under that.
+    recursion runs on int tuples, with the int gram; the quotient
+    acc / denom does not change under its scale.
     """
-    scale = math.lcm(*(x.denominator for row in rs.gram for x in row))
-    gram = [[int(x * scale) for x in row] for row in rs.gram]
-
-    def pairing(u, v):
-        return sum(a * g * b for a, row in zip(u, gram) for g, b in zip(row, v))
+    gram = _int_gram(rs)
 
     def shifted_norm(mu):
         mu_rho = tuple(a + int(r) for a, r in zip(mu, rs.rho))
-        return pairing(mu_rho, mu_rho)
+        return _pairing(gram, mu_rho, mu_rho)
 
     reflections = _reflections(rs)
 
@@ -232,7 +250,7 @@ def _freudenthal(rs, lam):
                 return v
 
     roots = [tuple(int(c) for c in alpha) for alpha in rs.positiveRoots]
-    roots = [(alpha, pairing(alpha, alpha)) for alpha in roots]
+    roots = [(alpha, _pairing(gram, alpha, alpha)) for alpha in roots]
     target = shifted_norm(lam)
     mult = {lam: 1}
     for _, mu in sorted(_dominant_below(rs, lam)):
@@ -240,10 +258,11 @@ def _freudenthal(rs, lam):
             continue
         denom = target - shifted_norm(mu)
         if denom == 0:
-            raise AssertionError("vanishing Freudenthal denominator")
+            raise InternalError("vanishing Freudenthal denominator")
         acc = 0
         for alpha, alpha_norm in roots:
-            v, p = mu, pairing(mu, alpha)  # <mu + k alpha, alpha>, k = 0
+            # <mu + k alpha, alpha>, k = 0
+            v, p = mu, _pairing(gram, mu, alpha)
             while True:
                 v = tuple(a + b for a, b in zip(v, alpha))
                 p += alpha_norm
@@ -254,9 +273,9 @@ def _freudenthal(rs, lam):
                 acc += 2 * m * p
         val, rem = divmod(acc, denom)
         if rem or val < 0:
-            raise AssertionError("Freudenthal produced %s at (%s)"
-                                 % (rat_str(rat(acc, denom)),
-                                    ",".join(map(str, mu))))
+            raise InternalError("Freudenthal produced %s at (%s)"
+                                % (rat_str(rat(acc, denom)),
+                                   ",".join(map(str, mu))))
         if val:
             mult[mu] = val
     return mult
@@ -295,45 +314,50 @@ def _character_from_ints(rs, weights):
     return chi
 
 
-def _cached_character(rs, lam, doc):
-    """The character a cache document holds, or None unless the document is
-    for (rs, lam), its coordinates are ints, and its multiplicities are
-    positive ints that sum to the Weyl dimension.  A wrong entry counts as
-    a miss, never as an answer."""
+def _cached_weights(rs, lam, doc):
+    """The {int weight: multiplicity} a cache document holds, or None unless
+    the document is for (rs, lam), its coordinates are ints, rank of them
+    per weight, its multiplicities are positive ints that sum to the Weyl
+    dimension, and lam has multiplicity 1.  A wrong entry counts as a miss,
+    never as an answer."""
     if not isinstance(doc, dict) \
             or doc.get("system") != cache.system_key(rs) \
             or doc.get("lambda") != ",".join(weightToStrings(lam)) \
             or not isinstance(doc.get("entries"), dict):
         return None
-    weights = {}
-    for key, m in doc["entries"].items():
-        if type(m) is not int or m <= 0:  # rejects bool too
-            return None
-        try:
-            w = tuple(map(int, key.split(",")))
-        except ValueError:  # every weight of V_lam has int coordinates
-            return None
-        if len(w) != rs.rank:
-            return None
-        weights[w] = m
-    if sum(weights.values()) != weylDimension(rs, lam):
+    entries = doc["entries"]
+    mults = list(entries.values())
+    # type() rejects bool too
+    if not mults or set(map(type, mults)) != {int} or min(mults) <= 0:
         return None
-    return _character_from_ints(rs, weights)
+    if set(map(str.count, entries, itertools.repeat(","))) != {rs.rank - 1}:
+        return None
+    # every key has rank coordinates, so the coordinates of all keys in a
+    # row, taken rank at a time, are the weights
+    coords = iter(map(int, ",".join(entries).split(",")))
+    try:
+        weights = dict(zip(zip(*[coords] * rs.rank), mults))
+    except ValueError:  # every weight of V_lam has int coordinates
+        return None
+    # lam itself once: without it the peel never removes lam
+    if weights.get(tuple(map(int, lam))) != 1 \
+            or sum(weights.values()) != weylDimension(rs, lam):
+        return None
+    return weights
 
 
-def irreducibleCharacter(rs, lam):
-    """Weight multiplicities of the irreducible with highest weight lam.
+def _irreducible_weights(rs, lam):
+    """{int weight: multiplicity} of the irreducible with highest weight
+    lam, in no particular order.
 
-    Freudenthal recursion over the dominant chamber, then orbit expansion,
-    both on int coordinates; the weights become rationals once, at the end.
-    Results are cached on disk keyed by (system, lam); see cache.py.
+    A valid cache entry answers; otherwise the Freudenthal recursion over
+    the dominant chamber and the orbit expansion do, and the result is
+    stored.  Entries are keyed by (system, lam); see cache.py.
     """
     lam = _require_dominant_integral(rs, lam)
-
-    cached = _cached_character(rs, lam, cache.load(rs, lam))
-    if cached is not None:
-        return cached
-
+    weights = _cached_weights(rs, lam, cache.load(rs, lam))
+    if weights is not None:
+        return weights
     reflections = _reflections(rs)
     weights = {}
     for mu, m in _freudenthal(rs, tuple(int(c) for c in lam)).items():
@@ -344,60 +368,102 @@ def irreducibleCharacter(rs, lam):
            # str(int) == rat_str(int)
            "entries": {",".join(map(str, w)): m for w, m in weights.items()}}
     cache.store(rs, lam, doc)
-    return _character_from_ints(rs, weights)
+    return weights
+
+
+def irreducibleCharacter(rs, lam):
+    """Weight multiplicities of the irreducible with highest weight lam,
+    as a weight-basis character; see _irreducible_weights."""
+    return _character_from_ints(rs, _irreducible_weights(rs, lam))
 
 
 # ----------------------------------------------------------- decompositions
+
+def _peel(rs, L, rest):
+    """Greedy highest-weight peel on int coordinates.
+
+    rest maps L w to the multiplicity of the weight w (L a positive int);
+    it is consumed.  Returns {L lam: multiplicity of V_lam} in peel order.
+    Each step takes the dominant support weight with the greatest
+    (|w + rho|^2, w), which is extremal, and subtracts its irreducible.
+    """
+    gram = _int_gram(rs)
+    simple = rs.simple_positions
+    shift = tuple(L * int(r) for r in rs.rho)
+
+    def key(u):
+        v = tuple(map(add, u, shift))
+        return _pairing(gram, v, v), u
+
+    # the dominant support weights, each with its key, computed once
+    live = {u: key(u) for u in rest if all(u[p] >= 0 for p in simple)}
+    out = {}
+    while rest:
+        if not live:
+            raise DiracforgeError("no dominant weight left to peel; "
+                                  "input is not a virtual character")
+        best = max(live, key=live.__getitem__)
+        m = rest[best]
+        lam = tuple(rat(c, L) for c in best)
+        for w, pm in _irreducible_weights(rs, lam).items():
+            u = w if L == 1 else tuple(L * c for c in w)
+            nv = rest.get(u, 0) - m * pm
+            if nv:
+                if u not in rest and all(u[p] >= 0 for p in simple):
+                    live[u] = key(u)
+                rest[u] = nv
+            else:
+                del rest[u]
+                live.pop(u, None)
+        out[best] = m
+    return out
+
+
+def _from_lattice(peeled, L):
+    """{u / L: value} of {int tuple u: value}, in the same order."""
+    return dict(zip(_rational_weights(list(peeled), L), peeled.values()))
+
 
 def decomposeCharacter(chi):
     """Greedy highest-weight peel of a weight-basis character.
 
     Returns a FormalCharacter in the irreducible basis.  Works for any
     virtual character (integer coefficients, signs allowed); raises if the
-    input is not one.
+    input is not one.  The peel runs on the int coordinates L w of the
+    support.
     """
     rs = chi.system
     if chi.basis == FormalCharacter.IRREDUCIBLE:
         return chi
-    rest = dict(chi.entries)
-    out = {}
-    while rest:
-        # a dominant support weight maximizing |mu+rho|^2 is extremal
-        best = None
-        best_key = None
-        for w in rest:
-            if not rs.isDominant(w):
-                continue
-            w_rho = tuple(a + b for a, b in zip(w, rs.rho))
-            key = (rs.innerProduct(w_rho, w_rho), w)
-            if best is None or key > best_key:
-                best, best_key = w, key
-        if best is None:
-            raise DiracforgeError("no dominant weight left to peel; "
-                                  "input is not a virtual character")
-        m = rest[best]
-        piece = irreducibleCharacter(rs, best)
-        for w, pm in piece.entries.items():
-            nv = rest.get(w, 0) - m * pm
-            if nv:
-                rest[w] = nv
-            else:
-                rest.pop(w, None)
-        out[best] = out.get(best, 0) + m
-    return FormalCharacter(rs, out, FormalCharacter.IRREDUCIBLE)
+    L, coords = _lattice_coords(chi.entries)
+    peeled = _peel(rs, L, dict(zip(coords, chi.entries.values())))
+    return FormalCharacter(rs, _from_lattice(peeled, L),
+                           FormalCharacter.IRREDUCIBLE)
+
+
+def _check_summands(rs, dec, dim, what):
+    """Raise InternalError unless every multiplicity of {lam: m} is positive
+    and the V_lam add up to dimension dim."""
+    if any(m <= 0 for m in dec.values()):
+        raise InternalError("%s decomposed with negative parts" % what)
+    if sum(m * weylDimension(rs, lam) for lam, m in dec.items()) != dim:
+        raise InternalError("%s lost dimension" % what)
 
 
 def tensorDecompose(rs, lam, mu):
     """V_lam (x) V_mu as {dominant weight: multiplicity}."""
     lam = _require_dominant_integral(rs, lam)
     mu = _require_dominant_integral(rs, mu)
-    prod = irreducibleCharacter(rs, lam).convolve(irreducibleCharacter(rs, mu))
-    dec = decomposeCharacter(prod)
-    if any(m <= 0 for m in dec.entries.values()):
-        raise AssertionError("tensor product decomposed with negative parts")
-    if dec.dimension() != weylDimension(rs, lam) * weylDimension(rs, mu):
-        raise AssertionError("tensor decomposition lost dimension")
-    return dict(dec.entries)
+    right = list(_irreducible_weights(rs, mu).items())
+    prod = {}
+    for u, m in _irreducible_weights(rs, lam).items():
+        for v, n in right:
+            w = tuple(map(add, u, v))
+            prod[w] = prod.get(w, 0) + m * n
+    dec = _from_lattice(_peel(rs, 1, prod), 1)
+    _check_summands(rs, dec, weylDimension(rs, lam) * weylDimension(rs, mu),
+                    "tensor product")
+    return dec
 
 
 def restrictCharacter(pair, lam):
@@ -405,14 +471,19 @@ def restrictCharacter(pair, lam):
     as {dominant H-weight: multiplicity}."""
     g, h = pair.g, pair.h
     lam = _require_dominant_integral(g, lam)
-    chi = irreducibleCharacter(g, lam)
-    restricted = chi.mapWeights(pair.weightToH, system=h)
-    dec = decomposeCharacter(restricted)
-    if any(m <= 0 for m in dec.entries.values()):
-        raise AssertionError("restriction decomposed with negative parts")
-    if dec.dimension() != chi.dimension():
-        raise AssertionError("restriction lost dimension")
-    return dict(dec.entries)
+    weights = _irreducible_weights(g, lam)
+    # weightToH is linear: L times the image of each unit weight, as ints
+    L, columns = _lattice_coords(
+        [pair.weightToH([int(i == j) for j in range(g.rank)])
+         for i in range(g.rank)])
+    restricted = {}
+    for u, m in weights.items():
+        v = tuple(sum(c * x[i] for c, x in zip(u, columns) if c)
+                  for i in range(h.rank))
+        restricted[v] = restricted.get(v, 0) + m
+    dec = _from_lattice(_peel(h, L, restricted), L)
+    _check_summands(h, dec, sum(weights.values()), "restriction")
+    return dec
 
 
 def trivialMultiplicity(chi):

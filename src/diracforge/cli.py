@@ -2,7 +2,8 @@
 
 Every subcommand prints a deterministic report (json or text, never a
 timestamp) and exits 0 when all assertions pass, 1 when a verification
-fails (the report carries the witness), 2 on usage or parse errors.
+fails (the report carries the witness), 2 on usage or parse errors, and 3
+when an internal consistency check fails.
 JSON reports embed the normalization tag, the Clifford sign, and the
 per-factor polarization rule, so a saved report is interpretable on its
 own.  Rationals are serialized as "p/q" strings; no floating point
@@ -16,11 +17,12 @@ import sys
 from itertools import product as cartesian
 
 from . import cache
-from .characters import (ConeSeries, FormalCharacter, irreducibleCharacter,
+from .characters import (ConeSeries, FormalCharacter, _irreducible_weights,
                          restrictCharacter, tensorDecompose)
 from .clifford import buildCliffordFrame
 from .dirac import spectralCheckRelative, verifyKostantIdentity
-from .errors import DiracforgeError, SpectralMismatch, VerificationError
+from .errors import (DiracforgeError, InternalError, SpectralMismatch,
+                     VerificationError)
 from .induction import diracInduct, inductCharacter
 from .liecore import (pairFromLabel, systemFromLabel, weightFromStrings,
                       weightToStrings)
@@ -179,8 +181,8 @@ def _emit(config, payload, text_lines=None):
     else:
         if text_lines is None:
             text_lines = _generic_text(payload)
-        for ln in text_lines:
-            print(ln)
+        if text_lines:
+            print("\n".join(text_lines))
 
 
 # ----------------------------------------------------------- subcommands
@@ -213,11 +215,15 @@ def cmd_orbit(config, args):
 def cmd_char(config, args):
     rs = systemFromLabel(args.type)
     lam = rs.weight(_parse_weight(args.weight))
-    chi = irreducibleCharacter(rs, lam)
-    keyed = chi.keyed()  # one sort and one format per weight for both outputs
-    lines = chi.to_lines(keyed)
+    weights = _irreducible_weights(rs, lam)
+    # one sort of the int weights and one format per weight for both
+    # outputs; int order is the rational order, and "%d" % int == rat_str(int)
+    coords = ",".join(["%d"] * rs.rank)
+    keyed = [(coords % u, weights[u]) for u in sorted(weights)]
+    lines = ["%s %s" % (rs.label, FormalCharacter.WEIGHT)]
+    lines.extend("%s %d" % kv for kv in keyed)
     payload = {"label": rs.label, "weight": _wstr(lam),
-               "dimension": chi.dimension(), "entries": dict(keyed)}
+               "dimension": sum(weights.values()), "entries": dict(keyed)}
     if args.out:
         _write_text(args.out, lines)
         payload["out"] = args.out
@@ -461,134 +467,149 @@ def cmd_cache(config, args):
 
 # --------------------------------------------------------------- driver
 
-def build_parser():
+# the subcommands, in the order help lists them
+COMMANDS = ("root-system", "orbit", "char", "tensor", "restrict", "induct",
+            "verify-kostant", "verify-relative", "polarize", "qr-toric",
+            "qr-coadjoint", "decompose", "cache")
+
+
+def build_parser(command=None):
+    """The argument parser.  With command, one of COMMANDS, only that
+    subcommand is registered, and the subcommand list in its usage lines is
+    pinned to all of COMMANDS, so every text it prints is the full
+    parser's.  (The full parser keeps the default metavar: a missing
+    command is reported by its dest, "command".)"""
     parser = argparse.ArgumentParser(
         prog="diracforge",
         description="Exact-arithmetic equivariant index computations for"
                     " compact groups.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"),
-                        default="text", help="report format")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed recorded for randomized sweeps")
-    common.add_argument("--normalization", default=NORMALIZATION)
-    common.add_argument("--cache-dir", default=None,
-                        help="override the character cache directory")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(COMMANDS))
 
-    p = sub.add_parser("root-system", parents=[common],
-                       help="describe a root system")
-    p.add_argument("--type", required=True)
-    p.set_defaults(func=cmd_root_system)
+    def add(name, func, help):
+        """The subparser of name, with the shared flags, or None when
+        another subcommand was asked for."""
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--format", choices=("json", "text"),
+                       default="text", help="report format")
+        p.add_argument("--seed", type=int, default=None,
+                       help="seed recorded for randomized sweeps")
+        p.add_argument("--normalization", default=NORMALIZATION)
+        p.add_argument("--cache-dir", default=None,
+                       help="override the character cache directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("orbit", parents=[common],
-                       help="Weyl orbit of a weight")
-    p.add_argument("--type", required=True)
-    p.add_argument("--weight", required=True)
-    p.set_defaults(func=cmd_orbit)
+    p = add("root-system", cmd_root_system, "describe a root system")
+    if p:
+        p.add_argument("--type", required=True)
 
-    p = sub.add_parser("char", parents=[common],
-                       help="irreducible character (cached)")
-    p.add_argument("--type", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--out", default=None,
-                   help="write the character file here")
-    p.set_defaults(func=cmd_char)
+    p = add("orbit", cmd_orbit, "Weyl orbit of a weight")
+    if p:
+        p.add_argument("--type", required=True)
+        p.add_argument("--weight", required=True)
 
-    p = sub.add_parser("tensor", parents=[common],
-                       help="tensor product decomposition")
-    p.add_argument("--type", required=True)
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-    p.set_defaults(func=cmd_tensor)
+    p = add("char", cmd_char, "irreducible character (cached)")
+    if p:
+        p.add_argument("--type", required=True)
+        p.add_argument("--weight", required=True)
+        p.add_argument("--out", default=None,
+                       help="write the character file here")
 
-    p = sub.add_parser("restrict", parents=[common],
-                       help="restrict an irreducible to a subgroup")
-    p.add_argument("--pair", required=True, help="pair label like A2:u2")
-    p.add_argument("--weight", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_restrict)
+    p = add("tensor", cmd_tensor, "tensor product decomposition")
+    if p:
+        p.add_argument("--type", required=True)
+        p.add_argument("--lhs", required=True)
+        p.add_argument("--rhs", required=True)
 
-    p = sub.add_parser("induct", parents=[common],
-                       help="Dirac induction from a subgroup")
-    p.add_argument("--pair", required=True)
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--weight", default=None,
-                     help="single dominant H-label")
-    src.add_argument("--input", default=None,
-                     help="character or cone-series file over H")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_induct)
+    p = add("restrict", cmd_restrict,
+            "restrict an irreducible to a subgroup")
+    if p:
+        p.add_argument("--pair", required=True, help="pair label like A2:u2")
+        p.add_argument("--weight", required=True)
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("verify-kostant", parents=[common],
-                       help="exact square identity for the cubic operator")
-    p.add_argument("--type", required=True)
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--weight", default=None)
-    src.add_argument("--lambda-max", type=int, default=None,
-                     help="sweep all dominant labels with coordinates up"
-                          " to this bound")
-    p.set_defaults(func=cmd_verify_kostant)
+    p = add("induct", cmd_induct, "Dirac induction from a subgroup")
+    if p:
+        p.add_argument("--pair", required=True)
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--weight", default=None,
+                         help="single dominant H-label")
+        src.add_argument("--input", default=None,
+                         help="character or cone-series file over H")
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("verify-relative", parents=[common],
-                       help="blockwise spectrum of the relative operator")
-    p.add_argument("--pair", required=True)
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--weight", default=None)
-    src.add_argument("--lambda-max", type=int, default=None)
-    p.set_defaults(func=cmd_verify_relative)
+    p = add("verify-kostant", cmd_verify_kostant,
+            "exact square identity for the cubic operator")
+    if p:
+        p.add_argument("--type", required=True)
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--weight", default=None)
+        src.add_argument("--lambda-max", type=int, default=None,
+                         help="sweep all dominant labels with coordinates up"
+                              " to this bound")
 
-    p = sub.add_parser("polarize", parents=[common],
-                       help="polarized index series of a weight list")
-    p.add_argument("--type", required=True)
-    p.add_argument("--fiber", required=True,
-                   help="semicolon-separated weights")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--shift", default=None)
-    p.add_argument("--window", required=True)
-    p.add_argument("--strict", action="store_true",
-                   help="assert strict polarization of the result")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_polarize)
+    p = add("verify-relative", cmd_verify_relative,
+            "blockwise spectrum of the relative operator")
+    if p:
+        p.add_argument("--pair", required=True)
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--weight", default=None)
+        src.add_argument("--lambda-max", type=int, default=None)
 
-    p = sub.add_parser("qr-toric", parents=[common],
-                       help="circle [Q,R]=0 on a toric model")
-    p.add_argument("--model", required=True, help="model JSON file")
-    p.add_argument("--xi", default=None, help="circle direction")
-    p.add_argument("--c", required=True, help="reduction level")
-    p.add_argument("--window", default=None)
-    p.set_defaults(func=cmd_qr_toric)
+    p = add("polarize", cmd_polarize,
+            "polarized index series of a weight list")
+    if p:
+        p.add_argument("--type", required=True)
+        p.add_argument("--fiber", required=True,
+                       help="semicolon-separated weights")
+        p.add_argument("--alpha", required=True)
+        p.add_argument("--shift", default=None)
+        p.add_argument("--window", required=True)
+        p.add_argument("--strict", action="store_true",
+                       help="assert strict polarization of the result")
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("qr-coadjoint", parents=[common],
-                       help="coadjoint-orbit quantization and product"
-                            " check")
-    p.add_argument("--type", required=True)
-    p.add_argument("--weight", required=True,
-                   help="strictly dominant orbit label")
-    p.add_argument("--mu", default=None,
-                   help="second orbit label for the product check")
-    p.set_defaults(func=cmd_qr_coadjoint)
+    p = add("qr-toric", cmd_qr_toric, "circle [Q,R]=0 on a toric model")
+    if p:
+        p.add_argument("--model", required=True, help="model JSON file")
+        p.add_argument("--xi", default=None, help="circle direction")
+        p.add_argument("--c", required=True, help="reduction level")
+        p.add_argument("--window", default=None)
 
-    p = sub.add_parser("decompose", parents=[common],
-                       help="Kirwan decomposition with per-component"
-                            " series files")
-    p.add_argument("--model", required=True)
-    p.add_argument("--xi", default=None)
-    p.add_argument("--c", required=True)
-    p.add_argument("--window", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_decompose)
+    p = add("qr-coadjoint", cmd_qr_coadjoint,
+            "coadjoint-orbit quantization and product check")
+    if p:
+        p.add_argument("--type", required=True)
+        p.add_argument("--weight", required=True,
+                       help="strictly dominant orbit label")
+        p.add_argument("--mu", default=None,
+                       help="second orbit label for the product check")
 
-    p = sub.add_parser("cache", parents=[common],
-                       help="character cache statistics or clearing")
-    p.add_argument("action", choices=("stats", "clear"))
-    p.set_defaults(func=cmd_cache)
+    p = add("decompose", cmd_decompose,
+            "Kirwan decomposition with per-component series files")
+    if p:
+        p.add_argument("--model", required=True)
+        p.add_argument("--xi", default=None)
+        p.add_argument("--c", required=True)
+        p.add_argument("--window", required=True)
+        p.add_argument("--out", required=True, help="output directory")
+
+    p = add("cache", cmd_cache, "character cache statistics or clearing")
+    if p:
+        p.add_argument("action", choices=("stats", "clear"))
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a request names its subcommand first; only that one is built
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         config = RunConfig(args)
@@ -603,6 +624,9 @@ def main(argv=None):
         else:
             print("FAIL %s: %s" % (type(exc).__name__, exc))
         return 1
+    except InternalError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
     except DiracforgeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -23,9 +23,10 @@ c(e) is skew-adjoint with respect to it.
 
 from . import structure as _structure
 from .errors import (TooLarge, CliffordConstructionError,
-                     BadStructureConstants, DimensionMismatch)
+                     BadStructureConstants, DimensionMismatch,
+                     NotPositiveDefinite)
 from .exactmat import (ExactMatrix, anticommutator, combination, commutator,
-                       contract, inverse_rows)
+                       contract, inverse_rows, orthogonal_rows)
 from .rationals import rat, ZERO, exact_sqrt, squarefree_core
 
 
@@ -148,22 +149,13 @@ def _orthogonalize(gram):
     back[j][k] expands input direction e_j over the orthogonal pivots v_k
     and norms[k] = <v_k, v_k> > 0."""
     d = len(gram)
-    g = ExactMatrix.from_rows(gram)
-    rows = []   # v_k as 1 x d rows over the input directions
-    norms = []
-    for k in range(d):
-        vec = ExactMatrix.zeros(1, d)
-        vec.put(0, k, 1)
-        if rows:
-            # subtract sum_j <e_k, v_j> / <v_j, v_j> v_j in one product
-            done = ExactMatrix.vstack(rows, d)
-            inv = ExactMatrix.diag([1 / n for n in norms])
-            vec = vec - vec * g * done.transpose() * inv * done
-        n = (vec * g * vec.transpose()).get(0, 0)[0]
-        if n <= 0:
-            raise CliffordConstructionError("frame gram is not positive definite")
-        rows.append(vec)
-        norms.append(n)
+    units = [ExactMatrix.from_rows([[int(j == k) for j in range(d)]])
+             for k in range(d)]
+    try:
+        rows, norms = orthogonal_rows(units, ExactMatrix.from_rows(gram))
+    except NotPositiveDefinite:
+        raise CliffordConstructionError(
+            "frame gram is not positive definite") from None
     v_in_e = [tuple(x for x, _ in vec.row(0)) for vec in rows]
     return inverse_rows(v_in_e), norms
 

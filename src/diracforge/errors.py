@@ -1,10 +1,12 @@
 """Exception hierarchy.
 
-Two families matter to callers:
+Three families matter to callers:
 
 * ``VerificationError`` subclasses signal that an exact identity the engine
   promises to certify failed to hold for the given input.  The command line
   maps these to exit status 1.
+* ``InternalError`` signals that a consistency check of the engine itself
+  failed: a fault in this package, not in the input.  Exit status 3.
 * everything else under ``DiracforgeError`` signals a contract violation in
   the input (wrong system, non-dominant weight, unusable window, ...) and is
   mapped to exit status 2, like an argument parse error.
@@ -39,6 +41,10 @@ class IncompatiblePair(DiracforgeError):
 
 class DimensionMismatch(DiracforgeError):
     pass
+
+
+class NotPositiveDefinite(DiracforgeError):
+    """A form that must be positive definite has a non-positive norm."""
 
 
 class BadStructureConstants(DiracforgeError):
@@ -87,6 +93,12 @@ class NotPrequantized(DiracforgeError):
 
 class SingularShift(DiracforgeError):
     """The reduction level hits a critical value of the moment map."""
+
+
+# ------------------------------------------------------------- fault side
+
+class InternalError(DiracforgeError):
+    """An internal consistency check failed. Exit status 3."""
 
 
 # --------------------------------------------------------- verification side

@@ -25,7 +25,8 @@ modules keep no vector arithmetic of their own.
 Frame sums happen in one place too.  ``combination`` is a linear
 combination sum_a c_a M_a, ``contract`` is the dual-frame contraction
 sum_{a,b} (G^-1)_{ab} L_a R_b, and ``inverse_rows`` gives the gram inverse
-G^-1 those sums run through.  Cliffords of a vector, dual gammas, the
+G^-1 those sums run through.  ``orthogonal_rows`` is the one Gram-Schmidt,
+under any Hermitian form.  Cliffords of a vector, dual gammas, the
 Casimir, the spin map and the Dirac assembly are all built from them.
 
 Checks are matrix identities here as well.  Structure constants pass when
@@ -44,7 +45,7 @@ from math import gcd, lcm
 
 from .rationals import ZERO, ONE, rat, rat_str
 from . import matops
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 
 def _rat(x):
@@ -635,6 +636,30 @@ def inverse_rows(rows):
     if inv is None:
         return None
     return tuple(tuple(inv.get(i, j)[0] for j in range(n)) for i in range(n))
+
+
+def orthogonal_rows(vectors, form=None):
+    """Gram-Schmidt without normalization on 1 x n rows, under the Hermitian
+    form F (n x n; None for the standard form F = 1): each row e becomes
+    v = e - e F V^H diag(1/norms) V, V the rows made before it.  Returns the
+    rows v and their norms v F v^H, and raises NotPositiveDefinite when a
+    norm is not real and positive."""
+    rows = []
+    norms = []
+    for k, vec in enumerate(vectors):
+        left = vec if form is None else vec * form
+        if rows:
+            done = ExactMatrix.vstack(rows, vec.ncols)
+            inv = ExactMatrix.diag([1 / n for n in norms])
+            vec = vec - left * done.ctranspose() * inv * done
+            left = vec if form is None else vec * form
+        nz = (left * vec.ctranspose()).get(0, 0)
+        if nz[1] or nz[0] <= 0:
+            raise NotPositiveDefinite("row %d has norm %s"
+                                      % (k, gauss_str(nz)))
+        rows.append(vec)
+        norms.append(nz[0])
+    return rows, norms
 
 
 def commutator(a, b):

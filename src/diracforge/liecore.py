@@ -18,7 +18,8 @@ import math
 
 from .rationals import rat, ZERO, ONE, rat_str, rat_from_str, is_integer
 from .exactmat import ExactMatrix
-from .errors import UnsupportedType, SystemMismatch, IncompatiblePair
+from .errors import (IncompatiblePair, InternalError, SystemMismatch,
+                     UnsupportedType)
 
 NORMALIZATION = "long-root-2"
 
@@ -117,7 +118,7 @@ class RootSystem:
                          for i in range(self.rank))
         half = self.rhoFromPositiveRoots()
         if half != self.rho:
-            raise AssertionError("rho consistency failed: %r vs %r" % (half, self.rho))
+            raise InternalError("rho consistency failed: %r vs %r" % (half, self.rho))
 
     # -- construction helpers --------------------------------------------
 
@@ -164,7 +165,7 @@ class RootSystem:
         for i in range(self.rank):
             for j in range(i):
                 if g[i][j] != g[j][i]:
-                    raise AssertionError("gram not symmetric")
+                    raise InternalError("gram not symmetric")
         return g
 
     def _positive_closure(self):

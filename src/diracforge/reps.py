@@ -27,9 +27,11 @@ from bisect import bisect_left
 
 from .characters import (FormalCharacter, _require_dominant_integral,
                          irreducibleCharacter, weylDimension)
-from .errors import BadStructureConstants, TooLarge
-from .exactmat import ExactMatrix, _gadd, combination, commutator
-from .rationals import ZERO, rat
+from .errors import (BadStructureConstants, InternalError,
+                     NotPositiveDefinite, TooLarge)
+from .exactmat import (ExactMatrix, _gadd, combination, commutator,
+                       orthogonal_rows)
+from .rationals import ZERO, rat, rat_str
 from .structure import buildFrame
 
 DIM_LIMIT = 64
@@ -77,24 +79,19 @@ def _factor_block(frame, a):
 
 
 def _orthogonal_rows(red, rank):
-    """Gram-Schmidt without normalization on the first rank rows of red:
-    the rows as 1 x n matrices and their norms, which must be real and
-    positive."""
-    rows = []
-    norms = []
+    """Gram-Schmidt without normalization on the first rank rows of red,
+    under the standard Hermitian form: the rows as 1 x n matrices and their
+    norms."""
+    picks = []
     for r in range(rank):
         pick = ExactMatrix.zeros(1, red.nrows)
         pick.put(0, r, 1)
-        vec = pick * red
-        if rows:
-            done = ExactMatrix.vstack(rows, red.ncols)
-            inv = ExactMatrix.diag([1 / n for n in norms])
-            vec = vec - vec * done.ctranspose() * inv * done
-        nz = (vec * vec.ctranspose()).get(0, 0)
-        assert nz[1] == 0 and nz[0] > 0
-        rows.append(vec)
-        norms.append(nz[0])
-    return rows, norms
+        picks.append(pick * red)
+    try:
+        return orthogonal_rows(picks)
+    except NotPositiveDefinite as exc:
+        # the rows of a reduced echelon form are independent
+        raise InternalError("echelon rows are dependent: %s" % exc) from None
 
 
 class LieRep:
@@ -183,11 +180,15 @@ def buildLieRep(rs, lam):
     weights = [tuple(pis[p].get(v, v)[1] for p in range(rs.rank))
                for v in range(ambient)]
     for p in range(rs.rank):
-        assert pis[p] == ExactMatrix.diag([(ZERO, w[p]) for w in weights])
+        if pis[p] != ExactMatrix.diag([(ZERO, w[p]) for w in weights]):
+            raise InternalError("torus direction %d is not diagonal" % p)
 
     # highest weight vector: the all-tops tensor basis vector is index 0;
     # vectors are 1 x ambient rows, so X acts on them through X^T
-    assert weights[0] == lam
+    if weights[0] != lam:
+        raise InternalError("the first tensor basis vector has weight (%s),"
+                            " not the highest weight"
+                            % ",".join(map(rat_str, weights[0])))
     top = ExactMatrix.zeros(1, ambient)
     top.put(0, 0, 1)
     simple_dirs = []
@@ -199,7 +200,9 @@ def buildLieRep(rs, lam):
         fa, fb = pis[adir], pis[adir + 1]
         lower = fa.scale(rat(-1, 2)) + fb.scale((ZERO, rat(-1, 2)))
         raiser = fa.scale(rat(1, 2)) + fb.scale((ZERO, rat(-1, 2)))
-        assert (top * raiser.transpose()).is_zero()
+        if not (top * raiser.transpose()).is_zero():
+            raise InternalError("a raising operator moves the highest"
+                                " weight vector")
         simple_dirs.append((tuple(beta), lower.transpose()))
 
     # cyclic closure under the lowering operators, one height level at a
@@ -236,7 +239,8 @@ def buildLieRep(rs, lam):
     form = ExactMatrix.diag(norms)
     cols = ExactMatrix.vstack(basis, ambient).transpose()
     cols_h = cols.ctranspose()
-    assert cols_h * cols == form
+    if cols_h * cols != form:
+        raise InternalError("weight-space bases are not orthogonal")
 
     # restrict every direction: M = diag(1/n) B^H (pi_a B) projects the
     # images onto the basis, and B M == pi_a B says they never left it

@@ -18,9 +18,10 @@ Only type A simple factors (plus tori) have defining blocks here; the
 B/C/D root systems stay available in liecore but have no frame.
 """
 
-from .errors import UnsupportedType, NotOrthogonal, BadStructureConstants
+from .errors import (BadStructureConstants, InternalError, NotOrthogonal,
+                     UnsupportedType)
 from .exactmat import ExactMatrix, combination, commutator, inverse_rows
-from .rationals import rat, ZERO
+from .rationals import rat, rat_str, ZERO
 
 CARTAN, ROOT_A, ROOT_B = "iH", "A", "B"
 
@@ -35,6 +36,14 @@ def _a_root_span(factor_rank, coeffs):
     if ones != list(range(j, top + 1)):
         raise BadStructureConstants("root support is not an interval")
     return j, top + 1
+
+
+def _direction_str(name):
+    """A frame direction name as text: "iH0", "A(2,-1)" or "B(2,-1)"."""
+    kind, label = name
+    if kind == CARTAN:
+        return "%s%d" % (kind, label)
+    return "%s(%s)" % (kind, ",".join(map(rat_str, label)))
 
 
 class CompactFrame:
@@ -161,13 +170,19 @@ class CompactFrame:
             for b in range(d):
                 if a == b:
                     continue
-                if (na[0], self.names[b][0]) != (CARTAN, CARTAN):
-                    assert g[a][b] == 0, (na, self.names[b])
-            if na[0] != CARTAN:
-                assert g[a][a] == 2
+                if (na[0], self.names[b][0]) != (CARTAN, CARTAN) \
+                        and g[a][b] != 0:
+                    raise InternalError(
+                        "frame directions %s and %s are not orthogonal"
+                        % (_direction_str(na), _direction_str(self.names[b])))
+            if na[0] != CARTAN and g[a][a] != 2:
+                raise InternalError("root direction %s has squared length"
+                                    " %s, not 2" % (_direction_str(na),
+                                                    rat_str(g[a][a])))
         self.gram = tuple(tuple(row) for row in g)
         self.gramInverse = inverse_rows(self.gram)
-        assert self.gramInverse is not None
+        if self.gramInverse is None:
+            raise InternalError("the frame gram is singular")
         # coordinates over the frame through the dual frame: x = sum_c x_c
         # u_c with x_c = sum_e (G^-1)_{ce} B(x, u_e)
         self._dual = -(ExactMatrix.from_rows(self.gramInverse) * pairing)

@@ -9,12 +9,17 @@
   support;
 - ``fractionPolarizedExpand`` is the polarized expansion on exact
   rationals, one ``innerProduct`` per term: the oracle for the integer
-  kernel in ``polarized.polarizedExpand``.
+  kernel in ``polarized.polarizedExpand``;
+- ``fractionDecompose`` is the highest-weight peel on ``Fraction`` weights,
+  one ``innerProduct`` per dominant support weight per step: the oracle
+  for the integer peel in ``characters.decomposeCharacter``.
 """
 
+from diracforge.characters import irreducibleCharacter
 from diracforge.clifford import buildCliffordFrame
 from diracforge.dirac import _scalar_of, cubicDirac
-from diracforge.errors import BadStructureConstants, NonGenericPolarization
+from diracforge.errors import (BadStructureConstants, DiracforgeError,
+                               NonGenericPolarization)
 from diracforge.exactmat import ExactMatrix, inverse_rows
 from diracforge.rationals import ZERO, rat, rat_str
 
@@ -110,3 +115,34 @@ def fractionPolarizedExpand(system, fiberWeights, alpha, window):
                 k += 1
         entries = new
     return entries, -total_min
+
+
+def fractionDecompose(chi):
+    """{lam: multiplicity} of a weight-basis character by the greedy peel on
+    Fraction weights: the dominant support weight with the greatest
+    (|w + rho|^2, w) is taken each step and its irreducible subtracted."""
+    rs = chi.system
+    rest = dict(chi.entries)
+    out = {}
+    while rest:
+        best = None
+        best_key = None
+        for w in rest:
+            if not rs.isDominant(w):
+                continue
+            w_rho = tuple(a + b for a, b in zip(w, rs.rho))
+            key = (rs.innerProduct(w_rho, w_rho), w)
+            if best is None or key > best_key:
+                best, best_key = w, key
+        if best is None:
+            raise DiracforgeError("no dominant weight left to peel; "
+                                  "input is not a virtual character")
+        m = rest[best]
+        for w, pm in irreducibleCharacter(rs, best).entries.items():
+            nv = rest.get(w, 0) - m * pm
+            if nv:
+                rest[w] = nv
+            else:
+                rest.pop(w, None)
+        out[best] = out.get(best, 0) + m
+    return out

@@ -16,7 +16,7 @@ from diracforge.errors import (DiracforgeError, NotDominant, NotIntegral,
 from diracforge.liecore import pairFromLabel, systemFromLabel
 from diracforge.rationals import rat
 
-from helpers import isWeylInvariant
+from helpers import fractionDecompose, isWeylInvariant
 
 A1 = systemFromLabel("A1")
 A2 = systemFromLabel("A2")
@@ -202,6 +202,14 @@ def test_decompose_rejects_non_characters():
     lopsided = FormalCharacter(A1, {(1,): 1})
     with pytest.raises(DiracforgeError):
         decomposeCharacter(lopsided)
+    # the same error and message as the Fraction peel
+    for chi in (lopsided, FormalCharacter(A2, {(1, 0): 1, (0, 0): 1})):
+        with pytest.raises(DiracforgeError) as want:
+            fractionDecompose(chi)
+        with pytest.raises(DiracforgeError) as got:
+            decomposeCharacter(chi)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 def test_restriction_examples():
@@ -267,6 +275,66 @@ def test_character_file_round_trip():
         FormalCharacter.from_lines(["A2 half-basis", "0,0 1"])
 
 
+# ------------------------------------------ int peel against the Fraction peel
+
+def _seeded_weight(rs, rng, top=2):
+    """A weight of rs: dominant integral on the simple coordinates, any int
+    on the torus coordinates."""
+    return tuple(rat(rng.randint(0, top)) if i in rs.simple_positions
+                 else rat(rng.randint(-top, top)) for i in range(rs.rank))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "C2"])
+def test_tensor_matches_the_fraction_peel(label):
+    rs = systemFromLabel(label)
+    rng = random.Random("tensor/" + label)
+    for _ in range(3):
+        lam, mu = _seeded_weight(rs, rng), _seeded_weight(rs, rng)
+        product = irreducibleCharacter(rs, lam).convolve(
+            irreducibleCharacter(rs, mu))
+        want = list(fractionDecompose(product).items())
+        assert list(tensorDecompose(rs, lam, mu).items()) == want
+        assert list(decomposeCharacter(product).entries.items()) == want
+
+
+@pytest.mark.parametrize("label", ["A2:T", "A2:u2", "A3:keep=0,1"])
+def test_restriction_matches_the_fraction_peel(label):
+    pair = pairFromLabel(label)
+    rng = random.Random("restrict/" + label)
+    for _ in range(3):
+        lam = _seeded_weight(pair.g, rng)
+        restricted = irreducibleCharacter(pair.g, lam).mapWeights(
+            pair.weightToH, system=pair.h)
+        assert list(restrictCharacter(pair, lam).items()) \
+            == list(fractionDecompose(restricted).items())
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "A1xT1", "T2"])
+def test_virtual_character_matches_the_fraction_peel(label):
+    rs = systemFromLabel(label)
+    rng = random.Random("virtual/" + label)
+    for _ in range(4):
+        chi = FormalCharacter(rs, {})
+        for scale in (-2, 1, rng.choice([-1, 3])):
+            piece = irreducibleCharacter(rs, _seeded_weight(rs, rng))
+            chi = chi + piece.scale(scale)
+        dec = decomposeCharacter(chi).entries
+        assert list(dec.items()) == list(fractionDecompose(chi).items())
+        assert not dec or min(dec.values()) < 0
+
+
+def test_rational_torus_weight_is_rejected_like_the_fraction_peel():
+    # (3,0) peels first; (1/2,1) is not a lattice weight
+    chi = FormalCharacter(systemFromLabel("T2"),
+                          {(3, 0): 1, (rat(1, 2), 1): 1})
+    with pytest.raises(NotIntegral) as want:
+        fractionDecompose(chi)
+    with pytest.raises(NotIntegral) as got:
+        decomposeCharacter(chi)
+    assert str(got.value) == str(want.value) \
+        == "weight (1/2,1) is not integral"
+
+
 # --------------------------------------------------------------------- cache
 
 def test_cache_round_trip_and_determinism(tmp_path, monkeypatch):
@@ -329,14 +397,20 @@ def _fractional_weight(doc):
     doc["entries"]["1/2,0"] = doc["entries"].pop("0,0")
 
 
+def _moved_highest_weight(doc):
+    # the same total; a peel that needs V(1,1) would never remove (1,1)
+    doc["entries"]["3,3"] = doc["entries"].pop("1,1")
+
+
 @pytest.mark.parametrize("edit", [
     lambda text: text[:len(text) // 2],
     _edit_doc(_foreign_lambda),
     _edit_doc(_inflate),
     _edit_doc(_non_integer),
     _edit_doc(_fractional_weight),
+    _edit_doc(_moved_highest_weight),
 ], ids=["truncated", "foreign-lambda", "inflated-multiplicity",
-        "non-integer-entry", "fractional-weight"])
+        "non-integer-entry", "fractional-weight", "moved-highest-weight"])
 def test_wrong_cache_entry_is_a_miss(tmp_path, monkeypatch, edit):
     path, chi = _corrupt_entry(tmp_path, monkeypatch, edit)
     good = irreducibleCharacter(A2, (1, 1))

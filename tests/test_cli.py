@@ -1,13 +1,18 @@
+import argparse
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import diracforge
 from diracforge import cache
 
 from diracforge.characters import ConeSeries, FormalCharacter
-from diracforge.cli import main
-from diracforge.errors import QRViolation
+from diracforge.cli import COMMANDS, build_parser, main
+from diracforge.errors import InternalError, QRViolation
 from diracforge.liecore import RootSystem
 from diracforge.qr import cp1, cp2
 
@@ -258,6 +263,76 @@ def test_usage_error_from_argparse(capsys):
     assert exc.value.code == 2
 
 
+def test_internal_fault_exits_three(capsys, monkeypatch):
+    def broken(rs, lam):
+        raise InternalError("vanishing Freudenthal denominator")
+    monkeypatch.setattr("diracforge.characters._freudenthal", broken)
+    rc, out, err = run(capsys, "char", "--type", "A2", "--weight", "1,1")
+    assert rc == 3 and out == ""
+    assert err == "internal error: vanishing Freudenthal denominator\n"
+
+
+def test_internal_check_survives_optimized_mode(tmp_path):
+    # a bare assert would vanish under -O; a frame whose root direction has
+    # the wrong length must still stop the run
+    script = (
+        "import sys\n"
+        "from diracforge import structure\n"
+        "from diracforge.cli import main\n"
+        "plain = structure.CompactFrame._build_directions\n"
+        "def stretched(self):\n"
+        "    plain(self)\n"
+        "    k = self.names.index(next(n for n in self.names if n[0] == 'A'))\n"
+        "    mats = list(self.matrices)\n"
+        "    mats[k] = mats[k].scale(2)\n"
+        "    self.matrices = tuple(mats)\n"
+        "structure.CompactFrame._build_directions = stretched\n"
+        "sys.exit(main(['verify-kostant', '--type', 'A1', '--weight', '0']))\n")
+    env = dict(os.environ, DIRACFORGE_CACHE=str(tmp_path / "cache"),
+               PYTHONPATH=str(pathlib.Path(diracforge.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == ("internal error: root direction A(2) has squared"
+                           " length 8, not 2\n")
+
+
+# -------------------------------------------------- one subparser per request
+
+def _parse_outcome(capsys, call):
+    """(exit code, stdout, stderr) of a parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        call()
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["char", "--help"], ["char", "--weight", "1"],
+    ["char", "--type", "A1", "--weight", "1", "--bogus"],
+    ["induct", "--pair", "A1:T"], ["cache", "purge"],
+    ["no-such-command"], [],
+], ids=["help", "char-help", "missing-type", "unrecognized", "exclusive",
+        "bad-choice", "unknown-command", "no-arguments"])
+def test_one_subparser_prints_what_the_full_parser_prints(capsys, argv):
+    full = _parse_outcome(capsys, lambda: build_parser().parse_args(argv))
+    assert _parse_outcome(capsys, lambda: main(list(argv))) == full
+    assert full[0] in (0, 2) and full[1] + full[2]
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def test_only_the_named_subparser_is_built():
+    assert _subcommands(build_parser()) == list(COMMANDS)
+    for name in COMMANDS:
+        assert _subcommands(build_parser(name)) == [name]
+
+
 def test_model_parse_error_names_file_and_line(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -309,6 +384,17 @@ def test_polarize_pairs_per_fiber_weight_not_per_entry(capsys,
                       "--window", "35")
     assert rc == 0 and doc["terms"] > 900
     assert inner_products[0] <= 2 * len(fiber)
+
+
+@pytest.mark.parametrize("argv", [
+    ("restrict", "--pair", "A2:T", "--weight", "2,3"),
+    ("tensor", "--type", "B2", "--lhs", "1,1", "--rhs", "2,1"),
+], ids=["restrict", "tensor"])
+def test_decompositions_pair_on_ints(capsys, inner_products, argv):
+    for _ in ("cold", "warm"):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0 and out
+    assert inner_products[0] == 0
 
 
 def test_qr_toric_pairs_per_vertex_not_per_entry(capsys, tmp_path,

@@ -14,8 +14,8 @@ import random
 import pytest
 
 from diracforge import matops as ref
-from diracforge.errors import DimensionMismatch
-from diracforge.exactmat import ExactMatrix
+from diracforge.errors import DimensionMismatch, NotPositiveDefinite
+from diracforge.exactmat import ExactMatrix, orthogonal_rows
 from diracforge.rationals import ONE, ZERO, rat
 
 KINDS = ("real", "imag", "mixed")
@@ -250,6 +250,35 @@ def _ref_solution(n, m, k, aug, pivots):
             re[pj * k + j] = red[0][r * (m + k) + m + j]
             im[pj * k + j] = red[1][r * (m + k) + m + j]
     return re, im
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_orthogonal_rows_under_a_form(seed):
+    rng = random.Random(seed)
+    n = 5
+    ident = ExactMatrix.identity(n)
+    a = build(n, n, dense(rng, n, n, "mixed", 0.6))
+    # seed 0 takes the standard form, the others A^H A + 1
+    form = None if seed == 0 else a.ctranspose() * a + ident
+    vecs = [build(1, n, dense(rng, 1, n, "mixed", 0.8)) for _ in range(3)]
+    rows, norms = orthogonal_rows(vecs, form)
+    done = ExactMatrix.vstack(rows, n)
+    assert done * (form or ident) * done.ctranspose() \
+        == ExactMatrix.diag(norms)
+    for k in range(len(vecs)):
+        # v_k is e_k minus a combination of e_0 .. e_{k-1}
+        _, pivots = ExactMatrix.vstack(vecs[:k + 1] + rows[k:k + 1],
+                                       n).rref()
+        assert len(pivots) == k + 1
+
+
+def test_orthogonal_rows_reject_a_non_positive_norm():
+    e0 = ExactMatrix.from_rows([[1, 0]])
+    e1 = ExactMatrix.from_rows([[0, 1]])
+    with pytest.raises(NotPositiveDefinite, match="^row 1 has norm -1$"):
+        orthogonal_rows([e0, e1], ExactMatrix.diag([1, -1]))
+    with pytest.raises(NotPositiveDefinite, match="^row 1 has norm 0$"):
+        orthogonal_rows([e0, e0.scale(3)])
 
 
 def test_solve_inverts_a_gram_matrix():
