@@ -12,7 +12,9 @@ The two container types:
   shrink windows instead of guessing.
 
 Irreducible characters come from the Freudenthal recursion, computed on
-integer fundamental coordinates with the gram scaled to integers.  The
+integer fundamental coordinates.  Every kernel here reads the root
+system's int data: the Cartan rows as reflections, the positive roots,
+rho, the scaled gram and the Weyl orbit (``RootSystem.orbit``).  The
 kernel ``_irreducible_weights`` answers {int weight: multiplicity} from a
 valid cache entry or from the recursion and the orbit expansion; rational
 weights are built from it only where a FormalCharacter is asked for.
@@ -163,15 +165,13 @@ def weylDimension(rs, lam):
     Runs on int coordinates with the int gram: its scale enters the
     numerator and the denominator once per root, and cancels."""
     lam = _require_dominant_integral(rs, lam)
-    gram = _int_gram(rs)
-    rho = tuple(map(int, rs.rho))
+    rho = rs.intRho
     lam_rho = tuple(int(a) + b for a, b in zip(lam, rho))
     # <v, a> = (v G) . a: one product with the gram per vector, not per root
-    top, bottom = [[sum(map(mul, v, col)) for col in zip(*gram)]
+    top, bottom = [[sum(map(mul, v, col)) for col in zip(*rs.intGram)]
                    for v in (lam_rho, rho)]
     num = den = 1
-    for a in rs.positiveRoots:
-        a = tuple(map(int, a))
+    for a in rs.intRoots:
         num *= sum(map(mul, top, a))
         den *= sum(map(mul, bottom, a))
     d, rem = divmod(num, den)
@@ -179,13 +179,6 @@ def weylDimension(rs, lam):
         raise InternalError("non-integral dimension %s"
                             % rat_str(rat(num, den)))
     return d
-
-
-def _reflections(rs):
-    """[(p, alpha)] per simple root, alpha a Cartan row as ints and p the
-    coordinate it reflects by: s(v) = v - v[p] alpha."""
-    return [(p, tuple(int(c) for c in alpha))
-            for p, alpha in zip(rs.simple_positions, rs.simpleRoots)]
 
 
 def _dominant_below(rs, lam):
@@ -199,7 +192,7 @@ def _dominant_below(rs, lam):
     # the inverse-transpose Cartan has nonnegative entries, so dominance of mu
     # pins each root coefficient of lam - mu below the coefficient of proj
     bounds = [max(int(c), 0) for c in rs.rootCoefficients(proj)]
-    reflections = _reflections(rs)
+    reflections = rs.reflections
     out = []
     for cvec in itertools.product(*(range(b + 1) for b in bounds)):
         mu = list(lam)
@@ -210,13 +203,6 @@ def _dominant_below(rs, lam):
         if all(mu[p] >= 0 for p, _ in reflections):
             out.append((sum(cvec), tuple(mu)))
     return out
-
-
-def _int_gram(rs):
-    """The gram scaled by the lcm of its denominators, as int rows: a
-    pairing on it is the inner product times one positive constant."""
-    scale = math.lcm(*(x.denominator for row in rs.gram for x in row))
-    return [[int(x * scale) for x in row] for row in rs.gram]
 
 
 def _pairing(gram, u, v):
@@ -231,13 +217,13 @@ def _freudenthal(rs, lam):
     recursion runs on int tuples, with the int gram; the quotient
     acc / denom does not change under its scale.
     """
-    gram = _int_gram(rs)
+    gram = rs.intGram
 
     def shifted_norm(mu):
-        mu_rho = tuple(a + int(r) for a, r in zip(mu, rs.rho))
+        mu_rho = tuple(map(add, mu, rs.intRho))
         return _pairing(gram, mu_rho, mu_rho)
 
-    reflections = _reflections(rs)
+    reflections = rs.reflections
 
     def dominant(v):
         while True:
@@ -249,8 +235,7 @@ def _freudenthal(rs, lam):
             else:
                 return v
 
-    roots = [tuple(int(c) for c in alpha) for alpha in rs.positiveRoots]
-    roots = [(alpha, _pairing(gram, alpha, alpha)) for alpha in roots]
+    roots = [(alpha, _pairing(gram, alpha, alpha)) for alpha in rs.intRoots]
     target = shifted_norm(lam)
     mult = {lam: 1}
     for _, mu in sorted(_dominant_below(rs, lam)):
@@ -279,24 +264,6 @@ def _freudenthal(rs, lam):
         if val:
             mult[mu] = val
     return mult
-
-
-def _orbit(reflections, mu):
-    """The Weyl orbit of an int weight; reflections from _reflections."""
-    seen = {mu}
-    frontier = [mu]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for p, alpha in reflections:
-                c = v[p]
-                if c:
-                    w = tuple(x - c * a for x, a in zip(v, alpha))
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-        frontier = nxt
-    return seen
 
 
 def _character_from_ints(rs, weights):
@@ -358,10 +325,9 @@ def _irreducible_weights(rs, lam):
     weights = _cached_weights(rs, lam, cache.load(rs, lam))
     if weights is not None:
         return weights
-    reflections = _reflections(rs)
     weights = {}
     for mu, m in _freudenthal(rs, tuple(int(c) for c in lam)).items():
-        for v in _orbit(reflections, mu):
+        for v in rs.orbit(mu):
             weights[v] = m
     doc = {"system": cache.system_key(rs),
            "lambda": ",".join(weightToStrings(lam)),
@@ -387,9 +353,9 @@ def _peel(rs, L, rest):
     Each step takes the dominant support weight with the greatest
     (|w + rho|^2, w), which is extremal, and subtracts its irreducible.
     """
-    gram = _int_gram(rs)
+    gram = rs.intGram
     simple = rs.simple_positions
-    shift = tuple(L * int(r) for r in rs.rho)
+    shift = tuple(L * r for r in rs.intRho)
 
     def key(u):
         v = tuple(map(add, u, shift))

@@ -205,7 +205,7 @@ def cmd_root_system(config, args):
 def cmd_orbit(config, args):
     rs = systemFromLabel(args.type)
     lam = rs.weight(_parse_weight(args.weight))
-    orbit = sorted(rs.weylOrbit(lam))
+    orbit = rs.weylOrbit(lam)
     payload = {"label": rs.label, "weight": _wstr(lam),
                "orbitSize": len(orbit),
                "orbit": [_wstr(w) for w in orbit]}

@@ -12,6 +12,13 @@ Conventions, fixed once and used by every downstream module:
   get the identity gram.  Subgroup systems built by equalRankPair override
   the gram with the one inherited from the ambient group.
 * Simple factors follow Bourbaki node ordering.
+
+A RootSystem also holds its root data on ints, built once: the Cartan
+rows as int weights (``reflections``), the positive roots
+(``intRoots``), rho (``intRho``) and the gram scaled by the lcm of its
+denominators (``intGram``).  Weyl-group arithmetic (reflections, orbits,
+the positive-root closure) runs on them; ``simpleRoots``,
+``positiveRoots``, ``rho`` and ``gram`` are the same data as rationals.
 """
 
 import math
@@ -106,16 +113,33 @@ class RootSystem:
         self._blocks = blocks
 
         self.cartanMatrix = self._assemble_cartan()
-        self.simpleRoots = self._simple_roots_full()
-        self.gram = self._assemble_gram() if gram is None else \
+        # s_i(v) = v - v[p] alpha_i, alpha_i the Cartan row as an int weight
+        self.reflections = []
+        for p, row in zip(self.simple_positions, self.cartanMatrix):
+            alpha = [0] * self.rank
+            for q, c in zip(self.simple_positions, row):
+                alpha[q] = c
+            self.reflections.append((p, tuple(alpha)))
+        self.simpleRoots = [tuple(map(rat, alpha))
+                            for _, alpha in self.reflections]
+        # the one inverse of the Cartan matrix: the gram reads it, and its
+        # transpose expands a weight over the simple roots
+        n = len(self.simple_positions)
+        ainv = (ExactMatrix.from_rows(self.cartanMatrix)
+                .solve(ExactMatrix.identity(n)) if n else None)
+        self._root_coef_mat = None if ainv is None else ainv.transpose()
+        self.gram = self._assemble_gram(ainv) if gram is None else \
             [[rat(x) for x in row] for row in gram]
         if len(self.gram) != self.rank or any(len(r) != self.rank for r in self.gram):
             raise SystemMismatch("gram size != rank")
+        scale = math.lcm(*(x.denominator for row in self.gram for x in row))
+        self.intGram = [[int(x * scale) for x in row] for row in self.gram]
         self._functionals = {}
-        self._root_coef_mat = self._root_coefficient_matrix()
-        self.positiveRoots = self._positive_closure()
-        self.rho = tuple(ONE if i in set(self.simple_positions) else ZERO
-                         for i in range(self.rank))
+        self.intRoots = self._positive_closure()
+        self.positiveRoots = tuple(tuple(map(rat, a)) for a in self.intRoots)
+        simple_set = set(self.simple_positions)
+        self.intRho = tuple(int(i in simple_set) for i in range(self.rank))
+        self.rho = tuple(map(rat, self.intRho))
         half = self.rhoFromPositiveRoots()
         if half != self.rho:
             raise InternalError("rho consistency failed: %r vs %r" % (half, self.rho))
@@ -140,28 +164,19 @@ class RootSystem:
             base += r
         return cm
 
-    def _simple_roots_full(self):
-        roots = []
-        for k, pos in enumerate(self.simple_positions):
-            coords = [ZERO] * self.rank
-            for m, pos2 in enumerate(self.simple_positions):
-                coords[pos2] = rat(self.cartanMatrix[k][m])
-            roots.append(tuple(coords))
-        return roots
-
-    def _assemble_gram(self):
+    def _assemble_gram(self, ainv):
+        """g[p_i][p_j] = d_i (A^-1)_ji on simple positions, the identity on
+        torus positions; ainv is A^-1 for the whole Cartan matrix A."""
         g = [[ZERO] * self.rank for _ in range(self.rank)]
-        for f, r, off in self._blocks:
-            if f == "Torus":
-                for i in range(r):
-                    g[off + i][off + i] = ONE
-                continue
-            a = ExactMatrix.from_rows(_cartan_block(f, r))
-            ainv = a.solve(ExactMatrix.identity(r))
-            d = _half_lengths(f, r)
-            for i in range(r):
-                for j in range(r):
-                    g[off + i][off + j] = d[i] * ainv.get(j, i)[0]
+        simple_set = set(self.simple_positions)
+        for i in range(self.rank):
+            if i not in simple_set:
+                g[i][i] = ONE
+        d = [h for f, r, _ in self._blocks if f != "Torus"
+             for h in _half_lengths(f, r)]
+        for i, p in enumerate(self.simple_positions):
+            for j, q in enumerate(self.simple_positions):
+                g[p][q] = d[i] * ainv.get(j, i)[0]
         for i in range(self.rank):
             for j in range(i):
                 if g[i][j] != g[j][i]:
@@ -169,34 +184,29 @@ class RootSystem:
         return g
 
     def _positive_closure(self):
-        roots = set(self.simpleRoots)
-        frontier = list(roots)
-        nsimple = len(self.simple_positions)
+        """The positive roots as sorted int tuples: the simple roots closed
+        under the simple reflections, each root carrying its simple-root
+        coefficients; a root is positive when they are all >= 0."""
+        n = len(self.reflections)
+        coeffs = {alpha: tuple(int(i == k) for i in range(n))
+                  for k, (_, alpha) in enumerate(self.reflections)}
+        frontier = list(coeffs)
         while frontier:
             nxt = []
             for v in frontier:
-                for i in range(nsimple):
-                    w = self.reflect(i, v)
-                    if w not in roots:
-                        roots.add(w)
+                cv = coeffs[v]
+                for i, (p, alpha) in enumerate(self.reflections):
+                    c = v[p]
+                    if not c:
+                        continue
+                    w = tuple(x - c * a for x, a in zip(v, alpha))
+                    if w not in coeffs:
+                        cw = list(cv)
+                        cw[i] -= c
+                        coeffs[w] = tuple(cw)
                         nxt.append(w)
             frontier = nxt
-        pos = []
-        for v in roots:
-            coeffs = self.rootCoefficients(v)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
-                pos.append(v)
-        pos.sort()
-        return tuple(pos)
-
-    def _root_coefficient_matrix(self):
-        n = len(self.simple_positions)
-        if n == 0:
-            return None
-        m = ExactMatrix.from_rows(
-            [[self.simpleRoots[j][p] for j in range(n)]
-             for p in self.simple_positions])
-        return m.solve(ExactMatrix.identity(n))
+        return tuple(sorted(v for v, cv in coeffs.items() if min(cv) >= 0))
 
     # -- weights ------------------------------------------------------------
 
@@ -270,10 +280,10 @@ class RootSystem:
     def reflect(self, i, lam):
         """Simple reflection s_i, i indexing simpleRoots."""
         lam = self.weight(lam)
-        c = lam[self.simple_positions[i]]
+        p, alpha = self.reflections[i]
+        c = lam[p]
         if not c:
             return lam
-        alpha = self.simpleRoots[i]
         return tuple(x - c * a for x, a in zip(lam, alpha))
 
     def makeDominant(self, lam):
@@ -289,35 +299,39 @@ class RootSystem:
             else:
                 return lam, WeylElement(word)
 
-    def weylOrbit(self, lam):
-        lam = self.weight(lam)
-        seen = {lam}
-        frontier = [lam]
-        nsimple = len(self.simple_positions)
+    def orbit(self, v):
+        """The Weyl orbit of v, a tuple of ints or of rationals, as a set."""
+        seen = {v}
+        frontier = [v]
         while frontier:
             nxt = []
-            for v in frontier:
-                for i in range(nsimple):
-                    w = self.reflect(i, v)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
+            for u in frontier:
+                for p, alpha in self.reflections:
+                    c = u[p]
+                    if c:
+                        w = tuple(x - c * a for x, a in zip(u, alpha))
+                        if w not in seen:
+                            seen.add(w)
+                            nxt.append(w)
             frontier = nxt
-        return sorted(seen)
+        return seen
+
+    def weylOrbit(self, lam):
+        return sorted(self.orbit(self.weight(lam)))
 
     def isRegular(self, lam):
         lam = self.weight(lam)
         return all(self.innerProduct(lam, a) != 0 for a in self.positiveRoots)
 
     def weylGroupOrder(self):
-        return len(self.weylOrbit(self.rho))
+        return len(self.orbit(self.intRho))
 
     def rhoFromPositiveRoots(self):
-        acc = [ZERO] * self.rank
-        for a in self.positiveRoots:
+        acc = [0] * self.rank
+        for a in self.intRoots:
             for i in range(self.rank):
                 acc[i] += a[i]
-        return tuple(c / 2 for c in acc)
+        return tuple(rat(c, 2) for c in acc)
 
     def __eq__(self, other):
         return (isinstance(other, RootSystem)

@@ -192,18 +192,15 @@ def buildLieRep(rs, lam):
     top = ExactMatrix.zeros(1, ambient)
     top.put(0, 0, 1)
     simple_dirs = []
-    for i in range(len(rs.simple_positions)):
-        beta = [rat(0)] * rs.rank
-        for j, sp in enumerate(rs.simple_positions):
-            beta[sp] = rat(rs.cartanMatrix[i][j])
-        adir = frame.index(("A", tuple(beta)))
+    for beta in rs.simpleRoots:
+        adir = frame.index(("A", beta))
         fa, fb = pis[adir], pis[adir + 1]
         lower = fa.scale(rat(-1, 2)) + fb.scale((ZERO, rat(-1, 2)))
         raiser = fa.scale(rat(1, 2)) + fb.scale((ZERO, rat(-1, 2)))
         if not (top * raiser.transpose()).is_zero():
             raise InternalError("a raising operator moves the highest"
                                 " weight vector")
-        simple_dirs.append((tuple(beta), lower.transpose()))
+        simple_dirs.append((beta, lower.transpose()))
 
     # cyclic closure under the lowering operators, one height level at a
     # time: the weight space at nw is the row space of the images of the

@@ -12,7 +12,11 @@
   kernel in ``polarized.polarizedExpand``;
 - ``fractionDecompose`` is the highest-weight peel on ``Fraction`` weights,
   one ``innerProduct`` per dominant support weight per step: the oracle
-  for the integer peel in ``characters.decomposeCharacter``.
+  for the integer peel in ``characters.decomposeCharacter``;
+- ``fractionRootData`` builds a system's roots, gram and rho on
+  ``Fraction`` weights, one ``ExactMatrix`` solve per simple factor and
+  one root-coefficient product per root: the oracle for the int core of
+  ``liecore.RootSystem``.
 """
 
 from diracforge.characters import irreducibleCharacter
@@ -21,6 +25,7 @@ from diracforge.dirac import _scalar_of, cubicDirac
 from diracforge.errors import (BadStructureConstants, DiracforgeError,
                                NonGenericPolarization)
 from diracforge.exactmat import ExactMatrix, inverse_rows
+from diracforge.liecore import _cartan_block, _half_lengths
 from diracforge.rationals import ZERO, rat, rat_str
 
 
@@ -146,3 +151,65 @@ def fractionDecompose(chi):
                 rest.pop(w, None)
         out[best] = out.get(best, 0) + m
     return out
+
+
+def fractionRootData(factors, gram=None):
+    """(simpleRoots, positiveRoots, gram, rho, coefficients) of the system
+    with these factors, on Fraction weights: the Cartan rows as rational
+    weights, the gram d_i (A^-1)_ji solved block by block (gram, when
+    given, replaces it), the simple roots closed under Fraction
+    reflections, a root kept as positive when its ExactMatrix expansion
+    over the simple roots is >= 0, and rho half their sum.  coefficients(v)
+    expands v over the simple roots, None when v is outside their span."""
+    rank = sum(r for _, r in factors)
+    positions, simple = [], []
+    g = [[ZERO] * rank for _ in range(rank)]
+    offset = 0
+    for f, r in factors:
+        if f == "Torus":
+            for i in range(offset, offset + r):
+                g[i][i] = rat(1)
+        else:
+            positions.extend(range(offset, offset + r))
+            block = _cartan_block(f, r)
+            for row in block:
+                coords = [ZERO] * rank
+                for j, c in enumerate(row):
+                    coords[offset + j] = rat(c)
+                simple.append(tuple(coords))
+            ainv = ExactMatrix.from_rows(block).solve(ExactMatrix.identity(r))
+            d = _half_lengths(f, r)
+            for i in range(r):
+                for j in range(r):
+                    g[offset + i][offset + j] = d[i] * ainv.get(j, i)[0]
+        offset += r
+    if gram is not None:
+        g = [[rat(x) for x in row] for row in gram]
+    n = len(positions)
+    coef = ExactMatrix.from_rows(
+        [[simple[j][p] for j in range(n)] for p in positions]
+    ).solve(ExactMatrix.identity(n)) if n else None
+
+    def coefficients(v):
+        if not n:
+            return None if any(v) else ()
+        if any(v[i] for i in range(rank) if i not in positions):
+            return None
+        c = coef * ExactMatrix.from_rows([[v[p]] for p in positions])
+        return tuple(c.get(i, 0)[0] for i in range(n))
+
+    roots = set(simple)
+    frontier = list(roots)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for p, alpha in zip(positions, simple):
+                w = tuple(x - v[p] * a for x, a in zip(v, alpha))
+                if w not in roots:
+                    roots.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    positive = tuple(sorted(v for v in roots
+                            if all(c >= 0 for c in coefficients(v))))
+    rho = tuple(sum((a[i] for a in positive), ZERO) / 2 for i in range(rank))
+    return simple, positive, g, rho, coefficients

@@ -1,12 +1,17 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from diracforge.errors import IncompatiblePair, SystemMismatch, UnsupportedType
+from diracforge.exactmat import ExactMatrix
 from diracforge.liecore import (RootSystem, equalRankPair, pairFromLabel,
                                 systemFromLabel, weightFromStrings,
                                 weightToStrings)
 from diracforge.rationals import rat
+
+from helpers import fractionRootData
 
 ALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "C2", "D4", "T1", "T4",
               "A1xT1", "A1xA1", "A2xT2"]
@@ -242,3 +247,72 @@ def test_pair_keep_subsets_integral():
         # integral G-weights land on integral H-coordinates
         assert all(c.denominator == 1 for c in lamH)
         assert p.weightToG(lamH) == lam
+
+
+def _check_against_oracle(rs, gram=None):
+    simple, positive, g, rho, coefficients = fractionRootData(rs.factors,
+                                                              gram)
+    assert rs.simpleRoots == simple
+    assert rs.positiveRoots == positive
+    assert rs.gram == g
+    assert rs.rho == rho
+    for coords in (*rs.simpleRoots, *rs.positiveRoots, rho, *rs.gram):
+        assert all(type(c) is Fraction for c in coords)
+    rng = random.Random(31)
+    probes = [*positive, rho, rs.zeroWeight(),
+              *(rand_weight(rs, rng) for _ in range(10))]
+    if rs.simple_positions:
+        # the same probes with their torus coordinates cleared
+        probes += [tuple(c if i in rs.simple_positions else rat(0)
+                         for i, c in enumerate(v)) for v in probes]
+    for v in probes:
+        assert rs.rootCoefficients(v) == coefficients(v)
+    # the int data is the same data
+    assert rs.positiveRoots == tuple(tuple(map(rat, a)) for a in rs.intRoots)
+    assert rs.rho == tuple(map(rat, rs.intRho))
+    scale = math.lcm(*(x.denominator for row in rs.gram for x in row))
+    assert rs.intGram == [[x * scale for x in row] for row in rs.gram]
+    assert all(type(x) is int for row in rs.intGram for x in row)
+    assert [tuple(map(rat, alpha)) for _, alpha in rs.reflections] \
+        == rs.simpleRoots
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_int_core_matches_fraction_oracle(label):
+    _check_against_oracle(systemFromLabel(label))
+
+
+@pytest.mark.parametrize("pair", ["A2:u2", "A2:T", "A3:T", "A3:keep=0,1",
+                                  "A4:T"])
+def test_int_core_matches_fraction_oracle_on_inherited_gram(pair):
+    p = pairFromLabel(pair)
+    g = p.g
+    # the H gram pairs the G images of the H coordinate vectors
+    units = [p.weightToG(tuple(rat(int(i == j)) for j in range(g.rank)))
+             for i in range(g.rank)]
+    _check_against_oracle(p.h, [[g.innerProduct(u, v) for v in units]
+                                for u in units])
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "D4", "A1xT1"])
+def test_orbit_on_ints_and_rationals(label):
+    rs = systemFromLabel(label)
+    rng = random.Random(8)
+    for _ in range(5):
+        u = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+        orbit = rs.orbit(u)
+        assert all(type(c) is int for v in orbit for c in v)
+        assert rs.weylOrbit(u) == sorted(tuple(map(rat, v)) for v in orbit)
+
+
+@pytest.mark.parametrize("label, solves", [("A4", 1), ("D4", 1), ("T2", 0)])
+def test_construction_solves_the_cartan_matrix_once(label, solves,
+                                                    monkeypatch):
+    calls = {"solve": 0, "_matmul": 0}
+    for name in calls:
+        def counted(self, other, _call=getattr(ExactMatrix, name), _name=name):
+            calls[_name] += 1
+            return _call(self, other)
+        monkeypatch.setattr(ExactMatrix, name, counted)
+    systemFromLabel(label)
+    assert calls == {"solve": solves, "_matmul": 0}
