@@ -13,6 +13,7 @@ from .liecore import pairFromLabel, systemFromLabel
 from .characters import (ConeSeries, FormalCharacter, characterToSeries,
                          irreducibleCharacter, restrictCharacter,
                          tensorDecompose)
+from .clifford import splitCliffordForPair
 from .dirac import kernelIndex, spectralCheckRelative, verifyKostantIdentity
 from .induction import (diracInduct, inductCharacter,
                         multiplicityTransferCheck)

@@ -19,7 +19,7 @@ from itertools import product as cartesian
 from . import cache
 from .characters import (ConeSeries, FormalCharacter, _irreducible_weights,
                          restrictCharacter, tensorDecompose)
-from .clifford import buildCliffordFrame
+from .clifford import frameClifford
 from .dirac import spectralCheckRelative, verifyKostantIdentity
 from .errors import (DiracforgeError, InternalError, SpectralMismatch,
                      VerificationError)
@@ -283,13 +283,6 @@ def cmd_induct(config, args):
     return payload, text
 
 
-def _frame_clifford(rep):
-    fr = rep.frame
-    hints = tuple((i, i + 1) for i, nm in enumerate(fr.names)
-                  if nm[0] == "A")
-    return buildCliffordFrame(fr.gram, hints)
-
-
 def _dominant_box(rs, bound):
     if bound < 0:
         raise DiracforgeError("sweep bound must be nonnegative")
@@ -309,7 +302,7 @@ def cmd_verify_kostant(config, args):
     affine = None
     for lam in lams:
         rep = buildLieRep(rs, lam)
-        one = verifyKostantIdentity(rep, _frame_clifford(rep))
+        one = verifyKostantIdentity(rep, frameClifford(rep.frame))
         if not one["scalarMatches"]:
             raise SpectralMismatch(
                 "scalar %s differs from |lambda+rho|^2 = %s at lambda ="

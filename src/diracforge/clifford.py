@@ -19,6 +19,10 @@ the obstruction.
 
 Every module carries its positive Hermitian form (diagonal, rational);
 c(e) is skew-adjoint with respect to it.
+
+For an equal-rank pair, PairSpinors holds what the relative operator reads
+of the p spinors; splitCliffordForPair adds S_h and the Cl(g)-module
+S_h (x) S_p on top of it.
 """
 
 from . import structure as _structure
@@ -288,6 +292,18 @@ def buildCliffordFrame(gram, pair_hints=()):
                           pivot_data)
 
 
+def frameClifford(frame):
+    """The module of a compact frame, each root pair (A_b, B_b) sharing a
+    block so the torus acts diagonally; built once and kept on the frame,
+    which every representation of its system shares."""
+    cl = getattr(frame, "_clifford", None)
+    if cl is None:
+        hints = tuple((i, i + 1) for i, nm in enumerate(frame.names)
+                      if nm[0] == _structure.ROOT_A)
+        cl = frame._clifford = buildCliffordFrame(frame.gram, hints)
+    return cl
+
+
 # ----------------------------------------------------------------- spin rep
 
 def _validate_structure(structure):
@@ -366,37 +382,65 @@ def hSpinAction(pframe, s_p, h_local):
     return _spin_of(brackets, s_p, pframe.pGramInverse)
 
 
-def spinorWeights(pair, pframe, s_p):
-    """G-weights of the S_p basis vectors, read off the (diagonal) torus
-    spin action."""
-    rank = pair.g.rank
-    cartan_local = [pframe.hIndices.index(p) for p in range(rank)]
-    actions = [hSpinAction(pframe, s_p, cartan_local[p]) for p in range(rank)]
-    for m in actions:
-        if m != ExactMatrix.diag([m.get(v, v) for v in range(m.nrows)]):
-            raise CliffordConstructionError("torus spin action is not diagonal")
-    weights = []
-    for v in range(s_p.size):
-        coords = []
-        for p in range(rank):
-            re, im = actions[p].get(v, v)
-            if re != 0:
-                raise CliffordConstructionError("torus eigenvalue not imaginary")
-            coords.append(im)
-        weights.append(tuple(coords))
-    return weights
+class PairSpinors:
+    """The part of the relative operator that no lambda changes, built
+    once for an equal-rank pair: the pair frame, the graded S_p, the spin
+    map ad^p on it, the spin action of each h direction, and the weights
+    of the S_p basis vectors in G and in H coordinates.
 
+    S_p is built with the root pairs sharing blocks, so the torus acts
+    diagonally and the weights are read off it; its grading is oriented
+    so the rho shift of the pair sits in the + eigenspace.
+    """
 
-def _fix_grading_sign(pair, pframe, s_p):
-    """Orient the S_p grading so the highest spinor weight (the rho-shift
-    of the pair, in G coordinates) sits in the + eigenspace."""
-    weights = spinorWeights(pair, pframe, s_p)
-    target = pair.weightToG(pair.shift)
-    hits = [v for v, w in enumerate(weights) if w == target]
-    if len(hits) != 1:
-        raise CliffordConstructionError("rho-shift spinor weight not unique")
-    sign = s_p.grading.get(hits[0], hits[0])[0]
-    return s_p if sign == 1 else s_p.withGradingSign(-1)
+    def __init__(self, pair):
+        self.pair = pair
+        self.pframe = pframe = _structure.PairFrame(pair)
+        hints = tuple((2 * i, 2 * i + 1) for i in range(len(pair.pRoots)))
+        s_p = buildCliffordFrame(pframe.pGram, hints)
+        if s_p.grading is None:
+            raise CliffordConstructionError("p spinors must be graded")
+        # the spin actions read only the gammas, which the sign leaves alone
+        self.hSpin = tuple(hSpinAction(pframe, s_p, local)
+                           for local in range(len(pframe.hIndices)))
+        self.gWeights = self._torus_weights(s_p.size)
+        self.s_p = self._oriented(s_p)
+        self.pSpin = spinRepresentation(PStructure(pframe), self.s_p)
+        self.hWeights = tuple(pair.weightToH(w) for w in self.gWeights)
+
+    def _torus_weights(self, size):
+        """G-weights of the S_p basis vectors, read off the (diagonal)
+        spin actions of the Cartan directions."""
+        h_indices = self.pframe.hIndices
+        actions = [self.hSpin[h_indices.index(p)]
+                   for p in range(self.pair.g.rank)]
+        for m in actions:
+            if m != ExactMatrix.diag([m.get(v, v) for v in range(size)]):
+                raise CliffordConstructionError(
+                    "torus spin action is not diagonal")
+        weights = []
+        for v in range(size):
+            coords = []
+            for m in actions:
+                re, im = m.get(v, v)
+                if re != 0:
+                    raise CliffordConstructionError(
+                        "torus eigenvalue not imaginary")
+                coords.append(im)
+            weights.append(tuple(coords))
+        return tuple(weights)
+
+    def _oriented(self, s_p):
+        """s_p with its grading sign chosen so the highest spinor weight
+        (the rho shift of the pair, in G coordinates) sits in the +
+        eigenspace."""
+        target = self.pair.weightToG(self.pair.shift)
+        hits = [v for v, w in enumerate(self.gWeights) if w == target]
+        if len(hits) != 1:
+            raise CliffordConstructionError(
+                "rho-shift spinor weight not unique")
+        sign = s_p.grading.get(hits[0], hits[0])[0]
+        return s_p if sign == 1 else s_p.withGradingSign(-1)
 
 
 class SpinorEmbedding:
@@ -423,19 +467,15 @@ class SpinorEmbedding:
 def splitCliffordForPair(pair):
     """(S_h, S_p, embedding) for an equal-rank pair.
 
-    S_p is built with the root pairs sharing blocks (torus-diagonal) and
-    its grading oriented by the rho shift; S_h covers the whole Cartan plus
-    the kept root pairs.  The embedding realizes Cl(g) on S_h (x) S_p.
+    S_p and the pair frame are those of PairSpinors(pair); S_h covers the
+    whole Cartan plus the kept root pairs.  The embedding realizes Cl(g)
+    on S_h (x) S_p.  The relative operator needs only S_p and never
+    builds S_h.
     """
-    pframe = _structure.PairFrame(pair)
-    hint_p = tuple((2 * i, 2 * i + 1) for i in range(len(pair.pRoots)))
-    s_p = buildCliffordFrame(pframe.pGram, hint_p)
-    if s_p.dim:
-        if s_p.grading is None:
-            raise CliffordConstructionError("p spinors must be graded")
-        s_p = _fix_grading_sign(pair, pframe, s_p)
-    kept_pairs = (len(pframe.hIndices) - pair.g.rank) // 2
+    spinors = PairSpinors(pair)
+    pframe = spinors.pframe
     rank = pair.g.rank
+    kept_pairs = (len(pframe.hIndices) - rank) // 2
     hint_h = tuple((rank + 2 * i, rank + 2 * i + 1) for i in range(kept_pairs))
     s_h = buildCliffordFrame(pframe.hGram, hint_h)
-    return s_h, s_p, SpinorEmbedding(pframe, s_h, s_p)
+    return s_h, spinors.s_p, SpinorEmbedding(pframe, s_h, spinors.s_p)

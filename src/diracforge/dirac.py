@@ -18,13 +18,22 @@ formula, which is part of the audit's point).  With delta_a = pi_a (x) 1 +
 -sum (G^-1)_{ab} delta_a delta_b is read expanded, as
 Cas_V (x) 1 - 1 (x) sum (G^-1)_{ab} ad_a ad_b - 2 sum_a pi_a (x) ad^a
 with ad^a = sum_b (G^-1)_{ab} ad_b, so no product is formed on V (x) S.
+
+What does not depend on lambda is built once per request and kept on the
+object it belongs to: the frame on its system (structure.buildFrame), the
+frame's module and spin map on the frame, the strange-formula constant on
+the system, and a pair's PairSpinors (pair frame, graded S_p, the spin
+maps of p and h on S_p, the spinor weights) on the pair.  Every lambda of
+a sweep or of kernelIndex reads them; the checks that depend on lambda
+(the rep, self-adjoint and odd, H-equivariance, the square, the block
+scalars) still run for each lambda.  The relative operator acts on
+V (x) S_p, as in Cl(g) = Cl(h) (x) Cl(p), and never builds S_h.
 """
 
 import itertools
 
 from .characters import FormalCharacter, decomposeCharacter, weylDimension
-from .clifford import (PStructure, hSpinAction, spinRepresentation,
-                       spinorWeights, splitCliffordForPair)
+from .clifford import PairSpinors, spinRepresentation
 from .errors import (DimensionMismatch, DiracforgeError, NotScalar,
                      SpectralMismatch, TooLarge)
 from .exactmat import ExactMatrix, combination, commutator, contract, \
@@ -79,7 +88,7 @@ def cubicDirac(rep, cl, q):
     if cl.gram != frame.gram:
         raise DimensionMismatch("Clifford gram differs from the frame gram")
     q = rat(q)
-    ads = spinRepresentation(frame, cl)
+    ads = _frame_spin(frame, cl)
     idv = ExactMatrix.identity(rep.dimension)
     total = _assemble(rep.pi, cl, frame.gramInverse, ads, q, idv)
     grading = None
@@ -88,6 +97,16 @@ def cubicDirac(rep, cl, q):
     form = rep.form.kron(cl.form)
     meta = {"lambda": rep.lam, "q": q, "relative": False, "spin": ads}
     return DiracOperator(total, grading, form, meta)
+
+
+def _frame_spin(frame, cl):
+    """spinRepresentation(frame, cl), kept on the frame with the module it
+    was built for: every lambda of a sweep shares the frame and its
+    module, and reads one spin map."""
+    kept = getattr(frame, "_spin", None)
+    if kept is None or kept[0] is not cl:
+        kept = frame._spin = (cl, spinRepresentation(frame, cl))
+    return kept[1]
 
 
 def _pi_dual(pi, mats, ginv, dim_v, size):
@@ -114,8 +133,12 @@ def piCasimir(rep):
 
 
 def _adjoint_trace_24th(rs):
-    """sum over simple factors of dim(factor) * <theta, theta + 2 rho>,
-    divided by 24; the strange formula makes this |rho|^2."""
+    """(sum over simple factors of dim(factor) * <theta, theta + 2 rho>,
+    divided by 24, and |rho|^2), computed once per system and kept on it;
+    the strange formula makes the two equal."""
+    kept = getattr(rs, "_trace_24th", None)
+    if kept is not None:
+        return kept
     total = ZERO
     rho2 = rs.innerProduct(rs.rho, rs.rho)
     # group positive roots by factor via their support
@@ -132,7 +155,8 @@ def _adjoint_trace_24th(rs):
             + 2 * rs.innerProduct(theta, rs.rho)
         dim_f = rs.factors[bi][1] + 2 * len(roots)
         total += rat(dim_f) * cas
-    return total / 24, rho2
+    kept = rs._trace_24th = (total / 24, rho2)
+    return kept
 
 
 def _tensor_diagonal_casimir(rep, ads, cas_v, size):
@@ -200,50 +224,43 @@ def verifyKostantIdentity(rep, cl):
 # ------------------------------------------------------------ relative case
 
 def _pair_split(pair):
-    """splitCliffordForPair(pair), built once per pair object and kept on
-    it: the split, with its frame and structure-constant checks, depends
-    only on the pair, while a sweep or kernelIndex needs it per lambda."""
-    split = getattr(pair, "_clifford_split", None)
-    if split is None:
-        split = pair._clifford_split = splitCliffordForPair(pair)
-    return split
+    """PairSpinors(pair), built once per pair object and kept on it: the
+    pair frame, S_p, its spin maps and the spinor weights depend only on
+    the pair, while a sweep or kernelIndex needs them for every lambda."""
+    spinors = getattr(pair, "_spinors", None)
+    if spinors is None:
+        spinors = pair._spinors = PairSpinors(pair)
+    return spinors
 
 
 class RelativePieces:
-    """Everything the relative operator and its checks share: the rep,
-    the pair frame, the p spinors, and the H-action on V (x) S_p."""
+    """Everything the relative operator and its checks share for one
+    lambda: the rep, the pair's spinors and the H-action on V (x) S_p."""
 
     def __init__(self, pair, lam):
         self.pair = pair
         self.rep = buildLieRep(pair.g, lam)
-        _, s_p, emb = _pair_split(pair)
-        self.s_p = s_p
-        self.pframe = emb.pairFrame
-        size = self.rep.dimension * s_p.size
+        self.spinors = spinors = _pair_split(pair)
+        self.s_p = spinors.s_p
+        self.pframe = spinors.pframe
+        size = self.rep.dimension * self.s_p.size
         if size > RELATIVE_SIZE_LIMIT:
             raise TooLarge("V (x) S_p would be %d x %d; limit %d"
                            % (size, size, RELATIVE_SIZE_LIMIT))
         self.idv = ExactMatrix.identity(self.rep.dimension)
-        self.ids = ExactMatrix.identity(s_p.size)
-        self.spin_weights = spinorWeights(pair, self.pframe, s_p) \
-            if s_p.dim else [tuple(ZERO for _ in range(pair.g.rank))]
-
-    def hAction(self, local):
-        """pi(Y) (x) 1 + 1 (x) spin(Y) for the local-th h direction."""
-        a = self.pframe.hIndices[local]
-        spin = hSpinAction(self.pframe, self.s_p, local) if self.s_p.dim \
-            else ExactMatrix.zeros(1)
-        return self.rep.pi[a].kron(self.ids) + self.idv.kron(spin)
+        ids = ExactMatrix.identity(self.s_p.size)
+        # pi(Y) (x) 1 + 1 (x) spin(Y) for each local h direction Y
+        self.hActions = tuple(
+            self.rep.pi[a].kron(ids) + self.idv.kron(spin)
+            for a, spin in zip(self.pframe.hIndices, spinors.hSpin))
 
     def tensorHWeights(self):
         """H-weight of each tensor basis vector, row-major V x S_p."""
-        pair = self.pair
         out = []
         for wv in self.rep.weights:
-            base = pair.weightToH(wv)
-            for ws in self.spin_weights:
-                spin_h = pair.weightToH(ws)
-                out.append(tuple(a + b for a, b in zip(base, spin_h)))
+            base = self.pair.weightToH(wv)
+            out.extend(tuple(a + b for a, b in zip(base, spin_h))
+                       for spin_h in self.spinors.hWeights)
         return out
 
     def raisingOps(self):
@@ -254,8 +271,7 @@ class RelativePieces:
         for local, a in enumerate(self.pframe.hIndices):
             if a < rank or self.pframe.frame.names[a][0] != "A":
                 continue
-            ea = self.hAction(local)
-            eb = self.hAction(local + 1)
+            ea, eb = self.hActions[local], self.hActions[local + 1]
             ops.append(ea.scale(half) + eb.scale((ZERO, -half)))
         return ops
 
@@ -268,16 +284,15 @@ def relativeCubicDirac(pair, lam, pieces=None):
     rep, s_p, pframe = rp.rep, rp.s_p, rp.pframe
     n = rep.dimension * s_p.size
     pi = [rep.pi[a] for a in pframe.pIndices]
-    ads = spinRepresentation(PStructure(pframe), s_p)
-    total = _assemble(pi, s_p, pframe.pGramInverse, ads, rat(1, 3), rp.idv)
-    grading = rp.idv.kron(s_p.grading) if s_p.dim \
-        else ExactMatrix.identity(n)
+    total = _assemble(pi, s_p, pframe.pGramInverse, rp.spinors.pSpin,
+                      rat(1, 3), rp.idv)
+    grading = rp.idv.kron(s_p.grading)
     form = rep.form.kron(s_p.form)
     meta = {"lambda": rep.lam, "q": rat(1, 3), "relative": True}
     op = DiracOperator(total, grading, form, meta)
     zero = ExactMatrix.zeros(n)
-    for local in range(len(pframe.hIndices)):
-        if commutator(total, rp.hAction(local)) != zero:
+    for action in rp.hActions:
+        if commutator(total, action) != zero:
             raise BadOperator("relative operator is not H-equivariant")
     return op
 

@@ -14,8 +14,9 @@ Conventions, fixed once and used by every downstream module:
 * Simple factors follow Bourbaki node ordering.
 
 A RootSystem also holds its root data on ints, built once: the Cartan
-rows as int weights (``reflections``), the positive roots
-(``intRoots``), rho (``intRho``) and the gram scaled by the lcm of its
+rows as int weights (``reflections``), the positive roots (``intRoots``)
+with their simple-root coefficients (``intRootCoefficients``, in the same
+order), rho (``intRho``) and the gram scaled by the lcm of its
 denominators (``intGram``).  Weyl-group arithmetic (reflections, orbits,
 the positive-root closure) runs on them; ``simpleRoots``,
 ``positiveRoots``, ``rho`` and ``gram`` are the same data as rationals.
@@ -135,7 +136,7 @@ class RootSystem:
         scale = math.lcm(*(x.denominator for row in self.gram for x in row))
         self.intGram = [[int(x * scale) for x in row] for row in self.gram]
         self._functionals = {}
-        self.intRoots = self._positive_closure()
+        self.intRoots, self.intRootCoefficients = self._positive_closure()
         self.positiveRoots = tuple(tuple(map(rat, a)) for a in self.intRoots)
         simple_set = set(self.simple_positions)
         self.intRho = tuple(int(i in simple_set) for i in range(self.rank))
@@ -184,9 +185,10 @@ class RootSystem:
         return g
 
     def _positive_closure(self):
-        """The positive roots as sorted int tuples: the simple roots closed
-        under the simple reflections, each root carrying its simple-root
-        coefficients; a root is positive when they are all >= 0."""
+        """The positive roots as sorted int tuples, and their simple-root
+        coefficients in the same order: the simple roots closed under the
+        simple reflections, each root carrying its coefficients; a root is
+        positive when they are all >= 0."""
         n = len(self.reflections)
         coeffs = {alpha: tuple(int(i == k) for i in range(n))
                   for k, (_, alpha) in enumerate(self.reflections)}
@@ -206,7 +208,8 @@ class RootSystem:
                         coeffs[w] = tuple(cw)
                         nxt.append(w)
             frontier = nxt
-        return tuple(sorted(v for v, cv in coeffs.items() if min(cv) >= 0))
+        roots = tuple(sorted(v for v, cv in coeffs.items() if min(cv) >= 0))
+        return roots, tuple(coeffs[v] for v in roots)
 
     # -- weights ------------------------------------------------------------
 
@@ -493,12 +496,9 @@ class EqualRankPair:
             self._toG = ExactMatrix.identity(g.rank)
 
         keepset = set(keep)
-        self.pRoots = []
-        for a in g.positiveRoots:
-            coeffs = g.rootCoefficients(a)
-            if any(coeffs[j] for j in range(len(coeffs)) if j not in keepset):
-                self.pRoots.append(a)
-        self.pRoots = tuple(self.pRoots)
+        self.pRoots = tuple(
+            a for a, coeffs in zip(g.positiveRoots, g.intRootCoefficients)
+            if any(c for j, c in enumerate(coeffs) if j not in keepset))
 
         self.rhoG_H = self.weightToH(g.rho)
         self.shift = tuple(a - b for a, b in zip(self.rhoG_H, self.h.rho))

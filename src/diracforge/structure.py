@@ -113,8 +113,7 @@ class CompactFrame:
                     factor_of_simple[pos] = (bi, local)
                 pos += 1
 
-        for beta in rs.positiveRoots:
-            coeffs = rs.rootCoefficients(beta)
+        for beta, coeffs in zip(rs.positiveRoots, rs.intRootCoefficients):
             # locate the unique simple factor carrying this root
             support = [i for i, c in enumerate(coeffs) if c]
             bi0, _ = factor_of_simple[simple_set[support[0]]]
@@ -214,8 +213,14 @@ class CompactFrame:
         self._bracket_cache[key] = coef
         return coef
 
+
 def buildFrame(rs):
-    return CompactFrame(rs)
+    """The frame of rs, built once and kept on rs: every representation
+    and pair frame of the system shares it and its bracket cache."""
+    frame = getattr(rs, "_frame", None)
+    if frame is None:
+        frame = rs._frame = CompactFrame(rs)
+    return frame
 
 
 class PairFrame:
@@ -239,7 +244,10 @@ class PairFrame:
                            for a in self.pIndices)
         self.hGram = tuple(tuple(self.frame.gram[a][b] for b in self.hIndices)
                            for a in self.hIndices)
-        self.pGramInverse = inverse_rows(self.pGram)
+        # h and p are orthogonal, so the p block of G^-1 inverts pGram
+        inv = self.frame.gramInverse
+        self.pGramInverse = tuple(tuple(inv[a][b] for b in self.pIndices)
+                                  for a in self.pIndices)
         self._check_reductive()
 
     def _check_reductive(self):

@@ -13,6 +13,9 @@
 - ``fractionDecompose`` is the highest-weight peel on ``Fraction`` weights,
   one ``innerProduct`` per dominant support weight per step: the oracle
   for the integer peel in ``characters.decomposeCharacter``;
+- ``spinorWeights`` reads the G-weights of the S_p basis off spin actions
+  of the Cartan directions built one call at a time: the per-call route
+  that ``clifford.PairSpinors`` must reproduce;
 - ``fractionRootData`` builds a system's roots, gram and rho on
   ``Fraction`` weights, one ``ExactMatrix`` solve per simple factor and
   one root-coefficient product per root: the oracle for the int core of
@@ -20,7 +23,7 @@
 """
 
 from diracforge.characters import irreducibleCharacter
-from diracforge.clifford import buildCliffordFrame
+from diracforge.clifford import buildCliffordFrame, hSpinAction
 from diracforge.dirac import _scalar_of, cubicDirac
 from diracforge.errors import (BadStructureConstants, DiracforgeError,
                                NonGenericPolarization)
@@ -42,6 +45,20 @@ def commutantDimension(cl):
     stacked = ExactMatrix.vstack([g.kron(ident) - ident.kron(g.transpose())
                                   for g in cl.gamma], n * n)
     return stacked.nullspace().ncols
+
+
+def spinorWeights(pair, pframe, s_p):
+    """G-weights of the S_p basis vectors from one hSpinAction call per
+    Cartan direction, each action checked to be diagonal."""
+    actions = [hSpinAction(pframe, s_p, pframe.hIndices.index(p))
+               for p in range(pair.g.rank)]
+    for m in actions:
+        assert m == ExactMatrix.diag([m.get(v, v) for v in range(s_p.size)])
+    weights = []
+    for v in range(s_p.size):
+        assert all(m.get(v, v)[0] == 0 for m in actions)
+        weights.append(tuple(m.get(v, v)[1] for m in actions))
+    return tuple(weights)
 
 
 class RawStructure:

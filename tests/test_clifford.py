@@ -1,9 +1,10 @@
 import pytest
 
-from diracforge.clifford import (CliffordModule, PStructure, SpinorEmbedding,
-                                 _mixed_block, buildCliffordFrame,
+from diracforge.clifford import (CliffordModule, PairSpinors, PStructure,
+                                 SpinorEmbedding, _mixed_block,
+                                 buildCliffordFrame, frameClifford,
                                  hSpinAction, spinRepresentation,
-                                 spinorWeights, splitCliffordForPair)
+                                 splitCliffordForPair)
 from diracforge.errors import (BadStructureConstants, CliffordConstructionError,
                                TooLarge)
 from diracforge.exactmat import ExactMatrix, anticommutator, commutator
@@ -11,7 +12,8 @@ from diracforge.liecore import pairFromLabel, systemFromLabel
 from diracforge.rationals import ZERO, rat
 from diracforge.structure import PairFrame, buildFrame
 
-from helpers import RawStructure, buildClifford, commutantDimension
+from helpers import (RawStructure, buildClifford, commutantDimension,
+                     spinorWeights)
 
 
 def frame_module(label):
@@ -286,8 +288,8 @@ def test_split_shapes_and_relations(label):
 @pytest.mark.parametrize("label", sorted(PAIR_SIZE))
 def test_shift_weight_sits_in_plus_spinors(label):
     pair = pairFromLabel(label)
-    _, s_p, emb = splitCliffordForPair(pair)
-    ws = spinorWeights(pair, emb.pairFrame, s_p)
+    spinors = PairSpinors(pair)
+    s_p, ws = spinors.s_p, spinors.gWeights
     target = pair.weightToG(pair.shift)
     hits = [v for v, w in enumerate(ws) if w == target]
     assert len(hits) == 1
@@ -297,10 +299,10 @@ def test_shift_weight_sits_in_plus_spinors(label):
 def test_spinor_weights_are_half_sums():
     # S_p weights for A2:T are all signed half sums of the positive roots
     pair = pairFromLabel("A2:T")
-    _, s_p, emb = splitCliffordForPair(pair)
-    ws = spinorWeights(pair, emb.pairFrame, s_p)
-    roots = [emb.pairFrame.frame.names[a][1]
-             for a in emb.pairFrame.pIndices[::2]]
+    spinors = PairSpinors(pair)
+    ws = spinors.gWeights
+    roots = [spinors.pframe.frame.names[a][1]
+             for a in spinors.pframe.pIndices[::2]]
     half = rat(1, 2)
     expected = set()
     for signs in range(8):
@@ -310,6 +312,33 @@ def test_spinor_weights_are_half_sums():
             tot = [t + s * c for t, c in zip(tot, roots[k])]
         expected.add(tuple(tot))
     assert set(ws) == expected
+
+
+@pytest.mark.parametrize("label", ["A1:T", "A2:T", "A2:u2", "A2:full"])
+def test_pair_spinors_match_the_per_call_route(label):
+    # what a pair keeps for every lambda is what one call per lambda built
+    pair = pairFromLabel(label)
+    spinors = PairSpinors(pair)
+    pf, s_p = spinors.pframe, spinors.s_p
+    assert spinors.pSpin == spinRepresentation(PStructure(pf), s_p)
+    assert spinors.hSpin == tuple(hSpinAction(pf, s_p, hl)
+                                  for hl in range(len(pf.hIndices)))
+    weights = spinorWeights(pair, pf, s_p)
+    assert spinors.gWeights == weights
+    assert spinors.hWeights == tuple(pair.weightToH(w) for w in weights)
+    # the split's S_p is the pair's, sign included
+    _, split_p, _ = splitCliffordForPair(pair)
+    assert (split_p.gamma, split_p.grading) == (s_p.gamma, s_p.grading)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A1xA1", "A1xT1"])
+def test_frame_clifford_matches_a_fresh_module(label):
+    fr, cl = frame_module(label)
+    kept = frameClifford(fr)
+    assert frameClifford(fr) is kept
+    assert (kept.gamma, kept.grading, kept.form) \
+        == (cl.gamma, cl.grading, cl.form)
+    assert spinRepresentation(fr, kept) == spinRepresentation(fr, cl)
 
 
 def test_trivial_pair_split():

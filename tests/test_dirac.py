@@ -1,6 +1,9 @@
+import itertools
+import json
+
 import pytest
 
-from diracforge import dirac
+from diracforge import clifford, dirac, structure
 from diracforge.characters import FormalCharacter
 from diracforge.cli import main
 from diracforge.clifford import buildCliffordFrame
@@ -260,22 +263,88 @@ def test_relative_size_limit(monkeypatch):
 
 
 def test_clifford_split_built_once_per_pair(monkeypatch, capsys):
-    # the split depends only on the pair; a sweep over four lambdas and a
-    # kernelIndex over several lambdas each build it once
+    # the pair's spinors depend only on the pair; a sweep over four
+    # lambdas and a kernelIndex over several lambdas each build them once
     calls = []
-    real = dirac.splitCliffordForPair
+    real = dirac.PairSpinors
 
     def counting(pair):
         calls.append(pair)
         return real(pair)
 
-    monkeypatch.setattr(dirac, "splitCliffordForPair", counting)
+    monkeypatch.setattr(dirac, "PairSpinors", counting)
     assert main(["verify-relative", "--pair", "A2:u2", "--lambda-max", "1"]) == 0
     assert capsys.readouterr().out.count(" blocks ok") == 4
     assert len(calls) == 1
     pair = pairFromLabel("A1:T")
     assert dict(kernelIndex(pair, {(3,): 1}).entries) == {(rat(2),): 1}
     assert calls[1:] == [pair]
+
+
+@pytest.mark.parametrize("label,weight,nblocks", [
+    ("A3:T", "0,0,0", 38),
+    ("A3:keep=0,1", "0,1,0", 8),
+    ("A3:keep=0,2", "0,0,0", 6),
+    ("A3:keep=0,2", "1,0,0", 12),
+])
+def test_a3_pairs_run(label, weight, nblocks, capsys):
+    # the relative route builds S_p only; the S_h of these pairs has no
+    # exact module, which used to stop them
+    assert main(["verify-relative", "--pair", label, "--weight", weight]) == 0
+    assert capsys.readouterr().out.startswith(
+        "lambda (%s): %d blocks ok," % (weight, nblocks))
+
+
+def count_builds(monkeypatch):
+    """Counts of CompactFrame, CliffordModule and spinRepresentation
+    builds, kept up to date while the monkeypatch lasts."""
+    counts = {"frame": 0, "module": 0, "spin": 0}
+
+    def counted(key, real):
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(structure.CompactFrame, "__init__",
+                        counted("frame", structure.CompactFrame.__init__))
+    monkeypatch.setattr(clifford.CliffordModule, "__init__",
+                        counted("module", clifford.CliffordModule.__init__))
+    spin = counted("spin", clifford.spinRepresentation)
+    monkeypatch.setattr(clifford, "spinRepresentation", spin)
+    monkeypatch.setattr(dirac, "spinRepresentation", spin)
+    return counts
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-relative", "--pair", "A2:u2", "--lambda-max", "1"],
+    ["verify-kostant", "--type", "A1xA1", "--lambda-max", "1"],
+], ids=["A2:u2", "A1xA1"])
+def test_sweep_builds_the_weight_independent_data_once(argv, monkeypatch,
+                                                       capsys):
+    counts = count_builds(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count(" ok") == 4
+    assert counts == {"frame": 1, "module": 1, "spin": 1}
+
+
+@pytest.mark.parametrize("command,flag,label,rank,bound", [
+    ("verify-relative", "--pair", "A2:u2", 2, 1),
+    ("verify-relative", "--pair", "A1:T", 1, 3),
+    ("verify-kostant", "--type", "A1xA1", 2, 1),
+], ids=["A2:u2", "A1:T", "A1xA1"])
+def test_sweep_is_the_concatenation_of_single_runs(command, flag, label,
+                                                   rank, bound, capsys):
+    def run(*extra):
+        assert main([command, flag, label, "--format", "json", *extra]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    sweep = run("--lambda-max", str(bound))
+    key = "runs" if command == "verify-relative" else "blocks"
+    singles = []
+    for lam in itertools.product(range(bound + 1), repeat=rank):
+        singles.extend(run("--weight", ",".join(map(str, lam)))[key])
+    assert sweep[key] == singles
 
 
 # ----------------------------------------------------------- kernel index

@@ -75,6 +75,16 @@ def test_matches_kernel_index_oracle(k):
         dict(kernelIndex(pair, {(k,): 1}).entries)
 
 
+@pytest.mark.parametrize("label,mu", [
+    ("A3:T", (1, 1, 1)), ("A3:keep=0,1", (0, 1, 8)), ("A3:keep=0,2", (2, 0, 0)),
+])
+def test_matches_kernel_index_oracle_on_a3(label, mu):
+    pair = pairFromLabel(label)
+    want = dict(diracInduct(pair, mu).entries)
+    assert want
+    assert dict(kernelIndex(pair, {mu: 1}).entries) == want
+
+
 # ------------------------------------------------------ linear extension
 
 def test_linearity_cancels():

@@ -10,6 +10,7 @@ from diracforge.liecore import (RootSystem, equalRankPair, pairFromLabel,
                                 systemFromLabel, weightFromStrings,
                                 weightToStrings)
 from diracforge.rationals import rat
+from diracforge.structure import buildFrame
 
 from helpers import fractionRootData
 
@@ -196,6 +197,34 @@ def test_root_coefficients():
     # highest root of A2 is alpha_1 + alpha_2 = omega_1 + omega_2
     assert a2.rootCoefficients((rat(1), rat(1))) == (rat(1), rat(1))
     assert a2.rootCoefficients((rat(1), rat(0))) == (rat(2, 3), rat(1, 3))
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_root_coefficients_kept_from_the_closure(label):
+    rs = systemFromLabel(label)
+    assert len(rs.intRootCoefficients) == len(rs.intRoots)
+    for beta, coeffs in zip(rs.positiveRoots, rs.intRootCoefficients):
+        assert all(type(c) is int for c in coeffs)
+        assert coeffs == rs.rootCoefficients(beta)
+
+
+def test_frame_and_pair_make_no_product_per_root(monkeypatch):
+    # the frame keeps its gram and dual-frame products, the pair its
+    # coordinate changes; the root coefficients come from the closure
+    count = [0]
+    real = ExactMatrix._matmul
+
+    def counting(self, other):
+        count[0] += 1
+        return real(self, other)
+
+    a2 = systemFromLabel("A2")
+    monkeypatch.setattr(ExactMatrix, "_matmul", counting)
+    buildFrame(a2)
+    assert count[0] == 2
+    count[0] = 0
+    pairFromLabel("A4:T")
+    assert count[0] == 3
 
 
 def test_pair_torus():

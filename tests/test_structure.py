@@ -1,9 +1,10 @@
 import pytest
 
 from diracforge.errors import BadStructureConstants, NotOrthogonal, UnsupportedType
-from diracforge.exactmat import ExactMatrix, commutator
+from diracforge.exactmat import ExactMatrix, commutator, inverse_rows
 from diracforge.liecore import pairFromLabel, systemFromLabel
 from diracforge.rationals import ZERO, rat
+from diracforge.reps import buildLieRep
 from diracforge.structure import CompactFrame, PairFrame, buildFrame
 
 FRAME_LABELS = ["A1", "A2", "A3", "T1", "T2", "A1xT1", "A1xA1", "A2xT1"]
@@ -23,6 +24,19 @@ def test_frame_dimension_and_gram(label):
     for i, name in enumerate(fr.names):
         if name[0] in ("A", "B"):
             assert fr.gram[i][i] == 2
+
+
+def test_one_frame_per_system():
+    # representations and pair frames of one system share its frame
+    pair = pairFromLabel("A2:u2")
+    fr = buildFrame(pair.g)
+    assert buildFrame(pair.g) is fr
+    assert PairFrame(pair).frame is fr
+    assert buildLieRep(pair.g, (1, 0)).frame is fr
+    # the kept frame is the frame a fresh build gives
+    fresh = CompactFrame(pair.g)
+    assert (fresh.names, fresh.matrices, fresh.gram) \
+        == (fr.names, fr.matrices, fr.gram)
 
 
 def test_unsupported_family_rejected():
@@ -119,7 +133,8 @@ def test_cartan_acts_by_root_coordinates():
             assert all(c == 0 for j, c in enumerate(cf) if j != i + 1)
 
 
-@pytest.mark.parametrize("label,psize", [("A1:T", 2), ("A2:T", 6), ("A2:u2", 4)])
+@pytest.mark.parametrize("label,psize", [("A1:T", 2), ("A2:T", 6), ("A2:u2", 4),
+                                         ("A2:full", 0), ("A3:keep=0,2", 8)])
 def test_pair_frame_split(label, psize):
     pair = pairFromLabel(label)
     pf = PairFrame(pair)
@@ -131,10 +146,12 @@ def test_pair_frame_split(label, psize):
         name = pf.frame.names[a]
         assert name[0] in ("A", "B")
         assert name[1] in proots
-    # gram is block diagonal across the split
+    # gram is block diagonal across the split, so the p block of the
+    # frame's inverse gram inverts the p gram
     for a in pf.pIndices:
         for b in pf.hIndices:
             assert pf.frame.gram[a][b] == 0
+    assert pf.pGramInverse == inverse_rows(pf.pGram)
 
 
 @pytest.mark.parametrize("label", ["A1:T", "A2:T", "A2:u2"])
