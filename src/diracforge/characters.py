@@ -11,15 +11,16 @@ The two container types:
   No entry inside the certified range is ever silently missing; operations
   shrink windows instead of guessing.
 
-Irreducible characters come from the Freudenthal recursion, computed on
-integer fundamental coordinates.  Every kernel here reads the root
-system's int data: the Cartan rows as reflections, the positive roots,
-rho, the scaled gram and the Weyl orbit (``RootSystem.orbit``).  The
-kernel ``_irreducible_weights`` answers {int weight: multiplicity} from a
-valid cache entry or from the recursion and the orbit expansion; rational
-weights are built from it only where a FormalCharacter is asked for.
-Decompositions use greedy highest-weight peeling, also on ints: the input
-weights w become int tuples L w (L the lcm of their denominators), each
+A weight coordinate is an int when it is integral and a Fraction
+otherwise (see liecore), so the integral weights every kernel here makes
+are int tuples from the kernel to the report.  Irreducible characters come
+from the Freudenthal recursion on them, reading the root system's int
+data: the Cartan rows as reflections, the positive roots, rho, the scaled
+gram and the Weyl orbit (``RootSystem.orbit``).  The kernel
+``_irreducible_weights`` answers {weight: multiplicity} from a valid cache
+entry or from the recursion and the orbit expansion.  Decompositions use
+greedy highest-weight peeling, also on ints: the input weights w become
+int tuples L w (L the lcm of their denominators, 1 on the lattice), each
 support weight's |w + rho|^2 is one pairing with the int gram, and the
 peeled irreducibles come from the same kernel.
 """
@@ -31,8 +32,9 @@ from operator import add, attrgetter, mul
 from . import cache
 from .errors import (DiracforgeError, InternalError, NotDominant,
                      NotIntegral, SystemMismatch, WindowTooSmall)
-from .liecore import weightToStrings, weightFromStrings
-from .rationals import rat, ZERO, rat_str, rat_from_str
+from .liecore import (gramPairing, systemFromLabel, weightFromStrings,
+                      weightString)
+from .rationals import coord, rat, ZERO, rat_str, rat_from_str
 
 
 class FormalCharacter:
@@ -110,7 +112,7 @@ class FormalCharacter:
                 and self.entries == other.entries)
 
     def __repr__(self):
-        items = ", ".join("(%s): %d" % (",".join(weightToStrings(w)), m)
+        items = ", ".join("(%s): %d" % (weightString(w), m)
                           for w, m in sorted(self.entries.items()))
         return "FormalCharacter<%s|%s>{%s}" % (self.system.label, self.basis, items)
 
@@ -133,30 +135,33 @@ class FormalCharacter:
             raise DiracforgeError("bad character header: %r" % lines[0])
         label, basis = header
         if system is None:
-            from .liecore import systemFromLabel
             system = systemFromLabel(label)
-        entries = {}
-        for ln in lines[1:]:
-            ln = ln.strip()
-            if not ln:
-                continue
+        return cls(system, _entries_from_lines(lines[1:]), basis)
+
+
+def _entries_from_lines(lines):
+    """{weight: summed multiplicity} of "<coords p/q,...> <mult>" lines;
+    blank lines are skipped."""
+    entries = {}
+    for ln in lines:
+        if ln.strip():
             coords, mult = ln.split()
             w = weightFromStrings(coords.split(","))
             entries[w] = entries.get(w, 0) + int(mult)
-        return cls(system, entries, basis)
+    return entries
 
 
 # ------------------------------------------------------------- irreducibles
 
 def _require_dominant_integral(rs, lam):
+    """lam as a tuple of ints; raises unless it is a dominant integral
+    weight of rs."""
     lam = rs.weight(lam)
     if not rs.isIntegral(lam):
-        raise NotIntegral("weight (%s) is not integral"
-                          % ",".join(weightToStrings(lam)))
+        raise NotIntegral("weight (%s) is not integral" % weightString(lam))
     if not rs.isDominant(lam):
-        raise NotDominant("weight (%s) is not dominant"
-                          % ",".join(weightToStrings(lam)))
-    return lam
+        raise NotDominant("weight (%s) is not dominant" % weightString(lam))
+    return tuple(map(int, lam))
 
 
 def weylDimension(rs, lam):
@@ -165,13 +170,13 @@ def weylDimension(rs, lam):
     Runs on int coordinates with the int gram: its scale enters the
     numerator and the denominator once per root, and cancels."""
     lam = _require_dominant_integral(rs, lam)
-    rho = rs.intRho
-    lam_rho = tuple(int(a) + b for a, b in zip(lam, rho))
+    rho = rs.rho
+    lam_rho = tuple(map(add, lam, rho))
     # <v, a> = (v G) . a: one product with the gram per vector, not per root
     top, bottom = [[sum(map(mul, v, col)) for col in zip(*rs.intGram)]
                    for v in (lam_rho, rho)]
     num = den = 1
-    for a in rs.intRoots:
+    for a in rs.positiveRoots:
         num *= sum(map(mul, top, a))
         den *= sum(map(mul, bottom, a))
     d, rem = divmod(num, den)
@@ -205,11 +210,6 @@ def _dominant_below(rs, lam):
     return out
 
 
-def _pairing(gram, u, v):
-    """u G v for int tuples u, v and int rows G."""
-    return sum(a * g * b for a, row in zip(u, gram) for g, b in zip(row, v))
-
-
 def _freudenthal(rs, lam):
     """{dominant mu: multiplicity in V_lam} for lam dominant integral.
 
@@ -220,8 +220,8 @@ def _freudenthal(rs, lam):
     gram = rs.intGram
 
     def shifted_norm(mu):
-        mu_rho = tuple(map(add, mu, rs.intRho))
-        return _pairing(gram, mu_rho, mu_rho)
+        mu_rho = tuple(map(add, mu, rs.rho))
+        return gramPairing(gram, mu_rho, mu_rho)
 
     reflections = rs.reflections
 
@@ -235,7 +235,8 @@ def _freudenthal(rs, lam):
             else:
                 return v
 
-    roots = [(alpha, _pairing(gram, alpha, alpha)) for alpha in rs.intRoots]
+    roots = [(alpha, gramPairing(gram, alpha, alpha))
+             for alpha in rs.positiveRoots]
     target = shifted_norm(lam)
     mult = {lam: 1}
     for _, mu in sorted(_dominant_below(rs, lam)):
@@ -247,7 +248,7 @@ def _freudenthal(rs, lam):
         acc = 0
         for alpha, alpha_norm in roots:
             # <mu + k alpha, alpha>, k = 0
-            v, p = mu, _pairing(gram, mu, alpha)
+            v, p = mu, gramPairing(gram, mu, alpha)
             while True:
                 v = tuple(a + b for a, b in zip(v, alpha))
                 p += alpha_norm
@@ -266,21 +267,6 @@ def _freudenthal(rs, lam):
     return mult
 
 
-def _character_from_ints(rs, weights):
-    """The weight-basis character of {int weight: multiplicity}.
-
-    One sort of the int tuples orders it (int order is the rational order),
-    and each distinct coordinate becomes one shared rational object.  The
-    keys are weights of rs and the multiplicities nonzero ints already, so
-    the entries dict is built once, here, not again by the constructor."""
-    order = sorted(weights)
-    chi = FormalCharacter.__new__(FormalCharacter)
-    chi.system, chi.basis = rs, FormalCharacter.WEIGHT
-    chi.entries = dict(zip(_rational_weights(order, 1),
-                           map(weights.__getitem__, order)))
-    return chi
-
-
 def _cached_weights(rs, lam, doc):
     """The {int weight: multiplicity} a cache document holds, or None unless
     the document is for (rs, lam), its coordinates are ints, rank of them
@@ -289,7 +275,7 @@ def _cached_weights(rs, lam, doc):
     never as an answer."""
     if not isinstance(doc, dict) \
             or doc.get("system") != cache.system_key(rs) \
-            or doc.get("lambda") != ",".join(weightToStrings(lam)) \
+            or doc.get("lambda") != weightString(lam) \
             or not isinstance(doc.get("entries"), dict):
         return None
     entries = doc["entries"]
@@ -307,7 +293,7 @@ def _cached_weights(rs, lam, doc):
     except ValueError:  # every weight of V_lam has int coordinates
         return None
     # lam itself once: without it the peel never removes lam
-    if weights.get(tuple(map(int, lam))) != 1 \
+    if weights.get(lam) != 1 \
             or sum(weights.values()) != weylDimension(rs, lam):
         return None
     return weights
@@ -326,11 +312,11 @@ def _irreducible_weights(rs, lam):
     if weights is not None:
         return weights
     weights = {}
-    for mu, m in _freudenthal(rs, tuple(int(c) for c in lam)).items():
+    for mu, m in _freudenthal(rs, lam).items():
         for v in rs.orbit(mu):
             weights[v] = m
     doc = {"system": cache.system_key(rs),
-           "lambda": ",".join(weightToStrings(lam)),
+           "lambda": weightString(lam),
            # str(int) == rat_str(int)
            "entries": {",".join(map(str, w)): m for w, m in weights.items()}}
     cache.store(rs, lam, doc)
@@ -339,8 +325,16 @@ def _irreducible_weights(rs, lam):
 
 def irreducibleCharacter(rs, lam):
     """Weight multiplicities of the irreducible with highest weight lam,
-    as a weight-basis character; see _irreducible_weights."""
-    return _character_from_ints(rs, _irreducible_weights(rs, lam))
+    as a weight-basis character in weight order; see
+    _irreducible_weights."""
+    weights = _irreducible_weights(rs, lam)
+    # the keys are weights of rs and the multiplicities nonzero ints
+    # already, so the entries dict is built once, here, not again by the
+    # constructor
+    chi = FormalCharacter.__new__(FormalCharacter)
+    chi.system, chi.basis = rs, FormalCharacter.WEIGHT
+    chi.entries = {w: weights[w] for w in sorted(weights)}
+    return chi
 
 
 # ----------------------------------------------------------- decompositions
@@ -349,17 +343,18 @@ def _peel(rs, L, rest):
     """Greedy highest-weight peel on int coordinates.
 
     rest maps L w to the multiplicity of the weight w (L a positive int);
-    it is consumed.  Returns {L lam: multiplicity of V_lam} in peel order.
+    it is consumed.  Returns {lam: multiplicity of V_lam} in peel order,
+    each lam a tuple of ints.
     Each step takes the dominant support weight with the greatest
     (|w + rho|^2, w), which is extremal, and subtracts its irreducible.
     """
     gram = rs.intGram
     simple = rs.simple_positions
-    shift = tuple(L * r for r in rs.intRho)
+    shift = tuple(L * r for r in rs.rho)
 
     def key(u):
         v = tuple(map(add, u, shift))
-        return _pairing(gram, v, v), u
+        return gramPairing(gram, v, v), u
 
     # the dominant support weights, each with its key, computed once
     live = {u: key(u) for u in rest if all(u[p] >= 0 for p in simple)}
@@ -370,7 +365,8 @@ def _peel(rs, L, rest):
                                   "input is not a virtual character")
         best = max(live, key=live.__getitem__)
         m = rest[best]
-        lam = tuple(rat(c, L) for c in best)
+        # a fractional coordinate raises NotIntegral in the kernel
+        lam = best if L == 1 else tuple(coord(c, L) for c in best)
         for w, pm in _irreducible_weights(rs, lam).items():
             u = w if L == 1 else tuple(L * c for c in w)
             nv = rest.get(u, 0) - m * pm
@@ -381,13 +377,8 @@ def _peel(rs, L, rest):
             else:
                 del rest[u]
                 live.pop(u, None)
-        out[best] = m
+        out[lam] = m
     return out
-
-
-def _from_lattice(peeled, L):
-    """{u / L: value} of {int tuple u: value}, in the same order."""
-    return dict(zip(_rational_weights(list(peeled), L), peeled.values()))
 
 
 def decomposeCharacter(chi):
@@ -403,8 +394,7 @@ def decomposeCharacter(chi):
         return chi
     L, coords = _lattice_coords(chi.entries)
     peeled = _peel(rs, L, dict(zip(coords, chi.entries.values())))
-    return FormalCharacter(rs, _from_lattice(peeled, L),
-                           FormalCharacter.IRREDUCIBLE)
+    return FormalCharacter(rs, peeled, FormalCharacter.IRREDUCIBLE)
 
 
 def _check_summands(rs, dec, dim, what):
@@ -426,7 +416,7 @@ def tensorDecompose(rs, lam, mu):
         for v, n in right:
             w = tuple(map(add, u, v))
             prod[w] = prod.get(w, 0) + m * n
-    dec = _from_lattice(_peel(rs, 1, prod), 1)
+    dec = _peel(rs, 1, prod)
     _check_summands(rs, dec, weylDimension(rs, lam) * weylDimension(rs, mu),
                     "tensor product")
     return dec
@@ -438,16 +428,11 @@ def restrictCharacter(pair, lam):
     g, h = pair.g, pair.h
     lam = _require_dominant_integral(g, lam)
     weights = _irreducible_weights(g, lam)
-    # weightToH is linear: L times the image of each unit weight, as ints
-    L, columns = _lattice_coords(
-        [pair.weightToH([int(i == j) for j in range(g.rank)])
-         for i in range(g.rank)])
     restricted = {}
     for u, m in weights.items():
-        v = tuple(sum(c * x[i] for c, x in zip(u, columns) if c)
-                  for i in range(h.rank))
+        v = pair.weightToH(u)
         restricted[v] = restricted.get(v, 0) + m
-    dec = _from_lattice(_peel(h, L, restricted), L)
+    dec = _peel(h, 1, restricted)
     _check_summands(h, dec, sum(weights.values()), "restriction")
     return dec
 
@@ -495,9 +480,11 @@ def _lattice_coords(weights):
 
 
 def _rational_weights(coords, L):
-    """The weights u / L for int tuples u, one shared rational object per
-    distinct coordinate."""
-    scalars = {c: rat(c, L)
+    """The weights u / L for int tuples u, one shared coordinate object per
+    distinct coordinate: an int where L divides it."""
+    if L == 1:
+        return coords
+    scalars = {c: coord(c, L)
                for c in set(itertools.chain.from_iterable(coords))}
     return [tuple([scalars[c] for c in u]) for u in coords]
 
@@ -582,7 +569,7 @@ class ConeSeries:
             if floor_ is not None and n < floor_:
                 raise DiracforgeError(
                     "weight (%s) violates the declared support bound"
-                    % ",".join(weightToStrings(w)))
+                    % weightString(w))
             self.entries[w] = m
 
     def pairing(self, w):
@@ -706,7 +693,7 @@ class ConeSeries:
         """The file lines; keyed, when given, is self.keyed() already built."""
         head = "%s cone-series polarizer=%s offset=%s window=%s" % (
             self.system.label,
-            ",".join(weightToStrings(self.polarizer)),
+            weightString(self.polarizer),
             "none" if self.offset is None else rat_str(self.offset),
             "none" if self.window is None else rat_str(self.window))
         if self.lower is not None:
@@ -722,22 +709,14 @@ class ConeSeries:
         if len(head) < 5 or head[1] != "cone-series":
             raise DiracforgeError("bad cone-series header: %r" % lines[0])
         if system is None:
-            from .liecore import systemFromLabel
             system = systemFromLabel(head[0])
         fields = dict(part.split("=", 1) for part in head[2:])
         polarizer = weightFromStrings(fields["polarizer"].split(","))
         offset = None if fields["offset"] == "none" else rat_from_str(fields["offset"])
         window = None if fields["window"] == "none" else rat_from_str(fields["window"])
         lower = rat_from_str(fields["lower"]) if "lower" in fields else None
-        entries = {}
-        for ln in lines[1:]:
-            ln = ln.strip()
-            if not ln:
-                continue
-            coords, mult = ln.split()
-            w = weightFromStrings(coords.split(","))
-            entries[w] = entries.get(w, 0) + int(mult)
-        return cls(system, entries, polarizer, offset, window, lower)
+        return cls(system, _entries_from_lines(lines[1:]), polarizer, offset,
+                   window, lower)
 
     def __eq__(self, other):
         return (isinstance(other, ConeSeries)
@@ -801,7 +780,7 @@ def _aligned(system, alpha, polarizer):
         if (a == 0) != (p == 0):
             return False
         if p != 0:
-            r = a / p
+            r = rat(a, p)
             if r <= 0 or (t is not None and r != t):
                 return False
             t = r

@@ -25,7 +25,7 @@ from .errors import (DiracforgeError, InternalError, SpectralMismatch,
                      VerificationError)
 from .induction import diracInduct, inductCharacter
 from .liecore import (pairFromLabel, systemFromLabel, weightFromStrings,
-                      weightToStrings)
+                      weightString)
 from .polarized import vanishingCheck, vectorSpaceIndex
 from .qr import (CoadjointModel, ToricModel, coadjointQuantization,
                  kirwanDecomposeCircle, productQRCheck, qrCheckCircle)
@@ -39,10 +39,6 @@ POLARIZATION_RULE = ("<w,alpha> < 0: sum_{k>=0} e^{-k w}; "
 
 
 # ------------------------------------------------------------- parsing
-
-def _wstr(w):
-    return ",".join(weightToStrings(w))
-
 
 def _parse_weight(text):
     parts = [p.strip() for p in text.split(",")]
@@ -192,10 +188,10 @@ def cmd_root_system(config, args):
     payload = {
         "label": rs.label,
         "rank": rs.rank,
-        "simpleRoots": [_wstr(r) for r in rs.simpleRoots],
+        "simpleRoots": [weightString(r) for r in rs.simpleRoots],
         "positiveRootCount": len(rs.positiveRoots),
-        "positiveRoots": [_wstr(r) for r in rs.positiveRoots],
-        "rho": _wstr(rs.rho),
+        "positiveRoots": [weightString(r) for r in rs.positiveRoots],
+        "rho": weightString(rs.rho),
         "weylGroupOrder": rs.weylGroupOrder(),
         "groupDimension": rs.rank + 2 * len(rs.positiveRoots),
     }
@@ -206,9 +202,9 @@ def cmd_orbit(config, args):
     rs = systemFromLabel(args.type)
     lam = rs.weight(_parse_weight(args.weight))
     orbit = rs.weylOrbit(lam)
-    payload = {"label": rs.label, "weight": _wstr(lam),
+    payload = {"label": rs.label, "weight": weightString(lam),
                "orbitSize": len(orbit),
-               "orbit": [_wstr(w) for w in orbit]}
+               "orbit": [weightString(w) for w in orbit]}
     return payload, None
 
 
@@ -222,7 +218,7 @@ def cmd_char(config, args):
     keyed = [(coords % u, weights[u]) for u in sorted(weights)]
     lines = ["%s %s" % (rs.label, FormalCharacter.WEIGHT)]
     lines.extend("%s %d" % kv for kv in keyed)
-    payload = {"label": rs.label, "weight": _wstr(lam),
+    payload = {"label": rs.label, "weight": weightString(lam),
                "dimension": sum(weights.values()), "entries": dict(keyed)}
     if args.out:
         _write_text(args.out, lines)
@@ -235,9 +231,10 @@ def cmd_tensor(config, args):
     lam = rs.weight(_parse_weight(args.lhs))
     mu = rs.weight(_parse_weight(args.rhs))
     dec = tensorDecompose(rs, lam, mu)
-    payload = {"label": rs.label, "lhs": _wstr(lam), "rhs": _wstr(mu),
-               "summands": {_wstr(w): dec[w] for w in sorted(dec)}}
-    text = ["%d V(%s)" % (dec[w], _wstr(w)) for w in sorted(dec)]
+    payload = {"label": rs.label, "lhs": weightString(lam),
+               "rhs": weightString(mu),
+               "summands": {weightString(w): dec[w] for w in sorted(dec)}}
+    text = ["%d V(%s)" % (dec[w], weightString(w)) for w in sorted(dec)]
     return payload, text
 
 
@@ -247,8 +244,8 @@ def cmd_restrict(config, args):
     dec = restrictCharacter(pair, lam)
     chi = FormalCharacter(pair.h, dec, basis=FormalCharacter.IRREDUCIBLE)
     lines = chi.to_lines()
-    payload = {"pair": pair.label, "weight": _wstr(lam),
-               "entries": {_wstr(w): dec[w] for w in sorted(dec)}}
+    payload = {"pair": pair.label, "weight": weightString(lam),
+               "entries": {weightString(w): dec[w] for w in sorted(dec)}}
     if args.out:
         _write_text(args.out, lines)
         payload["out"] = args.out
@@ -269,7 +266,7 @@ def cmd_induct(config, args):
     if isinstance(out, ConeSeries):
         payload = {"pair": pair.label,
                    "entries": dict(keyed),
-                   "polarizer": _wstr(out.polarizer),
+                   "polarizer": weightString(out.polarizer),
                    "window": "none" if out.window is None
                              else rat_str(out.window)}
         return payload, lines
@@ -307,12 +304,12 @@ def cmd_verify_kostant(config, args):
             raise SpectralMismatch(
                 "scalar %s differs from |lambda+rho|^2 = %s at lambda ="
                 " (%s)" % (rat_str(one["scalar"]),
-                           rat_str(one["expected"]), _wstr(lam)))
-        blocks.append({"lambda": _wstr(lam),
+                           rat_str(one["expected"]), weightString(lam)))
+        blocks.append({"lambda": weightString(lam),
                        "scalar": rat_str(one["scalar"]),
                        "expected": rat_str(one["expected"]),
                        "match": True})
-        scalars[_wstr(lam)] = rat_str(one["scalar"])
+        scalars[weightString(lam)] = rat_str(one["scalar"])
         constants.add(one["affineConstant"])
         affine = {"constant": one["affineConstant"],
                   "readings": one["readings"],
@@ -343,16 +340,16 @@ def cmd_verify_relative(config, args):
     for lam in lams:
         one = spectralCheckRelative(pair, lam)
         runs.append({
-            "lambda": _wstr(lam),
-            "blocks": [{"mu": _wstr(b["mu"]),
+            "lambda": weightString(lam),
+            "blocks": [{"mu": weightString(b["mu"]),
                         "multiplicity": b["multiplicity"],
                         "scalar": rat_str(b["scalar"]),
                         "match": b["match"]} for b in one["blocks"]],
-            "kernelCandidates": [_wstr(m)
+            "kernelCandidates": [weightString(m)
                                  for m in one["kernelCandidates"]]})
         text.append("lambda (%s): %d blocks ok, kernel at [%s]"
-                    % (_wstr(lam), len(one["blocks"]),
-                       "; ".join(_wstr(m)
+                    % (weightString(lam), len(one["blocks"]),
+                       "; ".join(weightString(m)
                                  for m in one["kernelCandidates"])))
     payload = {"pair": pair.label, "runs": runs, "allMatch": True}
     return payload, text
@@ -367,8 +364,8 @@ def cmd_polarize(config, args):
     series = vectorSpaceIndex(rs, fiber, alpha, shift, config.window)
     keyed = series.keyed()  # formatted once for the lines and the payload
     lines = series.to_lines(keyed)
-    payload = {"system": rs.label, "alpha": _wstr(alpha),
-               "shift": _wstr(shift),
+    payload = {"system": rs.label, "alpha": weightString(alpha),
+               "shift": weightString(shift),
                "window": rat_str(config.window),
                "offset": "none" if series.offset is None
                          else rat_str(series.offset),
@@ -406,11 +403,12 @@ def cmd_qr_coadjoint(config, args):
     rs = systemFromLabel(args.type)
     lam = rs.weight(_parse_weight(args.weight))
     out = coadjointQuantization(CoadjointModel(rs, lam))
-    payload = {"system": rs.label, "orbit": _wstr(lam),
-               "quantization": {_wstr(w): m
+    payload = {"system": rs.label, "orbit": weightString(lam),
+               "quantization": {weightString(w): m
                                 for w, m in sorted(out.entries.items())},
                "match": True}
-    text = ["Q(O_(%s)) = V(%s)" % (_wstr(lam), _wstr(lam)), "match: yes"]
+    text = ["Q(O_(%s)) = V(%s)" % (weightString(lam), weightString(lam)),
+            "match: yes"]
     if args.mu is not None:
         mu = rs.weight(_parse_weight(args.mu))
         payload["product"] = productQRCheck(rs, lam, mu)
@@ -434,11 +432,11 @@ def cmd_decompose(config, args):
         fname = "component-%02d.series" % i
         _write_text(os.path.join(args.out, fname),
                     comp.localSeries.to_lines())
-        rows.append({"alpha": _wstr(comp.alpha),
+        rows.append({"alpha": weightString(comp.alpha),
                      "containsZero": comp.containsZero,
                      "file": fname,
                      "terms": len(comp.localSeries.entries)})
-    payload = {"model": model.label, "xi": _wstr(xi), "c": rat_str(c),
+    payload = {"model": model.label, "xi": weightString(xi), "c": rat_str(c),
                "window": rat_str(config.window),
                "directory": args.out, "components": rows}
     _write_text(os.path.join(args.out, "report.json"),

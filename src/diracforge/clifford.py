@@ -31,14 +31,14 @@ from .errors import (TooLarge, CliffordConstructionError,
                      NotPositiveDefinite)
 from .exactmat import (ExactMatrix, anticommutator, combination, commutator,
                        contract, inverse_rows, orthogonal_rows)
-from .rationals import rat, ZERO, exact_sqrt, squarefree_core
+from .rationals import coord, rat, ZERO, exact_sqrt, squarefree_core
 
 
 def _pair_block(d1, d2):
     """Generators for two directions of norms d1, d2 in the same square
     class (d2 = d1 r^2): 2x2 matrices squaring to -d1, -d2, anticommuting,
     with diagonal product (so torus actions stay diagonal downstream)."""
-    r = exact_sqrt(d2 / d1)
+    r = exact_sqrt(rat(d2, d1))
     b1 = ExactMatrix.from_rows([[ZERO, -d1], [rat(1), ZERO]])
     b2 = ExactMatrix.from_rows([[ZERO, (ZERO, d1 * r)], [(ZERO, r), ZERO]])
     return b1, b2
@@ -406,7 +406,8 @@ class PairSpinors:
         self.gWeights = self._torus_weights(s_p.size)
         self.s_p = self._oriented(s_p)
         self.pSpin = spinRepresentation(PStructure(pframe), self.s_p)
-        self.hWeights = tuple(pair.weightToH(w) for w in self.gWeights)
+        self.hWeights = tuple(tuple(map(coord, pair.weightToH(w)))
+                              for w in self.gWeights)
 
     def _torus_weights(self, size):
         """G-weights of the S_p basis vectors, read off the (diagonal)
@@ -426,7 +427,7 @@ class PairSpinors:
                 if re != 0:
                     raise CliffordConstructionError(
                         "torus eigenvalue not imaginary")
-                coords.append(im)
+                coords.append(coord(im))
             weights.append(tuple(coords))
         return tuple(weights)
 

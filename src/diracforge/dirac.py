@@ -39,6 +39,7 @@ from .errors import (DimensionMismatch, DiracforgeError, NotScalar,
 from .exactmat import ExactMatrix, combination, commutator, contract, \
     inverse_rows
 from .rationals import ZERO, rat, rat_str
+from .liecore import weightString
 from .reps import buildLieRep
 
 RELATIVE_SIZE_LIMIT = 512
@@ -155,7 +156,7 @@ def _adjoint_trace_24th(rs):
             + 2 * rs.innerProduct(theta, rs.rho)
         dim_f = rs.factors[bi][1] + 2 * len(roots)
         total += rat(dim_f) * cas
-    kept = rs._trace_24th = (total / 24, rho2)
+    kept = rs._trace_24th = (rat(total, 24), rho2)
     return kept
 
 
@@ -181,7 +182,8 @@ def verifyKostantIdentity(rep, cl):
     sq = op.square()
     scalar = _scalar_of(sq)
     if scalar is None:
-        raise NotScalar("D^2 is not scalar for lambda = %s" % (rep.lam,))
+        raise NotScalar("D^2 is not scalar for lambda = (%s)"
+                        % weightString(rep.lam))
     shifted = tuple(l + r for l, r in zip(rep.lam, rs.rho))
     expected = rs.innerProduct(shifted, shifted)
 
@@ -202,7 +204,7 @@ def verifyKostantIdentity(rep, cl):
             matched.append("twelfthAdjointTrace")
     return {
         "isScalarPerIsotypic": True,
-        "scalars": {",".join(rat_str(c) for c in rep.lam): rat_str(scalar)},
+        "scalars": {weightString(rep.lam): rat_str(scalar)},
         "scalar": scalar,
         "expected": expected,
         "scalarMatches": scalar == expected,
@@ -343,7 +345,8 @@ def spectralCheckRelative(pair, lam):
                 % (mult, hw.ncols))
         if sq * hw != hw.scale(expect):
             raise SpectralMismatch(
-                "D^2 is not the predicted scalar on mu = %s" % (mu,))
+                "D^2 is not the predicted scalar on mu = (%s)"
+                % weightString(mu))
         blocks.append({"mu": mu, "multiplicity": mult,
                        "scalar": expect, "match": True})
         if expect == 0:
@@ -366,16 +369,15 @@ def _coordinate_ball(rs, norm_target):
     for i in range(rank):
         cap = norm_target * ginv[i][i]
         b = 0
-        while rat(b * b) <= cap:
+        while b * b <= cap:
             b += 1
         bounds.append(b)
     axes = [range(-b, b + 1) for b in bounds]
-    for shifted in itertools.product(*axes):
-        v = tuple(rat(c) for c in shifted)
+    for v in itertools.product(*axes):
         if rs.innerProduct(v, v) != norm_target:
             continue
         lam = tuple(c - r for c, r in zip(v, rs.rho))
-        if rs.isDominant(lam) and rs.isIntegral(lam):
+        if rs.isDominant(lam):
             out.append(lam)
     return sorted(out)
 

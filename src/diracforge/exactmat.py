@@ -650,7 +650,7 @@ def orthogonal_rows(vectors, form=None):
         left = vec if form is None else vec * form
         if rows:
             done = ExactMatrix.vstack(rows, vec.ncols)
-            inv = ExactMatrix.diag([1 / n for n in norms])
+            inv = ExactMatrix.diag([rat(1, n) for n in norms])
             vec = vec - left * done.ctranspose() * inv * done
             left = vec if form is None else vec * form
         nz = (left * vec.ctranspose()).get(0, 0)

@@ -19,6 +19,7 @@ from .characters import (ConeSeries, FormalCharacter,
                          trivialMultiplicity)
 from .errors import (DiracforgeError, NotDominant, TransferMismatch,
                      WindowUnderflow)
+from .liecore import weightString
 from .rationals import rat_str
 
 
@@ -73,8 +74,8 @@ def _induct_series(pair, sigma):
     entries = {}
     for mu, m in sorted(sigma.entries.items()):
         if not h.isDominant(mu):
-            raise NotDominant("series entry %r is not an irreducible label"
-                              % (mu,))
+            raise NotDominant("series entry (%s) is not an irreducible label"
+                              % weightString(mu))
         piece = diracInduct(pair, mu)
         for nu, s in piece.entries.items():
             c = entries.get(nu, 0) + s * m
@@ -108,7 +109,7 @@ def multiplicityTransferCheck(pair, chi):
     rhs = chi.coefficient(h.zeroWeight())
     report = {
         "pair": pair.label,
-        "inducted": {",".join(rat_str(c) for c in nu): m
+        "inducted": {weightString(nu): m
                      for nu, m in sorted(inducted.entries.items())},
         "trivialMultiplicityG": lhs,
         "trivialMultiplicityH": rhs,

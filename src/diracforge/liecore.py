@@ -2,8 +2,10 @@
 
 Conventions, fixed once and used by every downstream module:
 
-* Weights are plain tuples of exact rationals in fundamental-weight
-  coordinates (torus factors contribute bare character coordinates).
+* Weights are plain tuples in fundamental-weight coordinates (torus
+  factors contribute bare character coordinates).  A coordinate is an
+  int when it is integral and a Fraction otherwise; the two compare and
+  hash equal, so either form names the same weight.
 * cartan[i][j] = 2(alpha_i, alpha_j)/(alpha_j, alpha_j), so row i is the
   fundamental-coordinate vector of the simple root alpha_i and the simple
   reflection is s_i(lam) = lam - lam_i * alpha_i.
@@ -13,25 +15,29 @@ Conventions, fixed once and used by every downstream module:
   the gram with the one inherited from the ambient group.
 * Simple factors follow Bourbaki node ordering.
 
-A RootSystem also holds its root data on ints, built once: the Cartan
-rows as int weights (``reflections``), the positive roots (``intRoots``)
-with their simple-root coefficients (``intRootCoefficients``, in the same
-order), rho (``intRho``) and the gram scaled by the lcm of its
-denominators (``intGram``).  Weyl-group arithmetic (reflections, orbits,
-the positive-root closure) runs on them; ``simpleRoots``,
-``positiveRoots``, ``rho`` and ``gram`` are the same data as rationals.
+A RootSystem holds its root data on ints, built once: the simple roots
+(the Cartan rows, also kept with their positions as ``reflections``),
+the positive roots with their simple-root coefficients
+(``intRootCoefficients``, in the same order), rho, and the gram scaled by
+the lcm of its denominators (``intGram``, scale ``gramScale``).  Weyl-group
+arithmetic, the positive-root closure and every pairing run on them;
+``gram`` is the same form as rationals.
 """
 
 import math
+from fractions import Fraction
+from operator import mul
 
-from .rationals import rat, ZERO, ONE, rat_str, rat_from_str, is_integer
+from .rationals import rat, ZERO, ONE, coord, rat_str, rat_from_str, \
+    is_integer
 from .exactmat import ExactMatrix
 from .errors import (IncompatiblePair, InternalError, SystemMismatch,
                      UnsupportedType)
 
 NORMALIZATION = "long-root-2"
 
-_SCALAR = type(ZERO)
+# the types of a weight coordinate (see rationals)
+_COORDS = frozenset((int, Fraction))
 
 _FAMILIES = ("A", "B", "C", "D", "Torus")
 
@@ -121,29 +127,31 @@ class RootSystem:
             for q, c in zip(self.simple_positions, row):
                 alpha[q] = c
             self.reflections.append((p, tuple(alpha)))
-        self.simpleRoots = [tuple(map(rat, alpha))
-                            for _, alpha in self.reflections]
+        self.simpleRoots = [alpha for _, alpha in self.reflections]
         # the one inverse of the Cartan matrix: the gram reads it, and its
-        # transpose expands a weight over the simple roots
+        # transpose, as int rows over one denominator, expands a weight
+        # over the simple roots
         n = len(self.simple_positions)
         ainv = (ExactMatrix.from_rows(self.cartanMatrix)
                 .solve(ExactMatrix.identity(n)) if n else None)
-        self._root_coef_mat = None if ainv is None else ainv.transpose()
+        self._root_coef = None if ainv is None else _int_rows(ainv.transpose())
         self.gram = self._assemble_gram(ainv) if gram is None else \
             [[rat(x) for x in row] for row in gram]
         if len(self.gram) != self.rank or any(len(r) != self.rank for r in self.gram):
             raise SystemMismatch("gram size != rank")
-        scale = math.lcm(*(x.denominator for row in self.gram for x in row))
-        self.intGram = [[int(x * scale) for x in row] for row in self.gram]
+        self.gramScale = math.lcm(*(x.denominator
+                                    for row in self.gram for x in row))
+        self.intGram = [[int(x * self.gramScale) for x in row]
+                        for row in self.gram]
         self._functionals = {}
-        self.intRoots, self.intRootCoefficients = self._positive_closure()
-        self.positiveRoots = tuple(tuple(map(rat, a)) for a in self.intRoots)
+        self.positiveRoots, self.intRootCoefficients = \
+            self._positive_closure()
         simple_set = set(self.simple_positions)
-        self.intRho = tuple(int(i in simple_set) for i in range(self.rank))
-        self.rho = tuple(map(rat, self.intRho))
+        self.rho = tuple(int(i in simple_set) for i in range(self.rank))
         half = self.rhoFromPositiveRoots()
         if half != self.rho:
-            raise InternalError("rho consistency failed: %r vs %r" % (half, self.rho))
+            raise InternalError("rho consistency failed: (%s) vs (%s)" % (
+                weightString(half), weightString(self.rho)))
 
     # -- construction helpers --------------------------------------------
 
@@ -214,11 +222,13 @@ class RootSystem:
     # -- weights ------------------------------------------------------------
 
     def weight(self, coords):
-        # a tuple of scalars is already a weight: re-wrapping costs an ABC
-        # check per coordinate and changes nothing
-        if type(coords) is not tuple \
-                or any(type(c) is not _SCALAR for c in coords):
-            coords = tuple(rat(c) for c in coords)
+        """coords as a tuple, checked: ints and Fractions pass as they are,
+        any other coordinate (a float, a string, a bool) raises TypeError."""
+        if type(coords) is not tuple:
+            coords = tuple(coords)
+        if not _COORDS.issuperset(map(type, coords)):
+            raise TypeError("weight coordinates must be ints or Fractions: %r"
+                            % (coords,))
         if len(coords) != self.rank:
             raise SystemMismatch(
                 "weight has %d coords, system %s has rank %d"
@@ -226,7 +236,7 @@ class RootSystem:
         return coords
 
     def zeroWeight(self):
-        return (ZERO,) * self.rank
+        return (0,) * self.rank
 
     def isIntegral(self, lam):
         return all(is_integer(c) for c in self.weight(lam))
@@ -240,17 +250,8 @@ class RootSystem:
         return all(lam[p] > 0 for p in self.simple_positions)
 
     def innerProduct(self, lam, mu):
-        lam = self.weight(lam)
-        mu = self.weight(mu)
-        total = ZERO
-        for i in range(self.rank):
-            if not lam[i]:
-                continue
-            row = self.gram[i]
-            for j in range(self.rank):
-                if mu[j]:
-                    total += lam[i] * row[j] * mu[j]
-        return total
+        return rat(gramPairing(self.intGram, self.weight(lam),
+                               self.weight(mu)), self.gramScale)
 
     def pairingFunctional(self, mu):
         """(a, den): a tuple of ints a and a positive int den with
@@ -268,15 +269,15 @@ class RootSystem:
     def rootCoefficients(self, v):
         """Expansion of v over the simple roots; None if v is outside their span."""
         v = self.weight(v)
-        if self._root_coef_mat is None:
+        if self._root_coef is None:
             return None if any(v) else ()
         simple_set = set(self.simple_positions)
         for i in range(self.rank):
             if i not in simple_set and v[i]:
                 return None
-        col = ExactMatrix.from_rows([[v[p]] for p in self.simple_positions])
-        c = self._root_coef_mat * col
-        return tuple(c.get(i, 0)[0] for i in range(len(self.simple_positions)))
+        rows, den = self._root_coef
+        col = [v[p] for p in self.simple_positions]
+        return tuple(coord(sum(map(mul, row, col)), den) for row in rows)
 
     # -- Weyl group ---------------------------------------------------------
 
@@ -324,17 +325,15 @@ class RootSystem:
 
     def isRegular(self, lam):
         lam = self.weight(lam)
-        return all(self.innerProduct(lam, a) != 0 for a in self.positiveRoots)
+        return all(gramPairing(self.intGram, lam, a)
+                   for a in self.positiveRoots)
 
     def weylGroupOrder(self):
-        return len(self.orbit(self.intRho))
+        return len(self.orbit(self.rho))
 
     def rhoFromPositiveRoots(self):
-        acc = [0] * self.rank
-        for a in self.intRoots:
-            for i in range(self.rank):
-                acc[i] += a[i]
-        return tuple(rat(c, 2) for c in acc)
+        return tuple(coord(sum(a[i] for a in self.positiveRoots), 2)
+                     for i in range(self.rank))
 
     def __eq__(self, other):
         return (isinstance(other, RootSystem)
@@ -346,6 +345,21 @@ class RootSystem:
 
     def __repr__(self):
         return "RootSystem(%s)" % self.label
+
+
+def gramPairing(gram, u, v):
+    """u G v for the int rows G of a scaled gram (``intGram``) and weights
+    u, v: the inner product times the gram's scale."""
+    return sum(a * g * b for a, row in zip(u, gram) for g, b in zip(row, v))
+
+
+def _int_rows(mat):
+    """(rows, den): the entries of a real ExactMatrix as int rows over one
+    positive int denominator."""
+    rows = [[mat.get(i, j)[0] for j in range(mat.ncols)]
+            for i in range(mat.nrows)]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows], den
 
 
 # ---------------------------------------------------------------- builders
@@ -371,6 +385,11 @@ def systemFromLabel(label):
 
 def weightToStrings(lam):
     return [rat_str(c) for c in lam]
+
+
+def weightString(lam):
+    """lam as "p/q,...", the form of every report and witness."""
+    return ",".join(weightToStrings(lam))
 
 
 def weightFromStrings(parts):
@@ -436,8 +455,9 @@ class EqualRankPair:
     H is described by the subset of simple roots of G it keeps; the
     complement of the kept coroots contributes central torus coordinates.
     Coordinates of H-weights: kept fundamental coordinates first (in G
-    order), then the integral central charges.  The gram on H-coordinates is
-    inherited from G, so norms agree on the shared torus.
+    order), then the integral central charges, then the coordinates of G's
+    own torus factors.  The gram on H-coordinates is inherited from G, so
+    norms agree on the shared torus.
     """
 
     def __init__(self, g, keep, label=None):
@@ -449,9 +469,10 @@ class EqualRankPair:
         self.keep = keep
         self.label = label
 
+        units = [[int(i == j) for j in range(g.rank)] for i in range(g.rank)]
         if len(keep) == nsimple:
             self.h = g
-            self._toH = ExactMatrix.identity(g.rank)
+            self._toH, self._toG = units, (units, 1)
         else:
             if any(f == "Torus" for f, _ in g.factors) and keep:
                 raise IncompatiblePair(
@@ -474,49 +495,46 @@ class EqualRankPair:
                 if run:
                     hfactors.append(("A", run))
                     run = 0
-            ncharges = len(charges)
+            # G's own torus coordinates follow the central charges
+            torus = [i for i in range(g.rank) if i not in g.simple_positions]
+            ncharges = len(charges) + len(torus)
             if ncharges:
                 hfactors.append(("Torus", ncharges))
-            toH_rows = [[ONE if j == g.simple_positions[s] else ZERO
-                         for j in range(g.rank)] for s in keep]
+            toH = [units[g.simple_positions[s]] for s in keep]
             for c in charges:
-                row = [ZERO] * g.rank
-                for j, cj in enumerate(c):
-                    row[g.simple_positions[j]] = rat(cj)
-                toH_rows.append(row)
-            self._toH = ExactMatrix.from_rows(toH_rows)
-            toG = self._toH.solve(ExactMatrix.identity(g.rank))
+                row = [0] * g.rank
+                for p, cj in zip(g.simple_positions, c):
+                    row[p] = cj
+                toH.append(row)
+            toH += [units[t] for t in torus]
+            self._toH = toH
+            toG = ExactMatrix.from_rows(toH).solve(
+                ExactMatrix.identity(g.rank))
             gramH = toG.transpose() * ExactMatrix.from_rows(g.gram) * toG
             self.h = RootSystem(hfactors, gram=[
                 [gramH.get(i, j)[0] for j in range(g.rank)]
                 for i in range(g.rank)])
-            self._toG = toG
-
-        if len(keep) == nsimple:
-            self._toG = ExactMatrix.identity(g.rank)
+            self._toG = _int_rows(toG)
 
         keepset = set(keep)
         self.pRoots = tuple(
             a for a, coeffs in zip(g.positiveRoots, g.intRootCoefficients)
             if any(c for j, c in enumerate(coeffs) if j not in keepset))
 
+        # _toH is an int matrix, so rho_G - rho_H is an int H-weight
         self.rhoG_H = self.weightToH(g.rho)
         self.shift = tuple(a - b for a, b in zip(self.rhoG_H, self.h.rho))
-        if not all(is_integer(c) for c in self.shift):
-            raise IncompatiblePair(
-                "rho_G - rho_H is not an integral H-weight: %r" % (self.shift,))
 
     def weightToH(self, lam):
+        """H-coordinates of a G-weight: one int row of _toH per coordinate."""
         lam = self.g.weight(lam)
-        col = ExactMatrix.from_rows([[c] for c in lam])
-        out = self._toH * col
-        return tuple(out.get(i, 0)[0] for i in range(self.g.rank))
+        return tuple(sum(map(mul, row, lam)) for row in self._toH)
 
     def weightToG(self, lam):
+        """G-coordinates of an H-weight: _toG is int rows over one den."""
         lam = self.h.weight(lam)
-        col = ExactMatrix.from_rows([[c] for c in lam])
-        out = self._toG * col
-        return tuple(out.get(i, 0)[0] for i in range(self.g.rank))
+        rows, den = self._toG
+        return tuple(coord(sum(map(mul, row, lam)), den) for row in rows)
 
     def __repr__(self):
         return "EqualRankPair(%s)" % (self.label or

@@ -10,25 +10,23 @@ so the declared window carries no silent truncation.  Every expansion is
 multiplied back against Pi (1 - e^{-w_i}) before it is returned.
 
 The expansion runs on ints: each fiber weight is scaled by L, the lcm of
-the fiber coordinates' denominators, and paired through the system's
-integer functional of alpha, so every term carries its pairing as an int
-numerator over den * L and the window is the one int floor(window den L).
-The terms become rational weights once, at the end, in sorted order with
-one shared rational per distinct coordinate.
+the fiber coordinates' denominators (1 on the lattice), and paired through
+the system's integer functional of alpha, so every term carries its
+pairing as an int numerator over den * L and the window is the one int
+floor(window den L).  On lattice fibers the terms are the output weights
+as they stand; otherwise they are divided by L once, at the end, in
+sorted order, each coordinate an int where L divides it.
 """
 
 import math
 from operator import add, mul, sub
 
-from .characters import ConeSeries, FormalCharacter, sumSeries
+from .characters import (ConeSeries, FormalCharacter, _lattice_coords,
+                         _rational_weights, polarizationWitness, sumSeries)
 from .errors import (DiracforgeError, NonGenericPolarization, NotIntegral,
                      NonTrivialBaseAction, PolarizationViolated)
-from .characters import _rational_weights, polarizationWitness
-from .rationals import rat, rat_str
-
-
-def _weight_str(w):
-    return ",".join(rat_str(c) for c in w)
+from .liecore import weightString
+from .rationals import rat
 
 
 def polarizedExpand(system, fiberWeights, alpha, window):
@@ -40,19 +38,18 @@ def polarizedExpand(system, fiberWeights, alpha, window):
         raise DiracforgeError("zero direction cannot polarize")
     a, den = system.pairingFunctional(alpha)
     fiber = [system.weight(w) for w in fiberWeights]
-    L = math.lcm(*(c.denominator for w in fiber for c in w))
+    L, coords = _lattice_coords(fiber)
     scale = den * L
     scaled = []  # (L w, <w, alpha> den L) per fiber weight
     factors = []
     total_min = 0
-    for w in fiber:
-        u = tuple(int(c * L) for c in w)
+    for w, u in zip(fiber, coords):
         d = sum(map(mul, a, u))
         scaled.append((u, d))
         if d == 0:
             raise NonGenericPolarization(
                 "fiber weight (%s) pairs to zero with the direction"
-                % _weight_str(w))
+                % weightString(w))
         if d < 0:
             # sum_{k>=0} e^{-kw}: steps of -w, each raising the pairing by -d
             factors.append((tuple(-c for c in u), -d, 1, 0))
@@ -139,7 +136,7 @@ def vectorSpaceIndex(system, fiberWeights, alpha, shift, window):
     shift = system.weight(shift)
     if not system.isIntegral(shift):
         raise NotIntegral("shift (%s) is not a lattice weight"
-                          % _weight_str(shift))
+                          % weightString(shift))
     return polarizedExpand(system, fiberWeights, alpha, window).shift(shift)
 
 
@@ -156,7 +153,7 @@ def bundleIndex(system, baseCharacter, fiberWeights, alpha, shift, window,
             if any(w):
                 raise NonTrivialBaseAction(
                     "base weight (%s) is nonzero; polarization is only "
-                    "guaranteed over a trivially acted base" % _weight_str(w))
+                    "guaranteed over a trivially acted base" % weightString(w))
     fiber = vectorSpaceIndex(system, fiberWeights, alpha, shift, window)
     if not baseCharacter.entries:
         return ConeSeries(system, {}, system.weight(alpha), 0, None)
@@ -171,7 +168,7 @@ def vanishingCheck(series, alpha, strict=True):
     if not ok:
         raise PolarizationViolated(
             "weight (%s) carries multiplicity %d on the wrong side"
-            % (_weight_str(witness), series.entries[witness]))
+            % (weightString(witness), series.entries[witness]))
     report = {"strict": bool(strict), "polarized": True}
     if strict:
         c0 = series.coefficient(series.system.zeroWeight())

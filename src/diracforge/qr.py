@@ -15,7 +15,7 @@ exercised here.
 """
 
 from itertools import combinations, product as cartesian
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 from operator import mul
 
 from .characters import (ConeSeries, FormalCharacter, _lattice_coords,
@@ -26,20 +26,13 @@ from .errors import (ConventionMismatch, DiracforgeError, NonGenericDirection,
                      SingularShift, UnsupportedType, VerificationError)
 from .exactmat import ExactMatrix
 from .induction import diracInduct
-from .liecore import equalRankPair, systemFromLabel, weightToStrings
+from .liecore import equalRankPair, systemFromLabel, weightString
 from .polarized import bundleIndex, polarizedExpand
-from .rationals import ZERO, is_integer, rat, rat_from_str, rat_str
+from .rationals import coord, is_integer, rat, rat_from_str, rat_str
 
 
 def _dot(a, b):
-    out = ZERO
-    for x, y in zip(a, b):
-        out = out + x * y
-    return out
-
-
-def _coords(w):
-    return ",".join(weightToStrings(w))
+    return sum(map(mul, a, b))
 
 
 def _integral_direction(xi):
@@ -55,14 +48,9 @@ def _integral_direction(xi):
 def _primitive(vec):
     """Scale a nonzero rational vector to a primitive integer vector,
     keeping its direction."""
-    denoms = [rat(c).denominator for c in vec]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
+    scale = lcm(*(rat(c).denominator for c in vec))
     ints = [int(rat(c) * scale) for c in vec]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
+    g = gcd(*ints)
     if g == 0:
         raise DiracforgeError("zero vector has no primitive form")
     return tuple(c // g for c in ints)
@@ -100,7 +88,7 @@ class ToricModel:
             if _primitive(normal) != normal:
                 raise DiracforgeError(
                     "halfspace %d: normal (%s) is not primitive"
-                    % (idx, _coords(normal)))
+                    % (idx, weightString(normal)))
             spaces.append((normal, rat(offset)))
         if dimension is None:
             raise DiracforgeError(
@@ -133,7 +121,7 @@ class ToricModel:
             rhs = ExactMatrix.from_rows([[-self.halfSpaces[j][1]]
                                          for j in subset])
             col = inv * rhs
-            point = tuple(col.get(i, 0)[0] for i in range(n))
+            point = tuple(coord(col.get(i, 0)[0]) for i in range(n))
             if not self.containsPoint(point):
                 continue
             active = tuple(j for j, (nor, off) in enumerate(self.halfSpaces)
@@ -141,7 +129,7 @@ class ToricModel:
             if len(active) > n:
                 raise NotDelzant(
                     "vertex (%s) lies on %d facets; the polytope is not "
-                    "simple" % (_coords(point), len(active)))
+                    "simple" % (weightString(point), len(active)))
             if point in seen:
                 continue
             # the normals are a lattice basis exactly when their inverse
@@ -153,7 +141,7 @@ class ToricModel:
                         raise NotDelzant(
                             "normals at vertex (%s) are not a lattice basis: "
                             "their inverse has entry %s at (%d, %d)"
-                            % (_coords(point), rat_str(x), i + 1, k + 1))
+                            % (weightString(point), rat_str(x), i + 1, k + 1))
             edges = [tuple(int(inv.get(i, k)[0]) for i in range(n))
                      for k in range(n)]
             seen[point] = _Vertex(point, edges, active)
@@ -172,7 +160,7 @@ class ToricModel:
         for d in self._recession_candidates():
             if any(d) and all(_dot(d, nor) >= 0 for nor, _ in self.halfSpaces):
                 raise NotDelzant(
-                    "unbounded along direction (%s)" % _coords(d))
+                    "unbounded along direction (%s)" % weightString(d))
         base = self.vertices[0].point
         diffs = [[v.point[i] - base[i] for i in range(n)]
                  for v in self.vertices[1:]]
@@ -209,14 +197,11 @@ class ToricModel:
         if self._lattice is not None:
             return self._lattice
         n = self.dimension
-        if n == 0:
-            self._lattice = [()]
-            return self._lattice
+        # the point model (n = 0) gets the one empty point from cartesian()
         los = [min(v.point[i] for v in self.vertices) for i in range(n)]
         his = [max(v.point[i] for v in self.vertices) for i in range(n)]
         ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in zip(los, his)]
-        pts = [tuple(rat(c) for c in p) for p in cartesian(*ranges)
-               if self.containsPoint(p)]
+        pts = [p for p in cartesian(*ranges) if self.containsPoint(p)]
         self._lattice = pts
         return pts
 
@@ -297,7 +282,7 @@ def fixedPointCharacter(model, xi, window):
             if _dot(u, xi) == 0:
                 raise NonGenericDirection(
                     "edge (%s) at vertex (%s) pairs to zero"
-                    % (_coords(u), _coords(v.point)))
+                    % (weightString(u), weightString(v.point)))
         outward = [tuple(-c for c in u) for u in v.edges]
         p = sys.innerProduct(sys.weight(v.point), xi)
         parts.append(polarizedExpand(sys, outward, xi, window - p)
@@ -323,11 +308,11 @@ class KirwanComponent:
         if len(alpha) > 0 and self.containsZero != (not any(alpha)):
             raise DiracforgeError(
                 "component label (%s) disagrees with containsZero"
-                % _coords(alpha))
+                % weightString(alpha))
 
     def __repr__(self):
         return "KirwanComponent(alpha=(%s), terms=%d%s)" % (
-            _coords(self.alpha), len(self.localSeries.entries),
+            weightString(self.alpha), len(self.localSeries.entries),
             ", zero" if self.containsZero else "")
 
 
@@ -406,7 +391,7 @@ def kirwanDecomposeCircle(model, xi, c, window):
     xi = _integral_direction(xi)
     if _primitive(xi) != xi:
         raise DiracforgeError("circle direction (%s) must be a primitive "
-                              "integer vector" % _coords(xi))
+                              "integer vector" % weightString(xi))
     xiw = sys.weight(xi)
 
     vals = [sys.innerProduct(sys.weight(v.point), xiw)
@@ -471,7 +456,7 @@ def kirwanDecomposeCircle(model, xi, c, window):
         if not same:
             raise VerificationError(
                 "localization sum disagrees with the lattice character at "
-                "(%s)" % _coords(witness))
+                "(%s)" % weightString(witness))
     return comps
 
 
@@ -520,7 +505,8 @@ def qrCheckCircle(model, xi, c, window=None):
                 if (n - target) * side < 0:
                     raise QRViolation(
                         "component (%s) has weight (%s) on the wrong side "
-                        "of the level" % (_coords(comp.alpha), _coords(w)))
+                        "of the level"
+                        % (weightString(comp.alpha), weightString(w)))
         if comp.containsZero:
             if level != reduced:
                 raise QRViolation(
@@ -529,7 +515,7 @@ def qrCheckCircle(model, xi, c, window=None):
         elif level != 0:
             raise QRViolation(
                 "component (%s) contributes %d at the reduction level"
-                % (_coords(comp.alpha), level))
+                % (weightString(comp.alpha), level))
         mult0 += level
         rows.append({"alpha": [rat_str(x) for x in comp.alpha],
                      "containsZero": comp.containsZero,
@@ -560,11 +546,11 @@ class CoadjointModel:
         lam = system.weight(lam)
         if not system.isIntegral(lam):
             raise NotIntegral("orbit label (%s) is not integral"
-                              % _coords(lam))
+                              % weightString(lam))
         if not system.isDominantRegular(lam):
             raise DiracforgeError(
                 "orbit label (%s) must be strictly dominant; singular "
-                "orbits are smaller flag manifolds" % _coords(lam))
+                "orbits are smaller flag manifolds" % weightString(lam))
         self.system = system
         self.lam = lam
 
@@ -578,9 +564,11 @@ def coadjointQuantization(model):
     twisted = tuple(a + b for a, b in zip(lamH, pair.shift))
     out = diracInduct(pair, twisted)
     if dict(out.entries) != {model.lam: 1}:
+        got = " + ".join("%d V(%s)" % (m, weightString(w))
+                         for w, m in sorted(out.entries.items())) or "0"
         raise ConventionMismatch(
-            "induction of the shifted orbit character gave %r instead of "
-            "the single irreducible (%s)" % (out.entries, _coords(model.lam)))
+            "induction of the shifted orbit character gave %s instead of "
+            "the single irreducible (%s)" % (got, weightString(model.lam)))
     return out
 
 
@@ -591,20 +579,21 @@ def productQRCheck(rs, lam, mu):
     mu = rs.weight(mu)
     for w in (lam, mu):
         if not rs.isIntegral(w):
-            raise NotIntegral("orbit label (%s) is not integral" % _coords(w))
+            raise NotIntegral("orbit label (%s) is not integral"
+                              % weightString(w))
         if not rs.isDominantRegular(w):
             raise DiracforgeError("orbit label (%s) must be strictly "
-                                  "dominant" % _coords(w))
+                                  "dominant" % weightString(w))
     dec = tensorDecompose(rs, lam, dualWeight(rs, mu))
     mult = dec.get(rs.zeroWeight(), 0)
     expected = 1 if lam == mu else 0
     if mult != expected:
         raise QRViolation(
             "trivial multiplicity %d in V_(%s) (x) V_(%s)*, expected %d"
-            % (mult, _coords(lam), _coords(mu), expected))
+            % (mult, weightString(lam), weightString(mu), expected))
     return {"system": rs.label,
-            "lambda": _coords(lam),
-            "mu": _coords(mu),
+            "lambda": weightString(lam),
+            "mu": weightString(mu),
             "multiplicity": mult,
             "expected": expected,
             "match": True}

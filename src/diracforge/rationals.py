@@ -1,6 +1,9 @@
 """Exact rational scalars.
 
-All payload arithmetic in this package is exact, on ``fractions.Fraction``.
+All payload arithmetic in this package is exact.  Scalars and matrix
+entries are ``fractions.Fraction``.  A weight coordinate is an ``int``
+when it is integral and a ``Fraction`` otherwise (``coord``); the two
+compare and hash equal, so a weight is the same dict key either way.
 
 Wire form: a rational serializes as ``"p"`` or ``"p/q"`` in lowest terms.
 """
@@ -19,17 +22,27 @@ def rat(p=0, q=1):
     return Fraction(p, q)
 
 
+def coord(p, q=1):
+    """p/q as a weight coordinate: an int when q divides p, else a
+    Fraction.  p and q are ints or Fractions."""
+    if type(p) is int and type(q) is int and q and not p % q:
+        return p // q
+    x = Fraction(p, q)
+    return x.numerator if x.denominator == 1 else x
+
+
 ZERO = rat(0)
 ONE = rat(1)
 
 
 def rat_from_str(s):
-    """Parse "p" or "p/q" (lowest terms not required)."""
+    """Parse "p" or "p/q" (lowest terms not required); an int when the
+    value is integral."""
     s = s.strip()
     if "/" in s:
         p, q = s.split("/")
-        return rat(int(p), int(q))
-    return rat(int(s))
+        return coord(int(p), int(q))
+    return int(s)
 
 
 def rat_str(x):

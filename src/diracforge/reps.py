@@ -241,7 +241,7 @@ def buildLieRep(rs, lam):
 
     # restrict every direction: M = diag(1/n) B^H (pi_a B) projects the
     # images onto the basis, and B M == pi_a B says they never left it
-    inv = ExactMatrix.diag([1 / n for n in norms])
+    inv = ExactMatrix.diag([rat(1, n) for n in norms])
     rep_pi = []
     for a in range(frame.dim):
         img = pis[a] * cols

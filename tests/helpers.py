@@ -19,8 +19,13 @@
 - ``fractionRootData`` builds a system's roots, gram and rho on
   ``Fraction`` weights, one ``ExactMatrix`` solve per simple factor and
   one root-coefficient product per root: the oracle for the int core of
-  ``liecore.RootSystem``.
+  ``liecore.RootSystem``;
+- ``intWhenIntegral`` is the coordinate rule of the weight layer: an int
+  when integral, a ``Fraction`` otherwise.
 """
+
+from fractions import Fraction
+
 
 from diracforge.characters import irreducibleCharacter
 from diracforge.clifford import buildCliffordFrame, hSpinAction
@@ -30,6 +35,13 @@ from diracforge.errors import (BadStructureConstants, DiracforgeError,
 from diracforge.exactmat import ExactMatrix, inverse_rows
 from diracforge.liecore import _cartan_block, _half_lengths
 from diracforge.rationals import ZERO, rat, rat_str
+
+
+def intWhenIntegral(weight):
+    """Whether every coordinate is an int when integral and a Fraction
+    otherwise."""
+    return all(type(c) is (int if c.denominator == 1 else Fraction)
+               for c in weight)
 
 
 def buildClifford(n):

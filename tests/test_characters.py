@@ -16,7 +16,10 @@ from diracforge.errors import (DiracforgeError, NotDominant, NotIntegral,
 from diracforge.liecore import pairFromLabel, systemFromLabel
 from diracforge.rationals import rat
 
-from helpers import fractionDecompose, isWeylInvariant
+from diracforge.induction import diracInduct
+from diracforge.polarized import polarizedExpand
+
+from helpers import fractionDecompose, intWhenIntegral, isWeylInvariant
 
 A1 = systemFromLabel("A1")
 A2 = systemFromLabel("A2")
@@ -525,3 +528,31 @@ def test_cone_series_file_round_trip():
         assert ConeSeries.from_lines(s.to_lines()) == s
     with pytest.raises(DiracforgeError):
         ConeSeries.from_lines(["T1 flat-series polarizer=1 offset=0 window=2"])
+
+
+# ------------------------------------------- int coordinates where integral
+
+def test_integral_coordinates_are_ints_in_every_output():
+    u2 = pairFromLabel("A2:u2")
+    t2 = systemFromLabel("T2")
+    series = ConeSeries.from_lines(
+        ["T1 cone-series polarizer=1 offset=1 window=none",
+         "-1/2 1", "4/2 3", "3 1"])
+    fractional = polarizedExpand(t2, [(rat(-1, 2), 0), (0, -1)], (1, 1), 3)
+    outputs = {
+        # a Fraction highest weight is checked, then run on ints
+        "char": irreducibleCharacter(systemFromLabel("B2"),
+                                     (rat(1), rat(1))).entries,
+        "tensor": tensorDecompose(A2, (1, 0), (1, 1)),
+        "restrict": restrictCharacter(u2, (2, 1)),
+        "induct": diracInduct(u2, (0, 3)).entries,
+        "polarize": polarizedExpand(t2, [(1, 0), (-1, -2)], (1, 1),
+                                    6).entries,
+        "fractional fiber": fractional.entries,
+        "series file": series.entries,
+    }
+    for name, weights in outputs.items():
+        assert weights, name
+        assert all(intWhenIntegral(w) for w in weights), name
+    assert (rat(-1, 2),) in series.entries and (2,) in series.entries
+    assert any(not w[0].denominator == 1 for w in fractional.entries)

@@ -121,6 +121,27 @@ def test_verify_relative_single(capsys):
     assert all(b["match"] for b in one["blocks"])
 
 
+def test_restrict_to_the_torus_of_a_torus_factor_pair(capsys):
+    # the H-coordinates of A1xT1:T are the A1 charge, then the T1 coordinate
+    rc, out, _ = run(capsys, "restrict", "--pair", "A1xT1:T",
+                     "--weight", "1,2")
+    assert rc == 0
+    assert out == "T2 irreducible-basis\n-1,2 1\n1,2 1\n"
+
+
+def test_induct_on_a_torus_factor_pair(capsys):
+    rc, out, _ = run(capsys, "induct", "--pair", "A1xT1:T", "--weight", "1,2")
+    assert rc == 0
+    assert out == "+1 V(0,2)\n"
+
+
+def test_verify_relative_on_a_torus_factor_pair(capsys):
+    rc, out, _ = run(capsys, "verify-relative", "--pair", "A1xT1:T",
+                     "--weight", "1,2")
+    assert rc == 0
+    assert out == "lambda (1,2): 3 blocks ok, kernel at [-2,2; 2,2]\n"
+
+
 def test_polarize_emits_series_file(capsys, tmp_path):
     out = tmp_path / "fiber.series"
     rc, doc, _ = runj(capsys, "polarize", "--type", "T1", "--fiber", "1",

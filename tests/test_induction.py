@@ -6,6 +6,8 @@ from diracforge.errors import (DiracforgeError, NotDominant,
                                TransferMismatch, WindowUnderflow)
 from diracforge.induction import (diracInduct, inductCharacter,
                                   multiplicityTransferCheck)
+from diracforge.characters import restrictCharacter
+from diracforge.exactmat import ExactMatrix
 from diracforge.liecore import pairFromLabel
 from diracforge.rationals import rat
 
@@ -83,6 +85,24 @@ def test_matches_kernel_index_oracle_on_a3(label, mu):
     want = dict(diracInduct(pair, mu).entries)
     assert want
     assert dict(kernelIndex(pair, {mu: 1}).entries) == want
+
+
+@pytest.mark.parametrize("label,mu", [
+    ("A1xT1:T", (2, 2)), ("A1xT1:T", (-2, 2)), ("A1xT1:T", (1, 0)),
+    ("A1xT2:T", (3, 1, -1)),
+])
+def test_matches_kernel_index_oracle_with_a_torus_factor(label, mu):
+    pair = pairFromLabel(label)
+    want = dict(diracInduct(pair, mu).entries)
+    assert want
+    assert dict(kernelIndex(pair, {mu: 1}).entries) == want
+
+
+def test_torus_factor_coordinates_follow_the_charges():
+    pair = pairFromLabel("A1xT2:T")
+    assert pair.h.factors == (("Torus", 3),)
+    assert pair.weightToH((3, 1, -1)) == (3, 1, -1)
+    assert pair.pRoots == ((2, 0, 0),)
 
 
 # ------------------------------------------------------ linear extension
@@ -203,3 +223,24 @@ def test_transfer_mismatch_raises_with_counterexample():
     pair = pairFromLabel("A1:T")
     with pytest.raises(TransferMismatch):
         multiplicityTransferCheck(pair, irr(pair, {(rat(-2),): 1}))
+
+
+def test_restrict_and_induct_make_no_matrix_product(monkeypatch):
+    # once the pair is built, weightToH, weightToG and rootCoefficients
+    # are int dot products
+    pair = pairFromLabel("A2:u2")
+    count = [0]
+    real = ExactMatrix._matmul
+
+    def counting(self, other):
+        count[0] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "_matmul", counting)
+    dec = restrictCharacter(pair, (2, 1))
+    assert dec
+    induced = inductCharacter(pair, irr(pair, dec))
+    weights = FormalCharacter(pair.h, {(1, 3): 1, (-1, 3): 1})
+    assert inductCharacter(pair, weights) == diracInduct(pair, (1, 3))
+    assert count[0] == 0
+    assert induced.basis == IRR

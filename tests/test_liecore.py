@@ -12,7 +12,7 @@ from diracforge.liecore import (RootSystem, equalRankPair, pairFromLabel,
 from diracforge.rationals import rat
 from diracforge.structure import buildFrame
 
-from helpers import fractionRootData
+from helpers import fractionRootData, intWhenIntegral
 
 ALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "C2", "D4", "T1", "T4",
               "A1xT1", "A1xA1", "A2xT2"]
@@ -74,18 +74,28 @@ def test_build_examples():
 
 
 def test_weight_coercion():
+    # weight() checks types and converts nothing: ints and Fractions pass
+    # as they are, and equal the Fraction weight they name
     rs = systemFromLabel("A2")
     w = rs.weight((1, -2))
     assert w == (rat(1), rat(-2))
-    assert all(type(c) is type(rat(0)) for c in w)
+    assert all(type(c) is int for c in w)
     mixed = rs.weight((rat(1, 2), 3))
     assert mixed == (rat(1, 2), rat(3))
-    assert all(type(c) is type(rat(0)) for c in mixed)
+    assert [type(c) for c in mixed] == [Fraction, int]
     given = (rat(1, 3), rat(-2))
-    assert rs.weight(given) == given
+    assert rs.weight(given) is given
+    assert rs.weight([2, rat(1, 2)]) == (2, rat(1, 2))
     for bad in ((1,), (rat(1),), (rat(1), rat(2), rat(3))):
         with pytest.raises(SystemMismatch):
             rs.weight(bad)
+
+
+@pytest.mark.parametrize("bad", [(1.0, 2), (1, 0.5), (True, 0), (0, False),
+                                 ("1", 2), (1, "1/2")])
+def test_weight_rejects_floats_bools_and_strings(bad):
+    with pytest.raises(TypeError):
+        systemFromLabel("A2").weight(bad)
 
 
 def test_unsupported():
@@ -202,15 +212,18 @@ def test_root_coefficients():
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_root_coefficients_kept_from_the_closure(label):
     rs = systemFromLabel(label)
-    assert len(rs.intRootCoefficients) == len(rs.intRoots)
+    *_, coefficients = fractionRootData(rs.factors)
+    assert len(rs.intRootCoefficients) == len(rs.positiveRoots)
     for beta, coeffs in zip(rs.positiveRoots, rs.intRootCoefficients):
         assert all(type(c) is int for c in coeffs)
-        assert coeffs == rs.rootCoefficients(beta)
+        assert coeffs == rs.rootCoefficients(beta) == coefficients(beta)
+        assert all(type(c) is int for c in rs.rootCoefficients(beta))
 
 
 def test_frame_and_pair_make_no_product_per_root(monkeypatch):
-    # the frame keeps its gram and dual-frame products, the pair its
-    # coordinate changes; the root coefficients come from the closure
+    # the frame keeps its gram and dual-frame products, the pair only the
+    # gram it inherits (toG^T G toG); the root coefficients come from the
+    # closure, and the coordinate changes are int dot products
     count = [0]
     real = ExactMatrix._matmul
 
@@ -224,7 +237,7 @@ def test_frame_and_pair_make_no_product_per_root(monkeypatch):
     assert count[0] == 2
     count[0] = 0
     pairFromLabel("A4:T")
-    assert count[0] == 3
+    assert count[0] == 2
 
 
 def test_pair_torus():
@@ -285,8 +298,10 @@ def _check_against_oracle(rs, gram=None):
     assert rs.positiveRoots == positive
     assert rs.gram == g
     assert rs.rho == rho
-    for coords in (*rs.simpleRoots, *rs.positiveRoots, rho, *rs.gram):
-        assert all(type(c) is Fraction for c in coords)
+    # the root data is int; the gram stays a matrix of Fractions
+    for coords in (*rs.simpleRoots, *rs.positiveRoots, rs.rho):
+        assert all(type(c) is int for c in coords)
+    assert all(type(x) is Fraction for row in rs.gram for x in row)
     rng = random.Random(31)
     probes = [*positive, rho, rs.zeroWeight(),
               *(rand_weight(rs, rng) for _ in range(10))]
@@ -295,15 +310,14 @@ def _check_against_oracle(rs, gram=None):
         probes += [tuple(c if i in rs.simple_positions else rat(0)
                          for i, c in enumerate(v)) for v in probes]
     for v in probes:
-        assert rs.rootCoefficients(v) == coefficients(v)
-    # the int data is the same data
-    assert rs.positiveRoots == tuple(tuple(map(rat, a)) for a in rs.intRoots)
-    assert rs.rho == tuple(map(rat, rs.intRho))
+        got = rs.rootCoefficients(v)
+        assert got == coefficients(v)
+        assert got is None or intWhenIntegral(got)
     scale = math.lcm(*(x.denominator for row in rs.gram for x in row))
     assert rs.intGram == [[x * scale for x in row] for row in rs.gram]
     assert all(type(x) is int for row in rs.intGram for x in row)
-    assert [tuple(map(rat, alpha)) for _, alpha in rs.reflections] \
-        == rs.simpleRoots
+    assert rs.gramScale == scale
+    assert [alpha for _, alpha in rs.reflections] == rs.simpleRoots
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
