@@ -15,10 +15,16 @@ A weight coordinate is an int when it is integral and a Fraction
 otherwise (see liecore), so the integral weights every kernel here makes
 are int tuples from the kernel to the report.  Irreducible characters come
 from the Freudenthal recursion on them, reading the root system's int
-data: the Cartan rows as reflections, the positive roots, rho, the scaled
-gram and the Weyl orbit (``RootSystem.orbit``).  The kernel
+data: the positive roots with their heights, rho and the scaled gram.  It
+makes one pass per Weyl orbit: the dominant weights below lam are found
+by subtracting positive roots (``_dominant_below``), and each dominant
+multiplicity is spread over its orbit as soon as it is known
+(``RootSystem.dominantOrbit``, which reaches each weight once), so every
+root-string step reads the full weight dict.  The kernel
 ``_irreducible_weights`` answers {weight: multiplicity} from a valid cache
-entry or from the recursion and the orbit expansion.  Decompositions use
+entry or from the recursion, together with the entries keyed by the
+"%d,..." spelling of each weight, formatted once and sorted once: the
+cache document and the ``char`` report share them.  Decompositions use
 greedy highest-weight peeling, also on ints: the input weights w become
 int tuples L w (L the lcm of their denominators, 1 on the lattice), each
 support weight's |w + rho|^2 is one pairing with the int gram, and the
@@ -27,7 +33,7 @@ peeled irreducibles come from the same kernel.
 
 import itertools
 import math
-from operator import add, attrgetter, mul
+from operator import add, attrgetter, eq, lt, mul, sub
 
 from . import cache
 from .errors import (DiracforgeError, InternalError, NotDominant,
@@ -118,7 +124,7 @@ class FormalCharacter:
 
     def keyed(self):
         """[(coordinate string "p/q,...", multiplicity)] in support order."""
-        return _keyed(self.entries)
+        return _keyed(self.entries, self.system.rank)
 
     # file format: header "<label> <basis-flag>", then "<coords p/q,...> <mult>"
     def to_lines(self, keyed=None):
@@ -189,33 +195,46 @@ def weylDimension(rs, lam):
 def _dominant_below(rs, lam):
     """(height, mu) for each dominant mu with lam - mu in the nonnegative-
     integer root lattice, the height being the number of simple roots in
-    lam - mu.  lam and each mu are tuples of ints."""
-    if not rs.simple_positions:
-        return [(0, lam)]
-    simple_set = set(rs.simple_positions)
-    proj = tuple(lam[i] if i in simple_set else 0 for i in range(rs.rank))
-    # the inverse-transpose Cartan has nonnegative entries, so dominance of mu
-    # pins each root coefficient of lam - mu below the coefficient of proj
-    bounds = [max(int(c), 0) for c in rs.rootCoefficients(proj)]
-    reflections = rs.reflections
-    out = []
-    for cvec in itertools.product(*(range(b + 1) for b in bounds)):
-        mu = list(lam)
-        for c, (_, alpha) in zip(cvec, reflections):
-            if c:
-                for i, a in enumerate(alpha):
-                    mu[i] -= c * a
-        if all(mu[p] >= 0 for p, _ in reflections):
-            out.append((sum(cvec), tuple(mu)))
+    lam - mu.  lam and each mu are tuples of ints.
+
+    Every such mu is reached from lam by subtracting positive roots one at
+    a time through dominant weights (Stembridge, "The partial order of
+    dominant weights", Adv. Math. 136, 1998), so the walk subtracts each
+    positive root from each weight found and keeps the dominant results;
+    each step adds the root's height from ``intRootCoefficients``.
+    """
+    # mu - alpha stays dominant unless a simple coordinate where alpha is
+    # positive drops below zero
+    steps = [(alpha, sum(coeffs),
+              tuple((p, alpha[p]) for p in rs.simple_positions
+                    if alpha[p] > 0))
+             for alpha, coeffs in zip(rs.positiveRoots,
+                                      rs.intRootCoefficients)]
+    out = [(0, lam)]
+    seen = {lam}
+    for height, mu in out:  # the walk appends what it finds
+        for alpha, h, positive in steps:
+            for p, a in positive:
+                if mu[p] < a:
+                    break
+            else:
+                v = tuple(map(sub, mu, alpha))
+                if v not in seen:
+                    seen.add(v)
+                    out.append((height + h, v))
     return out
 
 
 def _freudenthal(rs, lam):
-    """{dominant mu: multiplicity in V_lam} for lam dominant integral.
+    """{weight: multiplicity in V_lam} for lam dominant integral.
 
     Every weight of V_lam is lam minus a sum of Cartan rows, so the
     recursion runs on int tuples, with the int gram; the quotient
-    acc / denom does not change under its scale.
+    acc / denom does not change under its scale.  The dominant weights go
+    in height order, and each multiplicity is spread over its Weyl orbit
+    as soon as it is known.  A root-string step mu + k alpha (k > 0) then
+    reads its multiplicity directly: the dominant weight of its orbit lies
+    above mu, at a smaller height, so it was done before mu.
     """
     gram = rs.intGram
 
@@ -223,22 +242,13 @@ def _freudenthal(rs, lam):
         mu_rho = tuple(map(add, mu, rs.rho))
         return gramPairing(gram, mu_rho, mu_rho)
 
-    reflections = rs.reflections
-
-    def dominant(v):
-        while True:
-            for p, alpha in reflections:
-                c = v[p]
-                if c < 0:
-                    v = tuple(x - c * a for x, a in zip(v, alpha))
-                    break
-            else:
-                return v
-
-    roots = [(alpha, gramPairing(gram, alpha, alpha))
-             for alpha in rs.positiveRoots]
+    # <mu, alpha> = mu . (G alpha): one product with the gram per root
+    roots = []
+    for alpha in rs.positiveRoots:
+        g_alpha = [sum(map(mul, row, alpha)) for row in gram]
+        roots.append((alpha, g_alpha, sum(map(mul, alpha, g_alpha))))
     target = shifted_norm(lam)
-    mult = {lam: 1}
+    weights = dict.fromkeys(rs.dominantOrbit(lam), 1)
     for _, mu in sorted(_dominant_below(rs, lam)):
         if mu == lam:
             continue
@@ -246,13 +256,13 @@ def _freudenthal(rs, lam):
         if denom == 0:
             raise InternalError("vanishing Freudenthal denominator")
         acc = 0
-        for alpha, alpha_norm in roots:
+        for alpha, g_alpha, alpha_norm in roots:
             # <mu + k alpha, alpha>, k = 0
-            v, p = mu, gramPairing(gram, mu, alpha)
+            v, p = mu, sum(map(mul, mu, g_alpha))
             while True:
-                v = tuple(a + b for a, b in zip(v, alpha))
+                v = tuple(map(add, v, alpha))
                 p += alpha_norm
-                m = mult.get(dominant(v), 0)
+                m = weights.get(v, 0)
                 if m == 0:
                     # root strings through a weight diagram have no gaps
                     break
@@ -263,16 +273,23 @@ def _freudenthal(rs, lam):
                                 % (rat_str(rat(acc, denom)),
                                    ",".join(map(str, mu))))
         if val:
-            mult[mu] = val
-    return mult
+            weights.update(dict.fromkeys(rs.dominantOrbit(mu), val))
+    return weights
+
+
+def _int_format(rank):
+    """The format "%d,...,%d" of a weight of this rank with int (or
+    integral) coordinates: "%d" % c is rat_str(c)."""
+    return ",".join(["%d"] * rank)
 
 
 def _cached_weights(rs, lam, doc):
     """The {int weight: multiplicity} a cache document holds, or None unless
     the document is for (rs, lam), its coordinates are ints, rank of them
-    per weight, its multiplicities are positive ints that sum to the Weyl
-    dimension, and lam has multiplicity 1.  A wrong entry counts as a miss,
-    never as an answer."""
+    per weight, each key is the canonical "%d,..." form of its weight, its
+    multiplicities are positive ints that sum to the Weyl dimension, and
+    lam has multiplicity 1.  A wrong entry counts as a miss, never as an
+    answer."""
     if not isinstance(doc, dict) \
             or doc.get("system") != cache.system_key(rs) \
             or doc.get("lambda") != weightString(lam) \
@@ -296,38 +313,46 @@ def _cached_weights(rs, lam, doc):
     if weights.get(lam) != 1 \
             or sum(weights.values()) != weylDimension(rs, lam):
         return None
+    # the report prints the keys as they are, so int()'s other spellings of
+    # a coordinate ("+1", "01", " 1", "1_0", "-0") are misses too; no key
+    # collapsed into another, so the keys and weights pair up in order
+    fmt = _int_format(rs.rank)
+    if len(weights) != len(entries) \
+            or not all(map(eq, entries, map(fmt.__mod__, weights))):
+        return None
     return weights
 
 
 def _irreducible_weights(rs, lam):
-    """{int weight: multiplicity} of the irreducible with highest weight
-    lam, in no particular order.
+    """(weights, entries) of the irreducible with highest weight lam:
+    weights is {int weight: multiplicity} in no particular order, entries
+    {"%d,..." key: multiplicity} in key order, the cache document's and
+    the char report's entries.
 
-    A valid cache entry answers; otherwise the Freudenthal recursion over
-    the dominant chamber and the orbit expansion do, and the result is
-    stored.  Entries are keyed by (system, lam); see cache.py.
+    A valid cache entry answers; otherwise the fused Freudenthal recursion
+    does, each weight is formatted once, the keys are sorted once, and the
+    result is stored.  Entries are keyed by (system, lam); see cache.py.
     """
     lam = _require_dominant_integral(rs, lam)
-    weights = _cached_weights(rs, lam, cache.load(rs, lam))
+    doc = cache.load(rs, lam)
+    weights = _cached_weights(rs, lam, doc)
     if weights is not None:
-        return weights
-    weights = {}
-    for mu, m in _freudenthal(rs, lam).items():
-        for v in rs.orbit(mu):
-            weights[v] = m
-    doc = {"system": cache.system_key(rs),
-           "lambda": weightString(lam),
-           # str(int) == rat_str(int)
-           "entries": {",".join(map(str, w)): m for w, m in weights.items()}}
-    cache.store(rs, lam, doc)
-    return weights
+        return weights, doc["entries"]
+    weights = _freudenthal(rs, lam)
+    fmt = _int_format(rs.rank)
+    entries = dict(zip(map(fmt.__mod__, weights), weights.values()))
+    entries = {k: entries[k] for k in sorted(entries)}
+    cache.store(rs, lam, {"system": cache.system_key(rs),
+                          "lambda": weightString(lam),
+                          "entries": entries})
+    return weights, entries
 
 
 def irreducibleCharacter(rs, lam):
     """Weight multiplicities of the irreducible with highest weight lam,
     as a weight-basis character in weight order; see
     _irreducible_weights."""
-    weights = _irreducible_weights(rs, lam)
+    weights, _ = _irreducible_weights(rs, lam)
     # the keys are weights of rs and the multiplicities nonzero ints
     # already, so the entries dict is built once, here, not again by the
     # constructor
@@ -367,7 +392,7 @@ def _peel(rs, L, rest):
         m = rest[best]
         # a fractional coordinate raises NotIntegral in the kernel
         lam = best if L == 1 else tuple(coord(c, L) for c in best)
-        for w, pm in _irreducible_weights(rs, lam).items():
+        for w, pm in _irreducible_weights(rs, lam)[0].items():
             u = w if L == 1 else tuple(L * c for c in w)
             nv = rest.get(u, 0) - m * pm
             if nv:
@@ -410,9 +435,9 @@ def tensorDecompose(rs, lam, mu):
     """V_lam (x) V_mu as {dominant weight: multiplicity}."""
     lam = _require_dominant_integral(rs, lam)
     mu = _require_dominant_integral(rs, mu)
-    right = list(_irreducible_weights(rs, mu).items())
+    right = list(_irreducible_weights(rs, mu)[0].items())
     prod = {}
-    for u, m in _irreducible_weights(rs, lam).items():
+    for u, m in _irreducible_weights(rs, lam)[0].items():
         for v, n in right:
             w = tuple(map(add, u, v))
             prod[w] = prod.get(w, 0) + m * n
@@ -427,7 +452,7 @@ def restrictCharacter(pair, lam):
     as {dominant H-weight: multiplicity}."""
     g, h = pair.g, pair.h
     lam = _require_dominant_integral(g, lam)
-    weights = _irreducible_weights(g, lam)
+    weights, _ = _irreducible_weights(g, lam)
     restricted = {}
     for u, m in weights.items():
         v = pair.weightToH(u)
@@ -489,25 +514,22 @@ def _rational_weights(coords, L):
     return [tuple([scalars[c] for c in u]) for u in coords]
 
 
-def _keyed(entries):
+def _keyed(entries, rank):
     """[(coordinate string "p/q,...", value)] of {weight: value}, sorted
-    by weight on the int coordinates.  Entries already in weight order,
-    as a character from ints or a polarized expansion is, are formatted
-    one int tuple at a time, with no sort and no list of tuples."""
+    by weight.  On the integral lattice the weights themselves are
+    formatted and compared; otherwise their int coordinates L w are.
+    Entries already in weight order, as a character from ints or a
+    polarized expansion is, are not sorted."""
     L = _lattice_scale(entries)
-    keyed = []
-    prev = None
-    ordered = True
-    for u, m in zip(_int_coords(entries, L), entries.values()):
-        ordered = ordered and (prev is None or prev < u)
-        prev = u
-        if L == 1:  # str(int) == rat_str(int)
-            keyed.append((",".join(map(str, u)), m))
-        else:
-            keyed.append((",".join(rat_str(rat(c, L)) for c in u), m))
-    if ordered:
+    if L == 1:
+        coords = list(entries)
+        keys = map(_int_format(rank).__mod__, coords)
+    else:
+        coords = list(_int_coords(entries, L))
+        keys = (",".join(rat_str(rat(c, L)) for c in u) for u in coords)
+    keyed = list(zip(keys, entries.values()))
+    if all(map(lt, coords, itertools.islice(coords, 1, None))):
         return keyed
-    coords = list(_int_coords(entries, L))
     return [keyed[i] for i in sorted(range(len(keyed)),
                                      key=coords.__getitem__)]
 
@@ -593,7 +615,7 @@ class ConeSeries:
 
     def keyed(self):
         """[(coordinate string "p/q,...", coefficient)] in support order."""
-        return _keyed(self.entries)
+        return _keyed(self.entries, self.system.rank)
 
     def isComplete(self):
         return self.window is None

@@ -18,7 +18,7 @@ from itertools import product as cartesian
 
 from . import cache
 from .characters import (ConeSeries, FormalCharacter, _irreducible_weights,
-                         restrictCharacter, tensorDecompose)
+                         _keyed, restrictCharacter, tensorDecompose)
 from .clifford import frameClifford
 from .dirac import spectralCheckRelative, verifyKostantIdentity
 from .errors import (DiracforgeError, InternalError, SpectralMismatch,
@@ -211,15 +211,15 @@ def cmd_orbit(config, args):
 def cmd_char(config, args):
     rs = systemFromLabel(args.type)
     lam = rs.weight(_parse_weight(args.weight))
-    weights = _irreducible_weights(rs, lam)
-    # one sort of the int weights and one format per weight for both
-    # outputs; int order is the rational order, and "%d" % int == rat_str(int)
-    coords = ",".join(["%d"] * rs.rank)
-    keyed = [(coords % u, weights[u]) for u in sorted(weights)]
-    lines = ["%s %s" % (rs.label, FormalCharacter.WEIGHT)]
-    lines.extend("%s %d" % kv for kv in keyed)
+    # entries are the cache document's keys, formatted once by the kernel
+    weights, entries = _irreducible_weights(rs, lam)
     payload = {"label": rs.label, "weight": weightString(lam),
-               "dimension": sum(weights.values()), "entries": dict(keyed)}
+               "dimension": sum(entries.values()), "entries": entries}
+    if config.format == "json" and not args.out:
+        return payload, None
+    # the text report and the file list the weights in weight order
+    lines = ["%s %s" % (rs.label, FormalCharacter.WEIGHT)]
+    lines.extend("%s %d" % kv for kv in _keyed(weights, rs.rank))
     if args.out:
         _write_text(args.out, lines)
         payload["out"] = args.out

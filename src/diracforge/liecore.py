@@ -21,7 +21,10 @@ the positive roots with their simple-root coefficients
 (``intRootCoefficients``, in the same order), rho, and the gram scaled by
 the lcm of its denominators (``intGram``, scale ``gramScale``).  Weyl-group
 arithmetic, the positive-root closure and every pairing run on them;
-``gram`` is the same form as rationals.
+``gram`` is the same form as rationals.  A Weyl orbit is walked from its
+dominant weight so that each weight is reached once (``dominantOrbit``);
+``orbit``, ``weylOrbit`` and ``weylGroupOrder`` walk from
+``makeDominant(v)``, so they serve rational v too.
 """
 
 import math
@@ -128,6 +131,11 @@ class RootSystem:
                 alpha[q] = c
             self.reflections.append((p, tuple(alpha)))
         self.simpleRoots = [alpha for _, alpha in self.reflections]
+        # one step of the orbit walk per s_i: its position, alpha_i, and
+        # alpha_i's coordinates at the positions of the earlier simple roots
+        self._orbit_steps = [
+            (p, alpha, tuple((q, alpha[q]) for q, _ in self.reflections[:i]))
+            for i, (p, alpha) in enumerate(self.reflections)]
         # the one inverse of the Cartan matrix: the gram reads it, and its
         # transpose, as int rows over one denominator, expands a weight
         # over the simple roots
@@ -303,25 +311,37 @@ class RootSystem:
             else:
                 return lam, WeylElement(word)
 
+    def dominantOrbit(self, lam):
+        """The Weyl orbit of the dominant weight lam as a list, lam first,
+        each weight once.
+
+        Every other weight w of the orbit has one parent, s_i w for the
+        first simple root alpha_i with w_i < 0, the step makeDominant takes
+        (D. Snow, "Weyl group orbits", ACM TOMS 16, 1990).  So from u the
+        walk takes s_i u only when u_i > 0 and no earlier simple coordinate
+        of s_i u is negative, which it decides on u before building s_i u.
+        """
+        out = [lam]
+        for u in out:  # the walk appends what it finds to the list it reads
+            for p, alpha, earlier in self._orbit_steps:
+                c = u[p]
+                if c > 0:
+                    # (s_i u)_q = u_q - c alpha_q
+                    for q, a in earlier:
+                        if u[q] < c * a:
+                            break
+                    else:
+                        out.append(tuple([x - c * a
+                                          for x, a in zip(u, alpha)]))
+        return out
+
     def orbit(self, v):
-        """The Weyl orbit of v, a tuple of ints or of rationals, as a set."""
-        seen = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for p, alpha in self.reflections:
-                    c = u[p]
-                    if c:
-                        w = tuple(x - c * a for x, a in zip(u, alpha))
-                        if w not in seen:
-                            seen.add(w)
-                            nxt.append(w)
-            frontier = nxt
-        return seen
+        """The Weyl orbit of v, a tuple of ints or of rationals, as a list
+        with each weight once, the dominant weight first."""
+        return self.dominantOrbit(self.makeDominant(v)[0])
 
     def weylOrbit(self, lam):
-        return sorted(self.orbit(self.weight(lam)))
+        return sorted(self.orbit(lam))
 
     def isRegular(self, lam):
         lam = self.weight(lam)

@@ -20,21 +20,39 @@
   ``Fraction`` weights, one ``ExactMatrix`` solve per simple factor and
   one root-coefficient product per root: the oracle for the int core of
   ``liecore.RootSystem``;
+- ``ALL_LABELS`` are the systems every root-data test runs on;
 - ``intWhenIntegral`` is the coordinate rule of the weight layer: an int
-  when integral, a ``Fraction`` otherwise.
+  when integral, a ``Fraction`` otherwise;
+- ``boxDominantBelow`` (a scan of the box of root coefficients),
+  ``seenSetOrbit`` (every reflection of every weight, deduplicated by a
+  set) and ``reflectingFreudenthal`` (each root-string step reflected
+  into the dominant chamber) are the oracles for the root-subtraction
+  walk ``characters._dominant_below``, the orbit walk
+  ``RootSystem.dominantOrbit`` and the fused ``characters._freudenthal``;
+  ``oracleWeights`` joins them into {weight: multiplicity};
+- ``oldCharReport`` formats a ``char`` report and its file from sorted
+  weight tuples, and ``oldCacheDocument`` the cache file from the
+  weights: the route that ``cmd_char`` and the kernel must match byte for
+  byte.
 """
 
+import itertools
+import json
 from fractions import Fraction
 
-
-from diracforge.characters import irreducibleCharacter
+from diracforge import cache
+from diracforge.characters import FormalCharacter, irreducibleCharacter
+from diracforge.cli import CLIFFORD_SIGN, NORMALIZATION, POLARIZATION_RULE
 from diracforge.clifford import buildCliffordFrame, hSpinAction
 from diracforge.dirac import _scalar_of, cubicDirac
 from diracforge.errors import (BadStructureConstants, DiracforgeError,
                                NonGenericPolarization)
 from diracforge.exactmat import ExactMatrix, inverse_rows
-from diracforge.liecore import _cartan_block, _half_lengths
+from diracforge.liecore import _cartan_block, _half_lengths, weightString
 from diracforge.rationals import ZERO, rat, rat_str
+
+ALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "C2", "D4", "T1", "T4",
+              "A1xT1", "A1xA1", "A2xT2"]
 
 
 def intWhenIntegral(weight):
@@ -242,3 +260,125 @@ def fractionRootData(factors, gram=None):
                             if all(c >= 0 for c in coefficients(v))))
     rho = tuple(sum((a[i] for a in positive), ZERO) / 2 for i in range(rank))
     return simple, positive, g, rho, coefficients
+
+
+def boxDominantBelow(rs, lam):
+    """[(height, mu)] for each dominant mu with lam - mu in the nonnegative-
+    integer root lattice, found by scanning every vector of root
+    coefficients up to the bound that dominance sets on each."""
+    if not rs.simple_positions:
+        return [(0, lam)]
+    simple_set = set(rs.simple_positions)
+    proj = tuple(lam[i] if i in simple_set else 0 for i in range(rs.rank))
+    # the inverse-transpose Cartan has nonnegative entries, so dominance of mu
+    # pins each root coefficient of lam - mu below the coefficient of proj
+    bounds = [max(int(c), 0) for c in rs.rootCoefficients(proj)]
+    out = []
+    for cvec in itertools.product(*(range(b + 1) for b in bounds)):
+        mu = list(lam)
+        for c, (_, alpha) in zip(cvec, rs.reflections):
+            if c:
+                for i, a in enumerate(alpha):
+                    mu[i] -= c * a
+        if all(mu[p] >= 0 for p, _ in rs.reflections):
+            out.append((sum(cvec), tuple(mu)))
+    return out
+
+
+def seenSetOrbit(rs, v):
+    """The Weyl orbit of v as a set: every simple reflection of every
+    weight found, kept when the set has not seen it."""
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for p, alpha in rs.reflections:
+                c = u[p]
+                if c:
+                    w = tuple(x - c * a for x, a in zip(u, alpha))
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+def reflectingFreudenthal(rs, lam):
+    """{dominant mu: multiplicity in V_lam} by the Freudenthal recursion
+    over boxDominantBelow in height order, each root-string weight
+    reflected into the dominant chamber to read its multiplicity."""
+    gram = rs.intGram
+
+    def pairing(u, v):
+        return sum(a * g * b for a, row in zip(u, gram) for g, b in zip(row, v))
+
+    def shifted_norm(mu):
+        mu_rho = tuple(a + b for a, b in zip(mu, rs.rho))
+        return pairing(mu_rho, mu_rho)
+
+    def dominant(v):
+        while True:
+            for p, alpha in rs.reflections:
+                c = v[p]
+                if c < 0:
+                    v = tuple(x - c * a for x, a in zip(v, alpha))
+                    break
+            else:
+                return v
+
+    target = shifted_norm(lam)
+    mult = {lam: 1}
+    for _, mu in sorted(boxDominantBelow(rs, lam)):
+        if mu == lam:
+            continue
+        acc = 0
+        for alpha in rs.positiveRoots:
+            k = 1
+            while True:
+                v = tuple(a + k * b for a, b in zip(mu, alpha))
+                m = mult.get(dominant(v), 0)
+                if m == 0:
+                    break
+                acc += 2 * m * pairing(v, alpha)
+                k += 1
+        val, rem = divmod(acc, target - shifted_norm(mu))
+        assert rem == 0 and val >= 0
+        if val:
+            mult[mu] = val
+    return mult
+
+
+def oracleWeights(rs, lam):
+    """{weight: multiplicity} of V_lam from reflectingFreudenthal, each
+    dominant multiplicity copied over its seenSetOrbit."""
+    return {v: m for mu, m in reflectingFreudenthal(rs, lam).items()
+            for v in seenSetOrbit(rs, mu)}
+
+
+def oldCharReport(rs, lam, weights, fmt="json", out=None):
+    """(stdout, file lines) of ``char`` on {int weight: multiplicity}: the
+    weights sorted as int tuples, each formatted for both the payload and
+    the lines, the JSON document sorted by key."""
+    coords = ",".join(["%d"] * rs.rank)
+    keyed = [(coords % u, weights[u]) for u in sorted(weights)]
+    lines = ["%s %s" % (rs.label, FormalCharacter.WEIGHT)]
+    lines.extend("%s %d" % kv for kv in keyed)
+    if fmt == "text":
+        return "\n".join(lines) + "\n", lines
+    doc = {"subcommand": "char", "normalization": NORMALIZATION,
+           "cliffordSign": CLIFFORD_SIGN,
+           "polarizationRule": POLARIZATION_RULE,
+           "label": rs.label, "weight": weightString(lam),
+           "dimension": sum(weights.values()), "entries": dict(keyed)}
+    if out is not None:
+        doc["out"] = out
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n", lines
+
+
+def oldCacheDocument(rs, lam, weights):
+    """The cache file text of V_lam, keys formatted with str per
+    coordinate."""
+    return cache.dumps_canonical({
+        "system": cache.system_key(rs), "lambda": weightString(lam),
+        "entries": {",".join(map(str, w)): m for w, m in weights.items()}})

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from diracforge import cache
+from diracforge import cache, characters
 from diracforge.characters import (ConeSeries, FormalCharacter, _dominant_below,
+                                   _freudenthal, _irreducible_weights,
                                    characterToSeries, decomposeCharacter,
                                    dualWeight, irreducibleCharacter,
                                    polarizationWitness, restrictCharacter,
@@ -13,13 +14,16 @@ from diracforge.characters import (ConeSeries, FormalCharacter, _dominant_below,
                                    weylDimension)
 from diracforge.errors import (DiracforgeError, NotDominant, NotIntegral,
                                SystemMismatch, WindowTooSmall)
-from diracforge.liecore import pairFromLabel, systemFromLabel
+from diracforge.liecore import (RootSystem, pairFromLabel, systemFromLabel,
+                                weightString)
 from diracforge.rationals import rat
 
 from diracforge.induction import diracInduct
 from diracforge.polarized import polarizedExpand
 
-from helpers import fractionDecompose, intWhenIntegral, isWeylInvariant
+from helpers import (ALL_LABELS, boxDominantBelow, fractionDecompose,
+                     intWhenIntegral, isWeylInvariant, oldCacheDocument,
+                     oracleWeights)
 
 A1 = systemFromLabel("A1")
 A2 = systemFromLabel("A2")
@@ -68,6 +72,49 @@ def test_dominant_weights_below():
     assert sorted(mu for _, mu in _dominant_below(A1, (4,))) \
         == [(0,), (2,), (4,)]
     assert {mu for _, mu in _dominant_below(A2, (1, 1))} == {(0, 0), (1, 1)}
+
+
+def _dominant_cases():
+    """(label, lam) for every system and each dominant int lam with
+    coordinate sum at most 4 (3 at rank 4)."""
+    for label in ALL_LABELS:
+        rs = systemFromLabel(label)
+        top = 3 if rs.rank == 4 else 4
+        for lam in itertools.product(range(top + 1), repeat=rs.rank):
+            if sum(lam) <= top:
+                yield pytest.param(label, lam,
+                                   id="%s-%s" % (label, weightString(lam)))
+
+
+@pytest.mark.parametrize("label,lam", _dominant_cases())
+def test_fused_freudenthal_matches_the_reflecting_oracle(label, lam):
+    rs = systemFromLabel(label)
+    below = _dominant_below(rs, lam)
+    assert len(below) == len(set(below))
+    assert set(below) == set(boxDominantBelow(rs, lam))
+    assert _freudenthal(rs, lam) == oracleWeights(rs, lam)
+
+
+def test_cold_kernel_walks_each_orbit_once_and_formats_once(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the kernel reflects into the chamber")
+    monkeypatch.setattr(RootSystem, "makeDominant", refused)
+    monkeypatch.setattr(RootSystem, "orbit", refused)
+    formatted = []
+
+    class Counted(str):
+        def __mod__(self, w):
+            formatted.append(w)
+            return str.__mod__(self, w)
+
+    monkeypatch.setattr(characters, "_int_format",
+                        lambda rank, _fmt=characters._int_format:
+                        Counted(_fmt(rank)))
+    d4 = systemFromLabel("D4")
+    weights, entries = _irreducible_weights(d4, (1, 1, 2, 1))
+    assert len(weights) == len(entries) == 1152
+    assert sorted(formatted) == sorted(weights)
+    assert list(entries) == sorted(entries)
 
 
 def test_rejects_bad_highest_weights():
@@ -405,6 +452,14 @@ def _moved_highest_weight(doc):
     doc["entries"]["3,3"] = doc["entries"].pop("1,1")
 
 
+def _respelled(key, spelling):
+    """Rename the key to another spelling that int() reads: the report
+    prints the keys as they are."""
+    def edit(doc):
+        doc["entries"][spelling] = doc["entries"].pop(key)
+    return _edit_doc(edit)
+
+
 @pytest.mark.parametrize("edit", [
     lambda text: text[:len(text) // 2],
     _edit_doc(_foreign_lambda),
@@ -412,8 +467,15 @@ def _moved_highest_weight(doc):
     _edit_doc(_non_integer),
     _edit_doc(_fractional_weight),
     _edit_doc(_moved_highest_weight),
+    _respelled("1,1", "+1,1"),
+    _respelled("1,1", "01,1"),
+    _respelled("1,1", " 1,1"),
+    _respelled("0,0", "1_0,0"),
+    _respelled("0,0", "-0,0"),
 ], ids=["truncated", "foreign-lambda", "inflated-multiplicity",
-        "non-integer-entry", "fractional-weight", "moved-highest-weight"])
+        "non-integer-entry", "fractional-weight", "moved-highest-weight",
+        "plus-sign", "leading-zero", "leading-space", "underscore",
+        "negative-zero"])
 def test_wrong_cache_entry_is_a_miss(tmp_path, monkeypatch, edit):
     path, chi = _corrupt_entry(tmp_path, monkeypatch, edit)
     good = irreducibleCharacter(A2, (1, 1))
@@ -424,6 +486,7 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, monkeypatch, edit):
     assert doc["lambda"] == "1,1"
     assert sum(doc["entries"].values()) == weylDimension(A2, (1, 1))
     assert all(type(m) is int for m in doc["entries"].values())
+    assert path.read_text() == oldCacheDocument(A2, (1, 1), good.entries)
 
 
 # --------------------------------------------------------------- cone series

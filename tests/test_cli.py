@@ -13,8 +13,10 @@ from diracforge import cache
 from diracforge.characters import ConeSeries, FormalCharacter
 from diracforge.cli import COMMANDS, build_parser, main
 from diracforge.errors import InternalError, QRViolation
-from diracforge.liecore import RootSystem
+from diracforge.liecore import RootSystem, systemFromLabel, weightFromStrings
 from diracforge.qr import cp1, cp2
+
+from helpers import oldCacheDocument, oldCharReport, oracleWeights
 
 
 def run(capsys, *argv):
@@ -220,6 +222,30 @@ def test_reports_are_byte_identical(capsys, tmp_path):
     second = capsys.readouterr().out
     assert rc == 0
     assert first == second
+
+
+@pytest.mark.parametrize("label,weight", [
+    ("D4", "1,1,2,1"), ("B2", "2,3"), ("A1xT1", "2,-5"), ("T2", "3,-1")])
+@pytest.mark.parametrize("fmt,out", [("json", False), ("json", True),
+                                     ("text", False), ("text", True)])
+def test_char_bytes_match_the_tuple_route(capsys, tmp_path, label, weight,
+                                          fmt, out):
+    rs = systemFromLabel(label)
+    lam = weightFromStrings(weight.split(","))
+    weights = oracleWeights(rs, lam)
+    cache_dir = tmp_path / "cache"
+    for run_no in ("cold", "warm"):
+        argv = ["char", "--type", label, "--weight", weight,
+                "--format", fmt, "--cache-dir", str(cache_dir)]
+        path = str(tmp_path / ("%s.chr" % run_no)) if out else None
+        if out:
+            argv += ["--out", path]
+        want, lines = oldCharReport(rs, lam, weights, fmt, path)
+        assert run(capsys, *argv) == (0, want, "")
+        if out:
+            assert pathlib.Path(path).read_text() == "\n".join(lines) + "\n"
+        (entry,) = cache_dir.rglob("*.json")
+        assert entry.read_text() == oldCacheDocument(rs, lam, weights)
 
 
 # ------------------------------------------------------------ exit codes

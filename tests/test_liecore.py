@@ -12,10 +12,8 @@ from diracforge.liecore import (RootSystem, equalRankPair, pairFromLabel,
 from diracforge.rationals import rat
 from diracforge.structure import buildFrame
 
-from helpers import fractionRootData, intWhenIntegral
-
-ALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "C2", "D4", "T1", "T4",
-              "A1xT1", "A1xA1", "A2xT2"]
+from helpers import (ALL_LABELS, fractionRootData, intWhenIntegral,
+                     seenSetOrbit)
 
 POSITIVE_ROOT_COUNTS = {"A1": 1, "A2": 3, "A3": 6, "A4": 10,
                         "B2": 4, "C2": 4, "D4": 12, "T1": 0, "T4": 0,
@@ -346,6 +344,23 @@ def test_orbit_on_ints_and_rationals(label):
         orbit = rs.orbit(u)
         assert all(type(c) is int for v in orbit for c in v)
         assert rs.weylOrbit(u) == sorted(tuple(map(rat, v)) for v in orbit)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_orbit_walk_reaches_each_weight_once(label):
+    rs = systemFromLabel(label)
+    rng = random.Random("orbit-walk/" + label)
+    units = [tuple(int(i == j) for j in range(rs.rank))
+             for i in range(rs.rank)]
+    ints = [tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+            for _ in range(5)]
+    rationals = [rand_weight(rs, rng) for _ in range(5)]
+    for v in [rs.zeroWeight(), rs.rho, *units, *ints, *rationals]:
+        orbit = rs.orbit(v)
+        assert len(orbit) == len(set(orbit))
+        assert set(orbit) == seenSetOrbit(rs, v)
+        assert rs.isDominant(orbit[0])
+        assert rs.dominantOrbit(orbit[0]) == orbit
 
 
 @pytest.mark.parametrize("label, solves", [("A4", 1), ("D4", 1), ("T2", 0)])

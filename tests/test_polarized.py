@@ -315,14 +315,18 @@ def test_keyed_is_the_rational_order(label, den):
     entries = {random_weight(rng, rs.rank, den): rng.randint(1, 5)
                for _ in range(40)}
     polarizer = (1,) * rs.rank
-    for order in (list(entries), sorted(entries)):  # as built, and sorted
-        series = ConeSeries(rs, {w: entries[w] for w in order}, polarizer,
-                            None, None)
-        assert series.keyed() == [
-            (",".join(weightToStrings(w)), m)
-            for w, m in sorted(series.entries.items())]
-        chi = FormalCharacter(rs, {w: entries[w] for w in order})
-        assert chi.keyed() == series.keyed()
+    # the same weights with int coordinates where integral
+    as_ints = {tuple(c.numerator if c.denominator == 1 else c for c in w): m
+               for w, m in entries.items()}
+    for table in (entries, as_ints):
+        for order in (list(table), sorted(table)):  # as built, and sorted
+            series = ConeSeries(rs, {w: table[w] for w in order}, polarizer,
+                                None, None)
+            assert series.keyed() == [
+                (",".join(weightToStrings(w)), m)
+                for w, m in sorted(series.entries.items())]
+            chi = FormalCharacter(rs, {w: table[w] for w in order})
+            assert chi.keyed() == series.keyed()
 
 
 # ------------------------------------------------------ one-step sums
