@@ -24,11 +24,11 @@ root-string step reads the full weight dict.  The kernel
 ``_irreducible_weights`` answers {weight: multiplicity} from a valid cache
 entry or from the recursion, together with the entries keyed by the
 "%d,..." spelling of each weight, formatted once and sorted once: the
-cache document and the ``char`` report share them.  Decompositions use
-greedy highest-weight peeling, also on ints: the input weights w become
-int tuples L w (L the lcm of their denominators, 1 on the lattice), each
-support weight's |w + rho|^2 is one pairing with the int gram, and the
-peeled irreducibles come from the same kernel.
+cache document and the ``char`` report share them.  Every decomposition
+is Dirac induction from the maximal torus (``_straighten``): each weight
+u + rho of a Weyl-invariant character is reflected into the dominant
+chamber and counted with the sign of the reflection, so no summand's
+irreducible character is built.
 """
 
 import itertools
@@ -309,7 +309,7 @@ def _cached_weights(rs, lam, doc):
         weights = dict(zip(zip(*[coords] * rs.rank), mults))
     except ValueError:  # every weight of V_lam has int coordinates
         return None
-    # lam itself once: without it the peel never removes lam
+    # lam itself once, as in every V_lam
     if weights.get(lam) != 1 \
             or sum(weights.values()) != weylDimension(rs, lam):
         return None
@@ -364,62 +364,62 @@ def irreducibleCharacter(rs, lam):
 
 # ----------------------------------------------------------- decompositions
 
-def _peel(rs, L, rest):
-    """Greedy highest-weight peel on int coordinates.
+_NOT_VIRTUAL = ("no dominant weight left to peel; "
+                "input is not a virtual character")
 
-    rest maps L w to the multiplicity of the weight w (L a positive int);
-    it is consumed.  Returns {lam: multiplicity of V_lam} in peel order,
-    each lam a tuple of ints.
-    Each step takes the dominant support weight with the greatest
-    (|w + rho|^2, w), which is extremal, and subtracts its irreducible.
+
+def _straighten(rs, shifted):
+    """{nu: c} from {u + rho: m}: Dirac induction from the maximal torus.
+
+    Each u + rho moves to the dominant chamber, w(u + rho) = nu + rho, and
+    adds sign(w) m at nu, or nothing when nu + rho lies on a wall (the
+    Weyl character formula; Racah-Speiser, Brauer-Klimyk).  Zero totals
+    are dropped; the result is in decreasing (|nu + rho|^2, nu) order.
     """
+    totals = {}
+    for u, m in shifted.items():
+        dom, w = rs.makeDominant(u)
+        if rs.isDominantRegular(dom):
+            totals[dom] = totals.get(dom, 0) + w.sign * m
     gram = rs.intGram
-    simple = rs.simple_positions
-    shift = tuple(L * r for r in rs.rho)
-
-    def key(u):
-        v = tuple(map(add, u, shift))
-        return gramPairing(gram, v, v), u
-
-    # the dominant support weights, each with its key, computed once
-    live = {u: key(u) for u in rest if all(u[p] >= 0 for p in simple)}
-    out = {}
-    while rest:
-        if not live:
-            raise DiracforgeError("no dominant weight left to peel; "
-                                  "input is not a virtual character")
-        best = max(live, key=live.__getitem__)
-        m = rest[best]
-        # a fractional coordinate raises NotIntegral in the kernel
-        lam = best if L == 1 else tuple(coord(c, L) for c in best)
-        for w, pm in _irreducible_weights(rs, lam)[0].items():
-            u = w if L == 1 else tuple(L * c for c in w)
-            nv = rest.get(u, 0) - m * pm
-            if nv:
-                if u not in rest and all(u[p] >= 0 for p in simple):
-                    live[u] = key(u)
-                rest[u] = nv
-            else:
-                del rest[u]
-                live.pop(u, None)
-        out[lam] = m
-    return out
+    ranked = sorted((d for d, c in totals.items() if c), reverse=True,
+                    key=lambda d: (gramPairing(gram, d, d), d))
+    return {tuple(map(sub, d, rs.rho)): totals[d] for d in ranked}
 
 
 def decomposeCharacter(chi):
-    """Greedy highest-weight peel of a weight-basis character.
+    """The irreducible decomposition of a weight-basis character, in the
+    irreducible basis: the straightening of {w + rho: chi(w)}.
 
-    Returns a FormalCharacter in the irreducible basis.  Works for any
-    virtual character (integer coefficients, signs allowed); raises if the
-    input is not one.  The peel runs on the int coordinates L w of the
-    support.
+    Works for any virtual character (integer coefficients, signs
+    allowed); raises if the input is not one.  A dominant weight off the
+    lattice raises NotIntegral, the greatest (|w + rho|^2, w) first.
+    Otherwise chi must carry one multiplicity on the Weyl orbit of each
+    dominant weight, and these orbits must cover its support.
     """
     rs = chi.system
     if chi.basis == FormalCharacter.IRREDUCIBLE:
         return chi
     L, coords = _lattice_coords(chi.entries)
-    peeled = _peel(rs, L, dict(zip(coords, chi.entries.values())))
-    return FormalCharacter(rs, peeled, FormalCharacter.IRREDUCIBLE)
+    if L != 1:
+        off = []
+        for w in chi.entries:
+            if rs.isDominant(w) and not rs.isIntegral(w):
+                w_rho = tuple(map(add, w, rs.rho))
+                off.append((rs.innerProduct(w_rho, w_rho), w))
+        if off:
+            _require_dominant_integral(rs, max(off)[1])  # raises
+        # an orbit of lattice weights has none off the lattice
+        raise DiracforgeError(_NOT_VIRTUAL)
+    weights = dict(zip(coords, chi.entries.values()))
+    orbits = [(rs.dominantOrbit(u), m) for u, m in weights.items()
+              if rs.isDominant(u)]
+    if sum(len(orbit) for orbit, _ in orbits) != len(weights) \
+            or any(weights.get(v) != m for orbit, m in orbits for v in orbit):
+        raise DiracforgeError(_NOT_VIRTUAL)
+    shifted = {tuple(map(add, u, rs.rho)): m for u, m in weights.items()}
+    return FormalCharacter(rs, _straighten(rs, shifted),
+                           FormalCharacter.IRREDUCIBLE)
 
 
 def _check_summands(rs, dec, dim, what):
@@ -432,32 +432,34 @@ def _check_summands(rs, dec, dim, what):
 
 
 def tensorDecompose(rs, lam, mu):
-    """V_lam (x) V_mu as {dominant weight: multiplicity}."""
+    """V_lam (x) V_mu as {dominant weight: multiplicity}: the
+    straightening of {lam + rho + v: m_mu(v)} over the weights v of the
+    factor of smaller dimension, called V_mu here (Brauer-Klimyk).  No
+    product character and no summand's character is built."""
     lam = _require_dominant_integral(rs, lam)
     mu = _require_dominant_integral(rs, mu)
-    right = list(_irreducible_weights(rs, mu)[0].items())
-    prod = {}
-    for u, m in _irreducible_weights(rs, lam)[0].items():
-        for v, n in right:
-            w = tuple(map(add, u, v))
-            prod[w] = prod.get(w, 0) + m * n
-    dec = _peel(rs, 1, prod)
-    _check_summands(rs, dec, weylDimension(rs, lam) * weylDimension(rs, mu),
-                    "tensor product")
+    dims = weylDimension(rs, lam), weylDimension(rs, mu)
+    if dims[0] < dims[1]:
+        lam, mu = mu, lam
+    top = tuple(map(add, lam, rs.rho))
+    weights, _ = _irreducible_weights(rs, mu)
+    dec = _straighten(rs, {tuple(map(add, top, v)): m
+                           for v, m in weights.items()})
+    _check_summands(rs, dec, dims[0] * dims[1], "tensor product")
     return dec
 
 
 def restrictCharacter(pair, lam):
-    """Branch V_lam from G to the equal-rank subgroup H of the pair,
-    as {dominant H-weight: multiplicity}."""
+    """Branch V_lam from G to the equal-rank subgroup H of the pair, as
+    {dominant H-weight: multiplicity}: V_lam's weights straightened on H."""
     g, h = pair.g, pair.h
     lam = _require_dominant_integral(g, lam)
     weights, _ = _irreducible_weights(g, lam)
-    restricted = {}
+    shifted = {}
     for u, m in weights.items():
-        v = pair.weightToH(u)
-        restricted[v] = restricted.get(v, 0) + m
-    dec = _peel(h, 1, restricted)
+        v = tuple(map(add, pair.weightToH(u), h.rho))
+        shifted[v] = shifted.get(v, 0) + m
+    dec = _straighten(h, shifted)
     _check_summands(h, dec, sum(weights.values()), "restriction")
     return dec
 

@@ -3,6 +3,8 @@
 For an equal-rank pair the map sends the H-irreducible with highest
 weight lam to sign(w) V_mu where mu + rho_G = w(lam + rho_H), and to
 zero when lam + rho_H is singular or falls off the G-weight lattice.
+That is the straightening ``characters._straighten`` of the one weight
+lam + rho_H, the kernel behind every decomposition in ``characters``.
 Everything extends linearly, including to windowed cone series whose
 entries are read as irreducible labels; the window shrinks by the
 pairing of the rho shift against the polarizer, which is exactly what
@@ -15,8 +17,8 @@ on irreducible labels by translation.
 """
 
 from .characters import (ConeSeries, FormalCharacter,
-                         _require_dominant_integral, decomposeCharacter,
-                         trivialMultiplicity)
+                         _require_dominant_integral, _straighten,
+                         decomposeCharacter, trivialMultiplicity)
 from .errors import (DiracforgeError, NotDominant, TransferMismatch,
                      WindowUnderflow)
 from .liecore import weightString
@@ -30,12 +32,8 @@ def diracInduct(pair, lam_h):
     g, h = pair.g, pair.h
     lam_h = _require_dominant_integral(h, lam_h)
     xi = pair.weightToG(tuple(a + b for a, b in zip(lam_h, h.rho)))
-    if not g.isIntegral(xi) or not g.isRegular(xi):
-        return FormalCharacter(g, {}, basis=FormalCharacter.IRREDUCIBLE)
-    dom, w = g.makeDominant(xi)
-    mu = tuple(a - b for a, b in zip(dom, g.rho))
-    return FormalCharacter(g, {mu: w.sign},
-                           basis=FormalCharacter.IRREDUCIBLE)
+    entries = _straighten(g, {xi: 1}) if g.isIntegral(xi) else {}
+    return FormalCharacter(g, entries, basis=FormalCharacter.IRREDUCIBLE)
 
 
 def inductCharacter(pair, chi):

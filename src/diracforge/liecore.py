@@ -136,13 +136,10 @@ class RootSystem:
         self._orbit_steps = [
             (p, alpha, tuple((q, alpha[q]) for q, _ in self.reflections[:i]))
             for i, (p, alpha) in enumerate(self.reflections)]
-        # the one inverse of the Cartan matrix: the gram reads it, and its
-        # transpose, as int rows over one denominator, expands a weight
-        # over the simple roots
+        # the one inverse of the Cartan matrix, read by the gram
         n = len(self.simple_positions)
         ainv = (ExactMatrix.from_rows(self.cartanMatrix)
                 .solve(ExactMatrix.identity(n)) if n else None)
-        self._root_coef = None if ainv is None else _int_rows(ainv.transpose())
         self.gram = self._assemble_gram(ainv) if gram is None else \
             [[rat(x) for x in row] for row in gram]
         if len(self.gram) != self.rank or any(len(r) != self.rank for r in self.gram):
@@ -274,19 +271,6 @@ class RootSystem:
                                            den)
         return out
 
-    def rootCoefficients(self, v):
-        """Expansion of v over the simple roots; None if v is outside their span."""
-        v = self.weight(v)
-        if self._root_coef is None:
-            return None if any(v) else ()
-        simple_set = set(self.simple_positions)
-        for i in range(self.rank):
-            if i not in simple_set and v[i]:
-                return None
-        rows, den = self._root_coef
-        col = [v[p] for p in self.simple_positions]
-        return tuple(coord(sum(map(mul, row, col)), den) for row in rows)
-
     # -- Weyl group ---------------------------------------------------------
 
     def reflect(self, i, lam):
@@ -342,11 +326,6 @@ class RootSystem:
 
     def weylOrbit(self, lam):
         return sorted(self.orbit(lam))
-
-    def isRegular(self, lam):
-        lam = self.weight(lam)
-        return all(gramPairing(self.intGram, lam, a)
-                   for a in self.positiveRoots)
 
     def weylGroupOrder(self):
         return len(self.orbit(self.rho))

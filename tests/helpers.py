@@ -12,7 +12,9 @@
   kernel in ``polarized.polarizedExpand``;
 - ``fractionDecompose`` is the highest-weight peel on ``Fraction`` weights,
   one ``innerProduct`` per dominant support weight per step: the oracle
-  for the integer peel in ``characters.decomposeCharacter``;
+  for the straightening (``characters._straighten``) behind
+  ``decomposeCharacter``, ``tensorDecompose`` and ``restrictCharacter``,
+  in answer, order, error type and message;
 - ``spinorWeights`` reads the G-weights of the S_p basis off spin actions
   of the Cartan directions built one call at a time: the per-call route
   that ``clifford.PairSpinors`` must reproduce;
@@ -23,7 +25,8 @@
 - ``ALL_LABELS`` are the systems every root-data test runs on;
 - ``intWhenIntegral`` is the coordinate rule of the weight layer: an int
   when integral, a ``Fraction`` otherwise;
-- ``boxDominantBelow`` (a scan of the box of root coefficients),
+- ``boxDominantBelow`` (a scan of the box of root coefficients, each
+  bounded through the ``fractionRootData`` expansion),
   ``seenSetOrbit`` (every reflection of every weight, deduplicated by a
   set) and ``reflectingFreudenthal`` (each root-string step reflected
   into the dominant chamber) are the oracles for the root-subtraction
@@ -272,7 +275,8 @@ def boxDominantBelow(rs, lam):
     proj = tuple(lam[i] if i in simple_set else 0 for i in range(rs.rank))
     # the inverse-transpose Cartan has nonnegative entries, so dominance of mu
     # pins each root coefficient of lam - mu below the coefficient of proj
-    bounds = [max(int(c), 0) for c in rs.rootCoefficients(proj)]
+    *_, coefficients = fractionRootData(rs.factors)
+    bounds = [max(int(c), 0) for c in coefficients(proj)]
     out = []
     for cvec in itertools.product(*(range(b + 1) for b in bounds)):
         mu = list(lam)

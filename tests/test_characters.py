@@ -18,6 +18,7 @@ from diracforge.liecore import (RootSystem, pairFromLabel, systemFromLabel,
                                 weightString)
 from diracforge.rationals import rat
 
+from diracforge.cli import main
 from diracforge.induction import diracInduct
 from diracforge.polarized import polarizedExpand
 
@@ -252,14 +253,26 @@ def test_decompose_rejects_non_characters():
     lopsided = FormalCharacter(A1, {(1,): 1})
     with pytest.raises(DiracforgeError):
         decomposeCharacter(lopsided)
+    adjoint = irreducibleCharacter(A2, (1, 1)).entries
+    moved = dict(adjoint)
+    moved[(-1, 3)] = moved.pop((-1, 2))
+    off_by_one = dict(adjoint)
+    off_by_one[(2, -1)] += 1
+    # the peel takes (1) first and leaves (-1) unmatched, but it still
+    # reaches (1/2), so NotIntegral wins over the broken orbit
+    half_and_broken = FormalCharacter(A1, {(1,): 1, (rat(1, 2),): 1})
     # the same error and message as the Fraction peel
-    for chi in (lopsided, FormalCharacter(A2, {(1, 0): 1, (0, 0): 1})):
+    for chi in (lopsided, FormalCharacter(A2, {(1, 0): 1, (0, 0): 1}),
+                FormalCharacter(A2, moved), FormalCharacter(A2, off_by_one),
+                FormalCharacter(A2, {(-1, 0): 1}), half_and_broken):
         with pytest.raises(DiracforgeError) as want:
             fractionDecompose(chi)
         with pytest.raises(DiracforgeError) as got:
             decomposeCharacter(chi)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+    with pytest.raises(NotIntegral):
+        decomposeCharacter(half_and_broken)
 
 
 def test_restriction_examples():
@@ -334,7 +347,7 @@ def _seeded_weight(rs, rng, top=2):
                  else rat(rng.randint(-top, top)) for i in range(rs.rank))
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "C2"])
+@pytest.mark.parametrize("label", ["A2", "B2", "C2", "A3", "A1xT1"])
 def test_tensor_matches_the_fraction_peel(label):
     rs = systemFromLabel(label)
     rng = random.Random("tensor/" + label)
@@ -347,7 +360,8 @@ def test_tensor_matches_the_fraction_peel(label):
         assert list(decomposeCharacter(product).entries.items()) == want
 
 
-@pytest.mark.parametrize("label", ["A2:T", "A2:u2", "A3:keep=0,1"])
+@pytest.mark.parametrize("label", ["A2:T", "A2:u2", "A3:keep=0,1", "A3:T",
+                                   "A3:keep=0,2"])
 def test_restriction_matches_the_fraction_peel(label):
     pair = pairFromLabel(label)
     rng = random.Random("restrict/" + label)
@@ -371,6 +385,32 @@ def test_virtual_character_matches_the_fraction_peel(label):
         dec = decomposeCharacter(chi).entries
         assert list(dec.items()) == list(fractionDecompose(chi).items())
         assert not dec or min(dec.values()) < 0
+
+
+def test_decompositions_build_no_summand_character(monkeypatch, capsys):
+    # the straightening reads the weights of one irreducible at most: a
+    # cold tensor builds its smaller factor, restrict V_lam, and decompose
+    # none
+    built = []
+
+    def counted(rs, lam, _kernel=characters._irreducible_weights):
+        built.append((rs.label, tuple(lam)))
+        return _kernel(rs, lam)
+
+    monkeypatch.setattr(characters, "_irreducible_weights", counted)
+    assert main(["tensor", "--type", "B2", "--lhs", "1,1",
+                 "--rhs", "2,1"]) == 0
+    assert built == [("B2", (1, 1))]
+    assert cache.stats()["entries"] == 1
+    built.clear()
+    assert main(["restrict", "--pair", "A2:u2", "--weight", "3,2"]) == 0
+    assert built == [("A2", (3, 2))]
+    capsys.readouterr()
+    chi = irreducibleCharacter(A2, (2, 1)) \
+        - irreducibleCharacter(A2, (0, 0)).scale(2)
+    built.clear()
+    assert decomposeCharacter(chi).entries == {(2, 1): 1, (0, 0): -2}
+    assert built == []
 
 
 def test_rational_torus_weight_is_rejected_like_the_fraction_peel():

@@ -226,8 +226,8 @@ def test_transfer_mismatch_raises_with_counterexample():
 
 
 def test_restrict_and_induct_make_no_matrix_product(monkeypatch):
-    # once the pair is built, weightToH, weightToG and rootCoefficients
-    # are int dot products
+    # once the pair is built, weightToH and weightToG are int dot products
+    # and the straightening reflects and pairs on ints
     pair = pairFromLabel("A2:u2")
     count = [0]
     real = ExactMatrix._matmul
