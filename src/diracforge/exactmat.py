@@ -82,10 +82,6 @@ def gauss_str(z):
     return rat_str(re) + ("-" if im < 0 else "+") + tail
 
 
-def _gadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
 # -- one component: {i: {j: int}} with no zero and no empty row -------------
 
 def _neg(a):

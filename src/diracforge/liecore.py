@@ -283,13 +283,15 @@ class RootSystem:
         return tuple(x - c * a for x, a in zip(lam, alpha))
 
     def makeDominant(self, lam):
+        """(dominant weight, w) with w(lam) the dominant weight; each step
+        reflects through the first simple root on which lam is negative."""
         lam = self.weight(lam)
         word = []
-        nsimple = len(self.simple_positions)
         while True:
-            for i in range(nsimple):
-                if lam[self.simple_positions[i]] < 0:
-                    lam = self.reflect(i, lam)
+            for i, (p, alpha) in enumerate(self.reflections):
+                c = lam[p]
+                if c < 0:
+                    lam = tuple(x - c * a for x, a in zip(lam, alpha))
                     word.append(i)
                     break
             else:

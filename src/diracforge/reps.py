@@ -1,97 +1,75 @@
-"""Exact matrix models of the irreducible representations.
+"""Exact matrix models of the irreducible representations, on
+Gelfand-Tsetlin patterns (Gelfand-Tsetlin 1950; A. Molev, "Gelfand-Tsetlin
+bases for classical Lie algebras", Handbook of Algebra 4, 2006, section 2).
 
-V_lambda is realized inside a tensor ambient built from fundamental wedge
-representations: Lambda^k of a type A factor's defining block carries
-omega_k, torus coordinates act as scalars, and the canonical highest
-weight vector generates V_lambda under the simple lowering operators.
+A type A_r factor acts as gl_(r+1) with top row (lam_1 + ... + lam_r, ...,
+lam_r, 0), and its basis vectors are the patterns under that row: rows of
+k entries, k = r+1 down to 1, each interlacing the row above.  A torus
+coordinate acts as the scalar i lam_p, a product system takes the product
+of its factors' patterns, and the basis is sorted by weight.
 
-Every step is an ExactMatrix product or elimination; vectors are
-1 x ambient rows.  The closure runs one height level at a time: the
-weight space at mu is the row space of the stacked images of the weight
-spaces mu + alpha_i on the level above, reduced with ``rref`` (pivot
-entries 1).  Each weight space is orthogonalized without normalization,
-so everything stays over Q(i): the invariant Hermitian form comes out
-diagonal and every pi(X) is skew-adjoint for it.  With B the ambient x
-dim matrix of basis columns, pi(X) restricts to the projection
-M = diag(1/|b|^2) B^H (pi_X B).
+The units act in closed form with rational entries: E_kk is diagonal,
+E_(k,k+1) and E_(k+1,k) move one entry of row k by one with Molev's
+coefficients, and every other E_jk is the commutator of two nearer units.
+A frame direction is the combination of the units its defining block
+holds.
 
-The build is self-checking: B M == pi_X B must hold entry-exactly (this
-is the invariance of the cyclic subspace), the simultaneous torus
-eigenvalues must reproduce irreducibleCharacter, and the bracket relation
-of every pair of directions is compared against the frame's structure
-constants, at every dimension.
+The patterns are orthogonal for the invariant Hermitian form, and
+E_(k+1,k) is the adjoint of E_(k,k+1).  So on an edge v -> c u of the
+lowering walk from the highest pattern (norm 1), with u -> c' v back,
+|u|^2 = |v|^2 c'/c.  Each pattern is then divided by the rational r with
+|v|^2/r^2 = squarefree_core(|v|^2): the form stays diagonal with small
+integer entries, and it is the identity on minuscule representations.
+
+The build is self-checking at every dimension: every pi(X) must be
+skew-adjoint for the form, the torus character must reproduce
+irreducibleCharacter, and the bracket relation of every pair of directions
+is compared against the frame's structure constants.  Those checks fix
+V_lambda up to isomorphism.
 """
-
-import itertools
-from bisect import bisect_left
 
 from .characters import (FormalCharacter, _require_dominant_integral,
                          irreducibleCharacter, weylDimension)
-from .errors import (BadStructureConstants, InternalError,
-                     NotPositiveDefinite, TooLarge)
-from .exactmat import (ExactMatrix, _gadd, combination, commutator,
-                       orthogonal_rows)
-from .rationals import ZERO, rat, rat_str
+from .errors import BadStructureConstants, InternalError, TooLarge
+from .exactmat import ExactMatrix, combination, commutator
+from .rationals import ONE, ZERO, exact_sqrt, rat, rat_str, squarefree_core
 from .structure import buildFrame
 
 DIM_LIMIT = 64
-AMBIENT_LIMIT = 1024
 
 
-def _wedge_matrix(local, k):
-    """Action of a defining-block matrix on Lambda^k, lex subset basis."""
-    s = local.nrows
-    basis = list(itertools.combinations(range(s), k))
-    index = {c: i for i, c in enumerate(basis)}
-    n = len(basis)
-    out = ExactMatrix.zeros(n)
-    for cj, subset in enumerate(basis):
-        for t, it in enumerate(subset):
-            for r in range(s):
-                z = local.get(r, it)
-                if not (z[0] or z[1]):
-                    continue
-                if r in subset:
-                    if r != it:
-                        continue
-                    target, sign = subset, 1
-                else:
-                    rest = [x for x in subset if x != it]
-                    pos = bisect_left(rest, r)
-                    rest.insert(pos, r)
-                    target = tuple(rest)
-                    sign = -1 if (t - pos) % 2 else 1
-                ri = index[target]
-                prev = out.get(ri, cj)
-                add = z if sign == 1 else (-z[0], -z[1])
-                out.put(ri, cj, _gadd(prev, add))
-    return out
+def _moved(rows, t, i, step):
+    """The pattern rows (row t holds t+1 entries, the top row last) with
+    entry i of row t moved by step, or None when that breaks interlacing."""
+    v = rows[t][i] + step
+    above = rows[t + 1]
+    if not above[i] >= v >= above[i + 1]:
+        return None
+    if t and ((i < t and v < rows[t - 1][i])
+              or (i and v > rows[t - 1][i - 1])):
+        return None
+    return rows[:t] + (rows[t][:i] + (v,) + rows[t][i + 1:],) + rows[t + 1:]
 
 
-def _factor_block(frame, a):
-    bi = frame.directionFactor[a]
-    fam, boff, bsize = frame.factorBlocks[bi]
-    sub = ExactMatrix.zeros(bsize)
-    for i in range(bsize):
-        for j in range(bsize):
-            sub.put(i, j, frame.matrices[a].get(boff + i, boff + j))
-    return bi, fam, sub
+def _coefficient(rows, t, i, step):
+    """Molev's coefficient of E_(t,t+1) (step 1) or E_(t+1,t) (step -1) on
+    the pattern rows, at the pattern with entry i of row t moved by step.
+    With l_sj = rows[s][j] - j it is -prod_j (l_ti - l_(t+1)j) or
+    prod_j (l_ti - l_(t-1)j), over prod_(j != i) (l_ti - l_tj)."""
+    x = rows[t][i] - i
+    num = -1 if step > 0 else 1
+    for j, m in enumerate(rows[t + step] if t + step >= 0 else ()):
+        num *= x - m + j
+    den = 1
+    for j, m in enumerate(rows[t]):
+        if j != i:
+            den *= x - m + j
+    return rat(num, den)
 
 
-def _orthogonal_rows(red, rank):
-    """Gram-Schmidt without normalization on the first rank rows of red,
-    under the standard Hermitian form: the rows as 1 x n matrices and their
-    norms."""
-    picks = []
-    for r in range(rank):
-        pick = ExactMatrix.zeros(1, red.nrows)
-        pick.put(0, r, 1)
-        picks.append(pick * red)
-    try:
-        return orthogonal_rows(picks)
-    except NotPositiveDefinite as exc:
-        # the rows of a reduced echelon form are independent
-        raise InternalError("echelon rows are dependent: %s" % exc) from None
+def _diagonal(rows, t):
+    """The eigenvalue of E_tt on the pattern rows."""
+    return sum(rows[t]) - (sum(rows[t - 1]) if t else 0)
 
 
 class LieRep:
@@ -124,134 +102,106 @@ def buildLieRep(rs, lam):
                        % (dim, DIM_LIMIT))
     frame = buildFrame(rs)
 
-    # tensor ambient: one wedge slot per unit of each fundamental coordinate
-    owner = []
+    # (factor, first coordinate, rank) of each A factor; a basis vector is
+    # one pattern per A factor, the highest one has every row a prefix of
+    # the top row
+    blocks = []
+    pos = 0
     for bi, (fam, rank) in enumerate(rs.factors):
-        for local in range(rank):
-            owner.append((bi, fam, local))
-    slots = []
-    for bi, (fam, rank) in enumerate(rs.factors):
-        if fam != "A":
-            continue
-        for p, (obi, ofam, local) in enumerate(owner):
-            if obi != bi:
-                continue
-            mult = lam[p]
-            size = rank + 1
-            wdim = 1
-            for t in range(local + 1):
-                wdim = wdim * (size - t) // (t + 1)
-            for _ in range(int(mult)):
-                slots.append((bi, local + 1, wdim))
-    ambient = 1
-    for _, _, wdim in slots:
-        ambient *= wdim
-        if ambient > AMBIENT_LIMIT:
-            raise TooLarge("tensor ambient reached %d wide; limit %d"
-                           % (ambient, AMBIENT_LIMIT))
+        if fam == "A":
+            blocks.append((bi, pos, rank))
+        pos += rank
+    highest = tuple(
+        tuple(tuple(sum(lam[pos + j:pos + rank]) for j in range(t + 1))
+              for t in range(rank + 1))
+        for _, pos, rank in blocks)
 
-    # per-direction ambient action
-    wedge_cache = {}
+    # walk down the lowering edges: |u|^2 = |v|^2 c'/c
+    norms = {highest: ONE}
+    walk = [highest]
+    for state in walk:  # the walk appends what it finds to the list it reads
+        for f, rows in enumerate(state):
+            for t in range(len(rows) - 1):
+                for i in range(t + 1):
+                    low = _moved(rows, t, i, -1)
+                    if low is None:
+                        continue
+                    nxt = state[:f] + (low,) + state[f + 1:]
+                    if nxt in norms:
+                        continue
+                    norm = norms[state] * rat(_coefficient(low, t, i, 1),
+                                              _coefficient(rows, t, i, -1))
+                    if norm <= 0:
+                        raise InternalError(
+                            "Gelfand-Tsetlin norm %s is not positive"
+                            % rat_str(norm))
+                    norms[nxt] = norm
+                    walk.append(nxt)
+    if len(walk) != dim:
+        raise InternalError("%d Gelfand-Tsetlin patterns, Weyl dimension"
+                            " is %d" % (len(walk), dim))
+
+    def weight(state):
+        w = list(lam)  # a torus coordinate keeps lam_p
+        for (_, pos, rank), rows in zip(blocks, state):
+            for s in range(rank):
+                w[pos + s] = _diagonal(rows, s) - _diagonal(rows, s + 1)
+        return tuple(w)
+
+    basis = sorted(walk, key=weight)
+    index = {state: v for v, state in enumerate(basis)}
+    cores = [squarefree_core(norms[state]) for state in basis]
+    scales = [exact_sqrt(rat(norms[state], c))
+              for state, c in zip(basis, cores)]
+
+    # the units of each A factor on the scaled basis
+    units = {}
+    for f, (bi, _, rank) in enumerate(blocks):
+        for t in range(rank + 1):
+            units[bi, t, t] = ExactMatrix.diag(
+                [_diagonal(state[f], t) for state in basis])
+        for t in range(rank):
+            for step, key in ((1, (bi, t, t + 1)), (-1, (bi, t + 1, t))):
+                entries = [[0] * dim for _ in range(dim)]
+                for v, state in enumerate(basis):
+                    rows = state[f]
+                    for i in range(t + 1):
+                        moved = _moved(rows, t, i, step)
+                        if moved is not None:
+                            u = index[state[:f] + (moved,) + state[f + 1:]]
+                            entries[u][v] = rat(
+                                _coefficient(rows, t, i, step) * scales[u],
+                                scales[v])
+                units[key] = ExactMatrix.from_rows(entries)
+        for gap in range(2, rank + 1):
+            for j in range(rank + 1 - gap):
+                k = j + gap
+                units[bi, j, k] = commutator(units[bi, j, k - 1],
+                                             units[bi, k - 1, k])
+                units[bi, k, j] = commutator(units[bi, k, k - 1],
+                                             units[bi, k - 1, j])
+
+    # each frame direction is the combination of its block's units
     pis = []
     for a in range(frame.dim):
-        bi, fam, sub = _factor_block(frame, a)
+        bi = frame.directionFactor[a]
+        fam, boff, size = frame.factorBlocks[bi]
         if fam == "Torus":
             p = frame.names[a][1]
-            pis.append(ExactMatrix.identity(ambient).scale((ZERO, rat(lam[p]))))
+            pis.append(ExactMatrix.identity(dim).scale((ZERO, rat(lam[p]))))
             continue
-        total = ExactMatrix.zeros(ambient)
-        for t, (sbi, k, wdim) in enumerate(slots):
-            if sbi != bi:
-                continue
-            key = (a, k)
-            if key not in wedge_cache:
-                wedge_cache[key] = _wedge_matrix(sub, k)
-            piece = wedge_cache[key]
-            pre = 1
-            for u in range(t):
-                pre *= slots[u][2]
-            post = ambient // (pre * wdim)
-            lifted = ExactMatrix.identity(pre).kron(piece) \
-                                              .kron(ExactMatrix.identity(post))
-            total = total + lifted
-        pis.append(total)
+        coefs = []
+        mats = []
+        for j in range(size):
+            for k in range(size):
+                z = frame.matrices[a].get(boff + j, boff + k)
+                if z[0] or z[1]:
+                    coefs.append(z)
+                    mats.append(units[bi, j, k])
+        pis.append(combination(coefs, mats, dim))
 
-    # ambient weights from the (diagonal) torus actions
-    weights = [tuple(pis[p].get(v, v)[1] for p in range(rs.rank))
-               for v in range(ambient)]
-    for p in range(rs.rank):
-        if pis[p] != ExactMatrix.diag([(ZERO, w[p]) for w in weights]):
-            raise InternalError("torus direction %d is not diagonal" % p)
-
-    # highest weight vector: the all-tops tensor basis vector is index 0;
-    # vectors are 1 x ambient rows, so X acts on them through X^T
-    if weights[0] != lam:
-        raise InternalError("the first tensor basis vector has weight (%s),"
-                            " not the highest weight"
-                            % ",".join(map(rat_str, weights[0])))
-    top = ExactMatrix.zeros(1, ambient)
-    top.put(0, 0, 1)
-    simple_dirs = []
-    for beta in rs.simpleRoots:
-        adir = frame.index(("A", beta))
-        fa, fb = pis[adir], pis[adir + 1]
-        lower = fa.scale(rat(-1, 2)) + fb.scale((ZERO, rat(-1, 2)))
-        raiser = fa.scale(rat(1, 2)) + fb.scale((ZERO, rat(-1, 2)))
-        if not (top * raiser.transpose()).is_zero():
-            raise InternalError("a raising operator moves the highest"
-                                " weight vector")
-        simple_dirs.append((beta, lower.transpose()))
-
-    # cyclic closure under the lowering operators, one height level at a
-    # time: the weight space at nw is the row space of the images of the
-    # level above; its reduced echelon rows (pivot entries 1) are
-    # orthogonalized at once, and distinct weights are orthogonal
-    groups = {lam: _orthogonal_rows(top, 1)}
-    level = [lam]
-    while level:
-        images = {}
-        for w in level:
-            block = ExactMatrix.vstack(groups[w][0], ambient)
-            for beta, lower_t in simple_dirs:
-                img = block * lower_t
-                if not img.is_zero():
-                    nw = tuple(c - b for c, b in zip(w, beta))
-                    images.setdefault(nw, []).append(img)
-        for nw, imgs in images.items():
-            red, pivots = ExactMatrix.vstack(imgs, ambient).rref()
-            groups[nw] = _orthogonal_rows(red, len(pivots))
-        level = list(images)
-    basis = []
-    basis_weights = []
-    norms = []
-    for w in sorted(groups):
-        rows, group_norms = groups[w]
-        basis.extend(rows)
-        basis_weights.extend([w] * len(rows))
-        norms.extend(group_norms)
-    if len(basis) != dim:
-        raise BadStructureConstants(
-            "cyclic closure gave %d vectors, Weyl dimension is %d"
-            % (len(basis), dim))
-    form = ExactMatrix.diag(norms)
-    cols = ExactMatrix.vstack(basis, ambient).transpose()
-    cols_h = cols.ctranspose()
-    if cols_h * cols != form:
-        raise InternalError("weight-space bases are not orthogonal")
-
-    # restrict every direction: M = diag(1/n) B^H (pi_a B) projects the
-    # images onto the basis, and B M == pi_a B says they never left it
-    inv = ExactMatrix.diag([rat(1, n) for n in norms])
-    rep_pi = []
-    for a in range(frame.dim):
-        img = pis[a] * cols
-        m = inv * (cols_h * img)
-        if cols * m != img:
-            raise BadStructureConstants(
-                "image of basis vector left the cyclic subspace")
-        rep_pi.append(m)
-
-    rep = LieRep(rs, frame, lam, rep_pi, form, basis_weights)
+    rep = LieRep(rs, frame, lam, pis, ExactMatrix.diag(cores),
+                 [weight(state) for state in basis])
     _verify_rep(rep)
     return rep
 

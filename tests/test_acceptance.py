@@ -50,7 +50,7 @@ def test_criterion_1_kostant_square_identity():
 
 def test_criterion_2_relative_spectral_identity():
     pair = pairFromLabel("A1:T")
-    for m in range(7):
+    for m in range(13):
         report = spectralCheckRelative(pair, (m,))
         assert report["blocks"] and all(b["match"]
                                         for b in report["blocks"])
@@ -64,7 +64,7 @@ def test_criterion_2_relative_spectral_identity():
 
 def test_criterion_3_induction_cross_oracle():
     pair = pairFromLabel("A1:T")
-    for m in range(-6, 7):
+    for m in range(-14, 15):
         combinatorial = diracInduct(pair, (rat(m),))
         graded = kernelIndex(pair, {(rat(m),): 1})
         assert dict(combinatorial.entries) == dict(graded.entries)

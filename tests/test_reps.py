@@ -3,10 +3,12 @@ import pytest
 from diracforge.characters import irreducibleCharacter, weylDimension
 from diracforge.errors import (BadStructureConstants, NotDominant,
                                NotIntegral, TooLarge)
+from diracforge import exactmat
 from diracforge.exactmat import ExactMatrix, commutator
 from diracforge.liecore import systemFromLabel
 from diracforge.rationals import ZERO, rat
 from diracforge.reps import LieRep, _verify_rep, buildLieRep
+from diracforge.structure import buildFrame
 
 
 def entries(m):
@@ -46,6 +48,10 @@ def test_su3_defining_weights():
     assert set(rep.weights) == {(rat(1), rat(0)), (rat(-1), rat(1)),
                                 (rat(0), rat(-1))}
     assert rep.form == ExactMatrix.identity(3)
+    # Lambda^2 C^4 is minuscule too
+    rep = buildLieRep(systemFromLabel("A3"), (0, 1, 0))
+    assert rep.dimension == 6
+    assert rep.form == ExactMatrix.identity(6)
 
 
 def test_torus_factor_acts_as_scalar():
@@ -71,6 +77,9 @@ CASES = [
     ("A3", (0, 1, 0)),
     ("A1xA1", (1, 2)),
     ("A1xT1", (2, -3)),
+    ("A2", (0, 7)),
+    ("A1xA1", (7, 7)),
+    ("A1", (20,)),
 ]
 
 
@@ -137,6 +146,28 @@ def test_cartan_acts_by_weight():
             assert rep.pi[p].get(v, v) == (ZERO, w[p])
 
 
+def test_build_runs_no_elimination(monkeypatch):
+    # the patterns and their matrices are closed forms: no rref (nor the
+    # nullspace or solve built on it) and no Gram-Schmidt
+    rs = systemFromLabel("A2")
+    buildFrame(rs)  # the frame's gram inverse is an elimination
+    calls = []
+
+    def wrapped(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(ExactMatrix, "rref",
+                        wrapped("rref", ExactMatrix.rref))
+    monkeypatch.setattr(exactmat, "orthogonal_rows",
+                        wrapped("orthogonal_rows", exactmat.orthogonal_rows))
+    rep = buildLieRep(rs, (2, 1))
+    assert rep.dimension == 15
+    assert calls == []
+
+
 def test_weights_ascending():
     rep = buildLieRep(systemFromLabel("A2"), (2, 0))
     assert list(rep.weights) == sorted(rep.weights)
@@ -159,9 +190,3 @@ def test_dimension_limit():
                                        "limit 64$"):
         buildLieRep(systemFromLabel("A1"), (100,))
 
-
-def test_ambient_limit():
-    # dim 36 passes the first gate, the 3^7 tensor ambient does not
-    with pytest.raises(TooLarge, match="^tensor ambient reached 2187 wide; "
-                                       "limit 1024$"):
-        buildLieRep(systemFromLabel("A2"), (0, 7))
