@@ -175,7 +175,12 @@ def weylDimension(rs, lam):
 
     Runs on int coordinates with the int gram: its scale enters the
     numerator and the denominator once per root, and cancels."""
-    lam = _require_dominant_integral(rs, lam)
+    return _dimension(rs, _require_dominant_integral(rs, lam))
+
+
+def _dimension(rs, lam):
+    """weylDimension of lam, a tuple of ints already known to be dominant
+    and integral."""
     rho = rs.rho
     lam_rho = tuple(map(add, lam, rho))
     # <v, a> = (v G) . a: one product with the gram per vector, not per root
@@ -311,7 +316,7 @@ def _cached_weights(rs, lam, doc):
         return None
     # lam itself once, as in every V_lam
     if weights.get(lam) != 1 \
-            or sum(weights.values()) != weylDimension(rs, lam):
+            or sum(weights.values()) != _dimension(rs, lam):
         return None
     # the report prints the keys as they are, so int()'s other spellings of
     # a coordinate ("+1", "01", " 1", "1_0", "-0") are misses too; no key
@@ -427,7 +432,8 @@ def _check_summands(rs, dec, dim, what):
     and the V_lam add up to dimension dim."""
     if any(m <= 0 for m in dec.values()):
         raise InternalError("%s decomposed with negative parts" % what)
-    if sum(m * weylDimension(rs, lam) for lam, m in dec.items()) != dim:
+    # _straighten's summands are dominant int weights: no check per summand
+    if sum(m * _dimension(rs, lam) for lam, m in dec.items()) != dim:
         raise InternalError("%s lost dimension" % what)
 
 
@@ -438,7 +444,7 @@ def tensorDecompose(rs, lam, mu):
     product character and no summand's character is built."""
     lam = _require_dominant_integral(rs, lam)
     mu = _require_dominant_integral(rs, mu)
-    dims = weylDimension(rs, lam), weylDimension(rs, mu)
+    dims = _dimension(rs, lam), _dimension(rs, mu)
     if dims[0] < dims[1]:
         lam, mu = mu, lam
     top = tuple(map(add, lam, rs.rho))

@@ -10,11 +10,12 @@ own.  Rationals are serialized as "p/q" strings; no floating point
 appears in any payload.
 """
 
-import argparse
 import json
 import os
 import sys
-from itertools import product as cartesian
+from itertools import product as cartesian, repeat
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import cache
 from .characters import (ConeSeries, FormalCharacter, _irreducible_weights,
@@ -68,12 +69,17 @@ def _read_lines(path):
         raise DiracforgeError(str(exc))
 
 
-def _write_text(path, lines):
+def _write_file(path, write):
+    """write(fh) on path opened for text; an OSError is a usage error."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            write(fh)
     except OSError as exc:
         raise DiracforgeError(str(exc))
+
+
+def _write_text(path, lines):
+    _write_file(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 def loadCharacterFile(path):
@@ -164,6 +170,43 @@ def _generic_text(payload):
     return lines
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _dump_json(write, val, nl):
+    """Write the pieces of json.dumps(val, sort_keys=True, indent=2), val
+    being on a line that starts with nl.  json runs its C encoder only
+    without indent, so a container of scalars is one C call with the
+    newline and indent in its item separator; Python walks only the
+    containers that hold containers."""
+    if not isinstance(val, _CONTAINERS) or not val:
+        write(json.dumps(val))
+        return
+    inner = nl + "  "
+    is_dict = isinstance(val, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    if not any(map(isinstance, val.values() if is_dict else val,
+                   repeat(_CONTAINERS))):
+        flat = json.dumps(val, sort_keys=True, separators=("," + inner, ": "))
+        write(opening + inner)
+        write(flat[1:-1])
+    else:
+        write(opening)
+        sep = inner
+        for key in sorted(val) if is_dict else range(len(val)):
+            write(sep + encode_basestring_ascii(key) + ": " if is_dict
+                  else sep)
+            _dump_json(write, val[key], inner)
+            sep = "," + inner
+    write(nl + closing)
+
+
+def _write_json(stream, doc):
+    """Write json.dumps(doc, sort_keys=True, indent=2) and a newline."""
+    _dump_json(stream.write, doc, "\n")
+    stream.write("\n")
+
+
 def _emit(config, payload, text_lines=None):
     if config.format == "json":
         doc = {"subcommand": config.subcommand,
@@ -173,7 +216,7 @@ def _emit(config, payload, text_lines=None):
         if config.seed is not None:
             doc["seed"] = config.seed
         doc.update(payload)
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        _write_json(sys.stdout, doc)
     else:
         if text_lines is None:
             text_lines = _generic_text(payload)
@@ -439,8 +482,8 @@ def cmd_decompose(config, args):
     payload = {"model": model.label, "xi": weightString(xi), "c": rat_str(c),
                "window": rat_str(config.window),
                "directory": args.out, "components": rows}
-    _write_text(os.path.join(args.out, "report.json"),
-                [json.dumps(payload, sort_keys=True, indent=2)])
+    _write_file(os.path.join(args.out, "report.json"),
+                lambda fh: _write_json(fh, payload))
     text = ["%s alpha=(%s) terms=%d -> %s"
             % ("zero " if r["containsZero"] else "      ",
                r["alpha"], r["terms"], r["file"]) for r in rows]
@@ -458,150 +501,183 @@ def cmd_cache(config, args):
 
 # --------------------------------------------------------------- driver
 
-# the subcommands, in the order help lists them
-COMMANDS = ("root-system", "orbit", "char", "tensor", "restrict", "induct",
-            "verify-kostant", "verify-relative", "polarize", "qr-toric",
-            "qr-coadjoint", "decompose", "cache")
+# An option is (flag, argparse keywords); a tuple of options is a required
+# group of which exactly one is given.  Every subcommand takes these first.
+_SHARED = (
+    ("--format", dict(choices=("json", "text"), default="text",
+                      help="report format")),
+    ("--seed", dict(type=int, default=None,
+                    help="seed recorded for randomized sweeps")),
+    ("--normalization", dict(default=NORMALIZATION)),
+    ("--cache-dir", dict(default=None,
+                         help="override the character cache directory")),
+)
+_REQ = dict(required=True)
+_OPT = dict(default=None)
+
+# name -> (handler, help, options), in the order help lists them
+SUBCOMMANDS = {
+    "root-system": (cmd_root_system, "describe a root system",
+                    (("--type", _REQ),)),
+    "orbit": (cmd_orbit, "Weyl orbit of a weight",
+              (("--type", _REQ), ("--weight", _REQ))),
+    "char": (cmd_char, "irreducible character (cached)", (
+        ("--type", _REQ), ("--weight", _REQ),
+        ("--out", dict(default=None, help="write the character file here")))),
+    "tensor": (cmd_tensor, "tensor product decomposition",
+               (("--type", _REQ), ("--lhs", _REQ), ("--rhs", _REQ))),
+    "restrict": (cmd_restrict, "restrict an irreducible to a subgroup", (
+        ("--pair", dict(required=True, help="pair label like A2:u2")),
+        ("--weight", _REQ), ("--out", _OPT))),
+    "induct": (cmd_induct, "Dirac induction from a subgroup", (
+        ("--pair", _REQ),
+        (("--weight", dict(default=None, help="single dominant H-label")),
+         ("--input", dict(default=None,
+                          help="character or cone-series file over H"))),
+        ("--out", _OPT))),
+    "verify-kostant": (
+        cmd_verify_kostant, "exact square identity for the cubic operator", (
+            ("--type", _REQ),
+            (("--weight", _OPT),
+             ("--lambda-max", dict(type=int, default=None,
+                                   help="sweep all dominant labels with"
+                                        " coordinates up to this bound"))))),
+    "verify-relative": (
+        cmd_verify_relative, "blockwise spectrum of the relative operator", (
+            ("--pair", _REQ),
+            (("--weight", _OPT), ("--lambda-max", dict(type=int,
+                                                       default=None))))),
+    "polarize": (cmd_polarize, "polarized index series of a weight list", (
+        ("--type", _REQ),
+        ("--fiber", dict(required=True, help="semicolon-separated weights")),
+        ("--alpha", _REQ), ("--shift", _OPT), ("--window", _REQ),
+        ("--strict", dict(action="store_true", default=False,
+                          help="assert strict polarization of the result")),
+        ("--out", _OPT))),
+    "qr-toric": (cmd_qr_toric, "circle [Q,R]=0 on a toric model", (
+        ("--model", dict(required=True, help="model JSON file")),
+        ("--xi", dict(default=None, help="circle direction")),
+        ("--c", dict(required=True, help="reduction level")),
+        ("--window", _OPT))),
+    "qr-coadjoint": (
+        cmd_qr_coadjoint, "coadjoint-orbit quantization and product check", (
+            ("--type", _REQ),
+            ("--weight", dict(required=True,
+                              help="strictly dominant orbit label")),
+            ("--mu", dict(default=None, help="second orbit label for the"
+                                             " product check")))),
+    "decompose": (
+        cmd_decompose, "Kirwan decomposition with per-component series files",
+        (("--model", _REQ), ("--xi", _OPT), ("--c", _REQ), ("--window", _REQ),
+         ("--out", dict(required=True, help="output directory")))),
+    "cache": (cmd_cache, "character cache statistics or clearing",
+              (("action", dict(choices=("stats", "clear"))),)),
+}
+
+
+def _grouped(options):
+    """(group, members) per entry of _SHARED + options; a lone option is
+    not a group, and its only member."""
+    for opt in _SHARED + options:
+        group = isinstance(opt[0], tuple)
+        yield group, opt if group else (opt,)
 
 
 def build_parser(command=None):
-    """The argument parser.  With command, one of COMMANDS, only that
+    """The argument parser.  With command, one of SUBCOMMANDS, only that
     subcommand is registered, and the subcommand list in its usage lines is
-    pinned to all of COMMANDS, so every text it prints is the full
+    pinned to all of SUBCOMMANDS, so every text it prints is the full
     parser's.  (The full parser keeps the default metavar: a missing
     command is reported by its dest, "command".)"""
+    import argparse  # only argv that _read_canonical declines needs it
     parser = argparse.ArgumentParser(
         prog="diracforge",
         description="Exact-arithmetic equivariant index computations for"
                     " compact groups.")
     sub = parser.add_subparsers(
         dest="command", required=True,
-        metavar=None if command is None else "{%s}" % ",".join(COMMANDS))
-
-    def add(name, func, help):
-        """The subparser of name, with the shared flags, or None when
-        another subcommand was asked for."""
+        metavar=None if command is None else "{%s}" % ",".join(SUBCOMMANDS))
+    for name, (func, help, options) in SUBCOMMANDS.items():
         if command not in (None, name):
-            return None
+            continue
         p = sub.add_parser(name, help=help)
-        p.add_argument("--format", choices=("json", "text"),
-                       default="text", help="report format")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed recorded for randomized sweeps")
-        p.add_argument("--normalization", default=NORMALIZATION)
-        p.add_argument("--cache-dir", default=None,
-                       help="override the character cache directory")
+        for group, members in _grouped(options):
+            into = p.add_mutually_exclusive_group(required=True) if group \
+                else p
+            for flag, kw in members:
+                into.add_argument(flag, **kw)
         p.set_defaults(func=func)
-        return p
-
-    p = add("root-system", cmd_root_system, "describe a root system")
-    if p:
-        p.add_argument("--type", required=True)
-
-    p = add("orbit", cmd_orbit, "Weyl orbit of a weight")
-    if p:
-        p.add_argument("--type", required=True)
-        p.add_argument("--weight", required=True)
-
-    p = add("char", cmd_char, "irreducible character (cached)")
-    if p:
-        p.add_argument("--type", required=True)
-        p.add_argument("--weight", required=True)
-        p.add_argument("--out", default=None,
-                       help="write the character file here")
-
-    p = add("tensor", cmd_tensor, "tensor product decomposition")
-    if p:
-        p.add_argument("--type", required=True)
-        p.add_argument("--lhs", required=True)
-        p.add_argument("--rhs", required=True)
-
-    p = add("restrict", cmd_restrict,
-            "restrict an irreducible to a subgroup")
-    if p:
-        p.add_argument("--pair", required=True, help="pair label like A2:u2")
-        p.add_argument("--weight", required=True)
-        p.add_argument("--out", default=None)
-
-    p = add("induct", cmd_induct, "Dirac induction from a subgroup")
-    if p:
-        p.add_argument("--pair", required=True)
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--weight", default=None,
-                         help="single dominant H-label")
-        src.add_argument("--input", default=None,
-                         help="character or cone-series file over H")
-        p.add_argument("--out", default=None)
-
-    p = add("verify-kostant", cmd_verify_kostant,
-            "exact square identity for the cubic operator")
-    if p:
-        p.add_argument("--type", required=True)
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--weight", default=None)
-        src.add_argument("--lambda-max", type=int, default=None,
-                         help="sweep all dominant labels with coordinates up"
-                              " to this bound")
-
-    p = add("verify-relative", cmd_verify_relative,
-            "blockwise spectrum of the relative operator")
-    if p:
-        p.add_argument("--pair", required=True)
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--weight", default=None)
-        src.add_argument("--lambda-max", type=int, default=None)
-
-    p = add("polarize", cmd_polarize,
-            "polarized index series of a weight list")
-    if p:
-        p.add_argument("--type", required=True)
-        p.add_argument("--fiber", required=True,
-                       help="semicolon-separated weights")
-        p.add_argument("--alpha", required=True)
-        p.add_argument("--shift", default=None)
-        p.add_argument("--window", required=True)
-        p.add_argument("--strict", action="store_true",
-                       help="assert strict polarization of the result")
-        p.add_argument("--out", default=None)
-
-    p = add("qr-toric", cmd_qr_toric, "circle [Q,R]=0 on a toric model")
-    if p:
-        p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--xi", default=None, help="circle direction")
-        p.add_argument("--c", required=True, help="reduction level")
-        p.add_argument("--window", default=None)
-
-    p = add("qr-coadjoint", cmd_qr_coadjoint,
-            "coadjoint-orbit quantization and product check")
-    if p:
-        p.add_argument("--type", required=True)
-        p.add_argument("--weight", required=True,
-                       help="strictly dominant orbit label")
-        p.add_argument("--mu", default=None,
-                       help="second orbit label for the product check")
-
-    p = add("decompose", cmd_decompose,
-            "Kirwan decomposition with per-component series files")
-    if p:
-        p.add_argument("--model", required=True)
-        p.add_argument("--xi", default=None)
-        p.add_argument("--c", required=True)
-        p.add_argument("--window", required=True)
-        p.add_argument("--out", required=True, help="output directory")
-
-    p = add("cache", cmd_cache, "character cache statistics or clearing")
-    if p:
-        p.add_argument("action", choices=("stats", "clear"))
-
     return parser
+
+
+def _dest(flag):
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _value(kw, text):
+    """text as argparse reads the value of an option with keywords kw, or
+    None where argparse would not take it: no token, a token it reads as
+    an option (one starting with "-" that is not a negative integer), a
+    bad int or a bad choice."""
+    if text is None or text.startswith("-") and not (
+            text[1:].isascii() and text[1:].isdigit()):
+        return None
+    if "type" in kw:
+        try:
+            text = kw["type"](text)
+        except ValueError:
+            return None
+    return None if "choices" in kw and text not in kw["choices"] else text
+
+
+def _read_canonical(argv):
+    """build_parser().parse_args(argv), read without argparse when argv
+    has the canonical form: the subcommand, its positional, then options
+    by their full names, each at most once and followed by its value.
+    None for any other argv (help, abbreviations, --name=value, repeats,
+    "--", unknown or missing options, bad values): argparse reads those."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    func, _, options = SUBCOMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    flags = {}
+    groups = []
+    for group, members in _grouped(options):
+        if group:
+            groups.append({flag for flag, _ in members})
+        for flag, kw in members:
+            flags[flag] = kw
+            values[_dest(flag)] = kw.get("default")
+    # cache's positional is read as if its name preceded its value
+    tokens = iter([flag for flag in flags if flag[0] != "-"]
+                  + list(argv[1:]))
+    given = set()
+    for flag in tokens:
+        kw = flags.get(flag)
+        if kw is None or flag in given:
+            return None
+        given.add(flag)
+        value = True if kw.get("action") == "store_true" \
+            else _value(kw, next(tokens, None))
+        if value is None:
+            return None
+        values[_dest(flag)] = value
+    if any(kw.get("required") and flag not in given
+           for flag, kw in flags.items()) \
+            or any(len(group & given) != 1 for group in groups):
+        return None
+    return SimpleNamespace(**values)
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    # a request names its subcommand first; only that one is built
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = _read_canonical(argv)
+    if args is None:
+        # a request names its subcommand first; only that one is built
+        parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS
+                              else None)
+        args = parser.parse_args(argv)
     try:
         config = RunConfig(args)
         with cache.directory(config.cache_dir):
@@ -611,7 +687,7 @@ def main(argv=None):
                    "normalization": NORMALIZATION,
                    "cliffordSign": CLIFFORD_SIGN}
         if getattr(args, "format", "text") == "json":
-            print(json.dumps(failure, sort_keys=True, indent=2))
+            _write_json(sys.stdout, failure)
         else:
             print("FAIL %s: %s" % (type(exc).__name__, exc))
         return 1

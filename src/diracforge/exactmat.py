@@ -310,23 +310,28 @@ class ExactMatrix:
     def from_rows(cls, rows):
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
+        if any(len(row) != ncols for row in rows):
+            raise DimensionMismatch("ragged rows")
+        return cls.from_entries(nrows, ncols, {
+            (i, j): z for i, row in enumerate(rows)
+            for j, z in enumerate(row)})
+
+    @classmethod
+    def from_entries(cls, nrows, ncols, entries):
+        """The nrows x ncols matrix with {(i, j): z} as its entries, z a
+        scalar or an (re, im) pair; every entry not given is zero, so a
+        sparse caller passes only its non-zero entries."""
         re = {}
         im = {}
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise DimensionMismatch("ragged rows")
-            rr = {}
-            ri = {}
-            for j, v in enumerate(row):
-                x, y = _parts(v)
-                if x:
-                    rr[j] = x
-                if y:
-                    ri[j] = y
-            if rr:
-                re[i] = rr
-            if ri:
-                im[i] = ri
+        for (i, j), z in entries.items():
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise DimensionMismatch("entry (%d, %d) outside %d x %d"
+                                        % (i, j, nrows, ncols))
+            x, y = _parts(z)
+            if x:
+                re.setdefault(i, {})[j] = x
+            if y:
+                im.setdefault(i, {})[j] = y
         return cls(nrows, ncols, *_over_lcm(re, im))
 
     # -- entry access ---------------------------------------------------

@@ -162,17 +162,17 @@ def buildLieRep(rs, lam):
                 [_diagonal(state[f], t) for state in basis])
         for t in range(rank):
             for step, key in ((1, (bi, t, t + 1)), (-1, (bi, t + 1, t))):
-                entries = [[0] * dim for _ in range(dim)]
+                entries = {}
                 for v, state in enumerate(basis):
                     rows = state[f]
                     for i in range(t + 1):
                         moved = _moved(rows, t, i, step)
                         if moved is not None:
                             u = index[state[:f] + (moved,) + state[f + 1:]]
-                            entries[u][v] = rat(
+                            entries[u, v] = rat(
                                 _coefficient(rows, t, i, step) * scales[u],
                                 scales[v])
-                units[key] = ExactMatrix.from_rows(entries)
+                units[key] = ExactMatrix.from_entries(dim, dim, entries)
         for gap in range(2, rank + 1):
             for j in range(rank + 1 - gap):
                 k = j + gap

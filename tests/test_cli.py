@@ -1,22 +1,55 @@
 import argparse
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 import diracforge
-from diracforge import cache
+from diracforge import cache, cli
 
 from diracforge.characters import ConeSeries, FormalCharacter
-from diracforge.cli import COMMANDS, build_parser, main
+from diracforge.cli import SUBCOMMANDS, build_parser, main
 from diracforge.errors import InternalError, QRViolation
 from diracforge.liecore import RootSystem, systemFromLabel, weightFromStrings
 from diracforge.qr import cp1, cp2
 
 from helpers import oldCacheDocument, oldCharReport, oracleWeights
+
+# the reader itself; the fixture below wraps the module's name in a check
+read_canonical = cli._read_canonical
+
+
+def argparse_reading(parser, argv):
+    """vars(parser.parse_args(argv)), or None where argparse exits; what
+    it prints is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.fixture(autouse=True)
+def canonical_reads_match_argparse(monkeypatch):
+    """Every argv a test here passes to main is read by the canonical
+    reader exactly as argparse reads it, func included; the reader
+    declines just the argv that argparse refuses or answers with help."""
+    parser = build_parser()  # built before a test can break argparse
+    def checked(argv):
+        got = read_canonical(argv)
+        assert (None if got is None else vars(got)) \
+            == argparse_reading(parser, argv)
+        return got
+
+    monkeypatch.setattr(cli, "_read_canonical", checked)
 
 
 def run(capsys, *argv):
@@ -360,8 +393,15 @@ def _parse_outcome(capsys, call):
     ["char", "--type", "A1", "--weight", "1", "--bogus"],
     ["induct", "--pair", "A1:T"], ["cache", "purge"],
     ["no-such-command"], [],
+    ["orbit", "--type", "A2", "--weight", "-1,2"],
+    ["verify-kostant", "--type", "A1", "--lambda-max", "x"],
+    ["induct", "--pair", "A1:T", "--weight", "1", "--input", "x.chr"],
+    ["char", "--type", "A1", "--weight", "1", "-h"],
+    ["cache", "stats", "action", "clear"],
 ], ids=["help", "char-help", "missing-type", "unrecognized", "exclusive",
-        "bad-choice", "unknown-command", "no-arguments"])
+        "bad-choice", "unknown-command", "no-arguments", "dash-value",
+        "bad-int", "both-exclusive", "help-after-options",
+        "positional-name"])
 def test_one_subparser_prints_what_the_full_parser_prints(capsys, argv):
     full = _parse_outcome(capsys, lambda: build_parser().parse_args(argv))
     assert _parse_outcome(capsys, lambda: main(list(argv))) == full
@@ -375,8 +415,8 @@ def _subcommands(parser):
 
 
 def test_only_the_named_subparser_is_built():
-    assert _subcommands(build_parser()) == list(COMMANDS)
-    for name in COMMANDS:
+    assert _subcommands(build_parser()) == list(SUBCOMMANDS)
+    for name in SUBCOMMANDS:
         assert _subcommands(build_parser(name)) == [name]
 
 
@@ -454,3 +494,201 @@ def test_qr_toric_pairs_per_vertex_not_per_entry(capsys, tmp_path,
     assert rc == 0 and doc["match"] is True
     assert sum(row["terms"] for row in doc["components"]) > 100
     assert inner_products[0] <= 2 * len(model.vertices)
+
+
+# ------------------------------------------------- canonical argv reader
+
+WORKLOADS_FILE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \
+    / "workloads.py"
+
+
+def load_workloads():
+    """The benchmark's request generator, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS_FILE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload_argv(seeds):
+    """Each CLI request of the four workloads over seeds, as the benchmark
+    passes it to main; the library oracle requests are not CLI argv."""
+    wl = load_workloads()
+    for workload in wl.WORKLOADS:
+        for seed in seeds:
+            for argv in wl.generate(workload, seed)[0]:
+                if argv[0] != wl.ORACLE:
+                    yield argv + ["--cache-dir", "cache"]
+
+
+def test_reader_returns_argparse_namespace_on_every_workload_request():
+    parser = build_parser()
+    seen = set()
+    for argv in workload_argv(range(50)):
+        got = read_canonical(argv)
+        assert got is not None, argv
+        assert vars(got) == argparse_reading(parser, argv)
+        seen.add(argv[0])
+    assert len(seen) == 10
+
+
+def _mutated(rng, argv):
+    """argv after one to three edits: a token dropped, duplicated,
+    abbreviated or =-joined to the next, an option moved to the end, two
+    tokens swapped, or -h, --, -1,2, -5 and the like put in."""
+    argv = list(argv)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(argv))
+        kind = rng.randrange(7)
+        if kind == 0 and len(argv) > 1:
+            del argv[at]
+        elif kind == 1:
+            argv.insert(rng.randrange(len(argv) + 1), argv[at])
+        elif kind == 2 and argv[at].startswith("--") and len(argv[at]) > 3:
+            argv[at] = argv[at][:rng.randint(3, len(argv[at]) - 1)]
+        elif kind == 3 and argv[at].startswith("--") and at + 1 < len(argv):
+            argv[at:at + 2] = ["%s=%s" % tuple(argv[at:at + 2])]
+        elif kind == 4 and argv[at].startswith("--"):  # option to the end
+            argv += argv[at:at + 2]
+            del argv[at:at + 2]
+        elif kind == 4:
+            other = rng.randrange(len(argv))
+            argv[at], argv[other] = argv[other], argv[at]
+        elif kind == 5:
+            argv.insert(at, rng.choice(["-h", "--", "-1,2", "-5"]))
+        else:
+            argv[at] = rng.choice(["-1,2", "-5", "-0", "-", "--help"])
+    return argv
+
+
+def test_reader_matches_argparse_or_declines_on_mutated_argv():
+    parser = build_parser()
+    rng = random.Random(25)
+    bases = list(workload_argv(range(3)))
+    outcomes = {"read": 0, "declined, argparse reads": 0,
+                "declined, argparse exits": 0}
+    for _ in range(1500):
+        argv = _mutated(rng, rng.choice(bases))
+        got = read_canonical(argv)
+        want = argparse_reading(parser, argv)
+        if got is not None:
+            assert vars(got) == want, argv
+            outcomes["read"] += 1
+        else:
+            outcomes["declined, argparse %s" % (
+                "reads" if want else "exits")] += 1
+    # every kind of outcome happens, so the fuzz is not vacuous
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_no_argparse_parser_is_built_for_canonical_argv(capsys, monkeypatch,
+                                                        tmp_path, cp1_model):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("argparse parser built for canonical argv")
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    chr_path = tmp_path / "a1.chr"
+    requests = [
+        ("root-system", "--type", "A2"),
+        ("orbit", "--type", "T1", "--weight", "-5"),
+        ("char", "--type", "A1", "--weight", "1", "--out", str(chr_path)),
+        ("tensor", "--type", "A1", "--lhs", "1", "--rhs", "2"),
+        ("restrict", "--pair", "A2:u2", "--weight", "1,0"),
+        ("induct", "--pair", "A1:T", "--input", str(chr_path)),
+        ("verify-kostant", "--type", "A1", "--lambda-max", "1"),
+        ("verify-relative", "--pair", "A1:T", "--weight", "1"),
+        ("polarize", "--type", "T1", "--fiber", "1", "--alpha", "1",
+         "--window", "3", "--strict"),
+        ("qr-toric", "--model", cp1_model, "--xi", "1", "--c", "2"),
+        ("qr-coadjoint", "--type", "A2", "--weight", "1,1"),
+        ("decompose", "--model", cp1_model, "--xi", "1", "--c", "2",
+         "--window", "8", "--out", str(tmp_path / "dec")),
+        ("cache", "stats", "--seed", "3"),
+    ]
+    assert [argv[0] for argv in requests] == list(SUBCOMMANDS)
+    for argv in requests:
+        rc, out, err = run(capsys, *argv, "--format", "json")
+        assert (rc, err) == (0, "") and json.loads(out), argv
+
+
+def test_importing_the_cli_does_not_import_argparse():
+    src = pathlib.Path(diracforge.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, diracforge.cli\n"
+                               "print('argparse' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+# ------------------------------------------------------------ JSON emitter
+
+def _random_text(rng):
+    return "".join(rng.choice("aZ09 ,;/\\\"\n\téλ☃\U0001d11e")
+                   for _ in range(rng.randint(0, 6)))
+
+
+def _random_scalar(rng):
+    return rng.choice([rng.randint(-10 ** 30, 10 ** 30), True, False, None,
+                       0, 0.5, _random_text(rng)])
+
+
+def _random_doc(rng, depth):
+    """Scalars, empty and non-empty dicts, lists and tuples, and lists of
+    dicts, nested up to depth."""
+    if depth <= 0 or rng.random() < 0.3:
+        return _random_scalar(rng)
+    size = rng.choice([0, 1, 2, 5, 12])
+    kind = rng.randrange(4)
+    if kind == 0:
+        return {_random_text(rng): _random_doc(rng, depth - 1)
+                for _ in range(size)}
+    items = [_random_doc(rng, depth - 1) for _ in range(size)]
+    if kind == 1:
+        return tuple(items)
+    if kind == 2:  # a list of dicts, as report rows are
+        return [{_random_text(rng): _random_doc(rng, depth - 2)
+                 for _ in range(rng.randint(0, 3))} for _ in range(size)]
+    return items
+
+
+def emitted(doc, write_json=cli._write_json):
+    buf = io.StringIO()
+    write_json(buf, doc)
+    return buf.getvalue()
+
+
+def test_emitter_matches_json_dumps_on_random_documents():
+    rng = random.Random(7)
+    for _ in range(400):
+        doc = _random_doc(rng, 4)
+        assert emitted(doc) == json.dumps(doc, sort_keys=True, indent=2) \
+            + "\n"
+
+
+def test_emitter_matches_json_dumps_on_every_seed_zero_report(
+        capsys, monkeypatch, tmp_path):
+    wl = load_workloads()
+    monkeypatch.chdir(tmp_path)
+    reports = []
+
+    def checked(stream, doc):
+        text = emitted(doc)
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        reports.append(doc)
+        stream.write(text)
+
+    monkeypatch.setattr(cli, "_write_json", checked)
+    requests = []
+    for workload in ("kostant", "relative", "characters_cold"):
+        argvs, files = wl.generate(workload, 0)
+        for rel, text in files.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text)
+        requests += [argv for argv in argvs if argv[0] != wl.ORACLE]
+    for argv in requests:
+        assert main(argv + ["--cache-dir", "cache"]) == 0, argv
+        json.loads(capsys.readouterr().out)
+    # every request prints one report; decompose also writes report.json
+    decompositions = sum(argv[0] == "decompose" for argv in requests)
+    assert len(reports) == len(requests) + decompositions

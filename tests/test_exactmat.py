@@ -124,6 +124,21 @@ def test_add_sub_neg_scale(seed):
             check(a.scale((zr, zi)), n, m, want)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_from_entries_equals_from_rows(seed):
+    # the non-zero entries alone, as real scalars where the matrix is
+    # real and (re, im) pairs where it is Gaussian
+    for rng, n, m, kind, fill, small in cases(seed):
+        re, im = d = dense(rng, n, m, kind, fill, small)
+        entries = {(p // m, p % m): (re[p], im[p]) if kind != "real"
+                   else re[p] for p in range(n * m) if re[p] or im[p]}
+        mat = ExactMatrix.from_entries(n, m, entries)
+        check(mat, n, m, d)
+        assert mat == build(n, m, d)
+    with pytest.raises(DimensionMismatch):
+        ExactMatrix.from_entries(2, 3, {(0, 3): 1})
+
+
 def test_add_cancels_to_an_empty_row():
     a = ExactMatrix.from_rows([[1, (2, 1)], [3, 0]])
     b = ExactMatrix.from_rows([[-1, (-2, -1)], [0, 5]])
