@@ -27,11 +27,10 @@ S_h (x) S_p on top of it.
 
 from . import structure as _structure
 from .errors import (TooLarge, CliffordConstructionError,
-                     BadStructureConstants, DimensionMismatch,
-                     NotPositiveDefinite)
+                     BadStructureConstants, DimensionMismatch)
 from .exactmat import (ExactMatrix, anticommutator, combination, commutator,
-                       contract, inverse_rows, orthogonal_rows)
-from .rationals import coord, rat, ZERO, exact_sqrt, squarefree_core
+                       contract)
+from .rationals import coord, rat, ONE, ZERO, exact_sqrt, squarefree_core
 
 
 def _pair_block(d1, d2):
@@ -149,19 +148,24 @@ def _relation_failure(gamma, gram, size):
 
 
 def _orthogonalize(gram):
-    """Square-root-free Gram-Schmidt.  Returns (back, norms) where
-    back[j][k] expands input direction e_j over the orthogonal pivots v_k
-    and norms[k] = <v_k, v_k> > 0."""
+    """Square-root-free Cholesky G = back diag(norms) back^T (LDL^T).
+    back is unit lower triangular: back[j][k] expands input direction e_j
+    over the orthogonal pivots v_k, and norms[k] = <v_k, v_k> > 0."""
     d = len(gram)
-    units = [ExactMatrix.from_rows([[int(j == k) for j in range(d)]])
-             for k in range(d)]
-    try:
-        rows, norms = orthogonal_rows(units, ExactMatrix.from_rows(gram))
-    except NotPositiveDefinite:
-        raise CliffordConstructionError(
-            "frame gram is not positive definite") from None
-    v_in_e = [tuple(x for x, _ in vec.row(0)) for vec in rows]
-    return inverse_rows(v_in_e), norms
+    back = [[ZERO] * d for _ in range(d)]
+    norms = []
+    for j, lj in enumerate(back):
+        for k in range(j):
+            lk = back[k]
+            lj[k] = rat(gram[j][k] - sum(lj[m] * lk[m] * norms[m]
+                                         for m in range(k)), norms[k])
+        norm = gram[j][j] - sum(lj[m] * lj[m] * norms[m] for m in range(j))
+        if norm <= 0:
+            raise CliffordConstructionError(
+                "frame gram is not positive definite")
+        lj[j] = ONE
+        norms.append(norm)
+    return back, norms
 
 
 def _plan_blocks(norms, pair_hints):

@@ -36,8 +36,7 @@ from .characters import FormalCharacter, decomposeCharacter, weylDimension
 from .clifford import PairSpinors, spinRepresentation
 from .errors import (DimensionMismatch, DiracforgeError, NotScalar,
                      SpectralMismatch, TooLarge)
-from .exactmat import ExactMatrix, combination, commutator, contract, \
-    inverse_rows
+from .exactmat import ExactMatrix, combination, commutator, contract
 from .rationals import ZERO, rat, rat_str
 from .liecore import weightString
 from .reps import buildLieRep
@@ -114,7 +113,8 @@ def _pi_dual(pi, mats, ginv, dim_v, size):
     """sum_a pi_a (x) sum_b (G^-1)_{ab} mats_b on V (x) S, where V and S
     have dimensions dim_v and size."""
     out = ExactMatrix.zeros(dim_v * size)
-    for p, row in zip(pi, ginv):
+    for a, p in enumerate(pi):
+        row = [x for x, _ in ginv.row(a)]
         out = out + p.kron(combination(row, mats, size))
     return out
 
@@ -361,13 +361,13 @@ def _coordinate_ball(rs, norm_target):
     """Dominant integral lam with |lam + rho|^2 = norm_target, via the
     Cauchy-Schwarz coordinate bound |v_i| <= sqrt(target (G^-1)_ii)."""
     rank = rs.rank
-    ginv = inverse_rows(rs.gram)
+    ginv = ExactMatrix.from_rows(rs.gram).inverse()
     out = []
     if norm_target < 0:
         return out
     bounds = []
     for i in range(rank):
-        cap = norm_target * ginv[i][i]
+        cap = norm_target * ginv.get(i, i)[0]
         b = 0
         while b * b <= cap:
             b += 1

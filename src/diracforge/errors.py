@@ -43,10 +43,6 @@ class DimensionMismatch(DiracforgeError):
     pass
 
 
-class NotPositiveDefinite(DiracforgeError):
-    """A form that must be positive definite has a non-positive norm."""
-
-
 class BadStructureConstants(DiracforgeError):
     """Structure constants fail antisymmetry or the Jacobi identity."""
 

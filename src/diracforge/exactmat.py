@@ -19,15 +19,15 @@ them.  Floats and strings raise ``TypeError``.
 
 This is the one linear-algebra core of the package: a vector is a 1 x n
 or n x 1 matrix, ``vstack`` stacks the row blocks of several matrices
-into one system, and ``rref``/``nullspace`` do every elimination.  Other
-modules keep no vector arithmetic of their own.
+into one system, and ``rref``, ``nullspace`` and ``inverse`` do every
+elimination.  Other modules keep no vector arithmetic of their own.
 
 Frame sums happen in one place too.  ``combination`` is a linear
-combination sum_a c_a M_a, ``contract`` is the dual-frame contraction
-sum_{a,b} (G^-1)_{ab} L_a R_b, and ``inverse_rows`` gives the gram inverse
-G^-1 those sums run through.  ``orthogonal_rows`` is the one Gram-Schmidt,
-under any Hermitian form.  Cliffords of a vector, dual gammas, the
-Casimir, the spin map and the Dirac assembly are all built from them.
+combination sum_a c_a M_a, and ``contract`` is the dual-frame contraction
+sum_{a,b} (G^-1)_{ab} L_a R_b, with the gram inverse G^-1 held as one
+matrix from ``inverse`` to the sum that reads it.  Cliffords of a vector,
+dual gammas, the Casimir, the spin map and the Dirac assembly are all
+built from them.
 
 Checks are matrix identities here as well.  Structure constants pass when
 each ad_a is skew-adjoint for the gram and [ad_a, ad_b] = ad_[a,b]; a toric
@@ -45,7 +45,7 @@ from math import gcd, lcm
 
 from .rationals import ZERO, ONE, rat, rat_str
 from . import matops
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch
 
 
 def _rat(x):
@@ -549,36 +549,28 @@ class ExactMatrix:
                         opart.setdefault(pivots[r], {})[c] = -v
         return ExactMatrix(self.ncols, len(free), *_reduced(re, im, red.den))
 
-    def solve(self, rhs):
-        """Solve self @ x = rhs (rhs a matrix); None when inconsistent."""
-        if rhs.nrows != self.nrows:
-            raise DimensionMismatch("solve: rhs has %d rows, need %d" % (
-                rhs.nrows, self.nrows))
-        m = self.ncols
-        # [self | rhs] over the lcm denominator; its numerators alone make
-        # the integer system that rref reduces
-        den = lcm(self.den, rhs.den)
-        fa, fb = den // self.den, den // rhs.den
-        aug = ExactMatrix(self.nrows, m + rhs.ncols)
-        for part, rpart, apart in ((self.re, rhs.re, aug.re),
-                                   (self.im, rhs.im, aug.im)):
-            for i, row in part.items():
-                apart[i] = {j: fa * v for j, v in row.items()}
-            for i, row in rpart.items():
-                arow = apart.setdefault(i, {})
-                for j, v in row.items():
-                    arow[m + j] = fb * v
-        red, pivots = aug.rref()
-        if pivots and pivots[-1] >= m:
+    def inverse(self):
+        """The inverse of a square matrix, None when it is singular.  With
+        self = N / den, [N | den I] reduces to [I | self^-1]."""
+        n = self.nrows
+        if n != self.ncols:
+            raise DimensionMismatch("inverse of a %dx%d matrix"
+                                    % (n, self.ncols))
+        re = {i: dict(row) for i, row in self.re.items()}
+        for i in range(n):
+            re.setdefault(i, {})[n + i] = self.den
+        im = {i: dict(row) for i, row in self.im.items()}
+        red, pivots = ExactMatrix(n, 2 * n, re, im).rref()
+        if pivots[:n] != list(range(n)):
             return None
-        re = {}
-        im = {}
-        for part, xpart in ((red.re, re), (red.im, im)):
+        # keep the right block; a row of it may be empty in one part
+        parts = [{}, {}]
+        for part, opart in zip((red.re, red.im), parts):
             for r, row in part.items():
-                xrow = {j - m: v for j, v in row.items() if j >= m}
-                if xrow:
-                    xpart[pivots[r]] = xrow
-        return ExactMatrix(m, rhs.ncols, *_reduced(re, im, red.den))
+                orow = {j - n: v for j, v in row.items() if j >= n}
+                if orow:
+                    opart[r] = orow
+        return ExactMatrix(n, n, *_reduced(*parts, red.den))
 
     # -- serialization ----------------------------------------------------
 
@@ -620,47 +612,16 @@ def combination(coefs, mats, n):
 
 
 def contract(left, right, ginv, n):
-    """sum_{a,b} ginv[a][b] left[a] right[b] as an n x n matrix, summed as
-    sum_a left[a] combination(ginv[a], right)."""
+    """sum_{a,b} ginv_ab left[a] right[b] as an n x n matrix for a real
+    matrix ginv: sum_a left[a] combination(row a of ginv, right), summed
+    on ginv's int numerators and divided by its denominator once."""
+    if ginv.im:
+        raise TypeError("contract: the gram inverse must be real")
     out = ExactMatrix.zeros(n)
-    for a, row in enumerate(ginv):
-        if any(row):
-            out = out + left[a] * combination(row, right, n)
-    return out
-
-
-def inverse_rows(rows):
-    """The inverse of a square rational matrix given by its rows, as a
-    tuple of row tuples; None when the matrix is singular."""
-    n = len(rows)
-    inv = ExactMatrix.from_rows(rows).solve(ExactMatrix.identity(n))
-    if inv is None:
-        return None
-    return tuple(tuple(inv.get(i, j)[0] for j in range(n)) for i in range(n))
-
-
-def orthogonal_rows(vectors, form=None):
-    """Gram-Schmidt without normalization on 1 x n rows, under the Hermitian
-    form F (n x n; None for the standard form F = 1): each row e becomes
-    v = e - e F V^H diag(1/norms) V, V the rows made before it.  Returns the
-    rows v and their norms v F v^H, and raises NotPositiveDefinite when a
-    norm is not real and positive."""
-    rows = []
-    norms = []
-    for k, vec in enumerate(vectors):
-        left = vec if form is None else vec * form
-        if rows:
-            done = ExactMatrix.vstack(rows, vec.ncols)
-            inv = ExactMatrix.diag([rat(1, n) for n in norms])
-            vec = vec - left * done.ctranspose() * inv * done
-            left = vec if form is None else vec * form
-        nz = (left * vec.ctranspose()).get(0, 0)
-        if nz[1] or nz[0] <= 0:
-            raise NotPositiveDefinite("row %d has norm %s"
-                                      % (k, gauss_str(nz)))
-        rows.append(vec)
-        norms.append(nz[0])
-    return rows, norms
+    for a, row in ginv.re.items():
+        out = out + left[a] * combination(list(row.values()),
+                                          [right[b] for b in row], n)
+    return out if ginv.den == 1 else out.scale(rat(1, ginv.den))
 
 
 def commutator(a, b):

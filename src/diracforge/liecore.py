@@ -138,8 +138,8 @@ class RootSystem:
             for i, (p, alpha) in enumerate(self.reflections)]
         # the one inverse of the Cartan matrix, read by the gram
         n = len(self.simple_positions)
-        ainv = (ExactMatrix.from_rows(self.cartanMatrix)
-                .solve(ExactMatrix.identity(n)) if n else None)
+        ainv = ExactMatrix.from_rows(self.cartanMatrix).inverse() \
+            if n else None
         self.gram = self._assemble_gram(ainv) if gram is None else \
             [[rat(x) for x in row] for row in gram]
         if len(self.gram) != self.rank or any(len(r) != self.rank for r in self.gram):
@@ -509,8 +509,7 @@ class EqualRankPair:
                 toH.append(row)
             toH += [units[t] for t in torus]
             self._toH = toH
-            toG = ExactMatrix.from_rows(toH).solve(
-                ExactMatrix.identity(g.rank))
+            toG = ExactMatrix.from_rows(toH).inverse()
             gramH = toG.transpose() * ExactMatrix.from_rows(g.gram) * toG
             self.h = RootSystem(hfactors, gram=[
                 [gramH.get(i, j)[0] for j in range(g.rank)]
@@ -554,10 +553,18 @@ def equalRankPair(g, spec):
             raise IncompatiblePair("the u2 shorthand applies to A2 only")
         return EqualRankPair(g, (0,), label="A2:u2")
     if spec.startswith("keep="):
-        keep = tuple(int(t) for t in spec[5:].split(",") if t != "")
+        keep = tuple(_keep_index(t) for t in spec[5:].split(",") if t != "")
         return EqualRankPair(g, keep,
                              label="%s:keep=%s" % (g.label, spec[5:]))
     raise IncompatiblePair("unknown pair spec %r" % spec)
+
+
+def _keep_index(token):
+    try:
+        return int(token)
+    except ValueError:
+        raise IncompatiblePair("keep index %r is not an integer"
+                               % token) from None
 
 
 def pairFromLabel(label):

@@ -74,9 +74,18 @@ class ToricModel:
     0-dimensional point model)."""
 
     def __init__(self, halfSpaces, dimension=None, label=None):
+        if dimension is not None and (type(dimension) is not int
+                                      or dimension < 0):
+            raise DiracforgeError("dimension %r is not a non-negative "
+                                  "integer" % (dimension,))
         spaces = []
         for idx, (normal, offset) in enumerate(halfSpaces):
-            normal = tuple(int(c) for c in normal)
+            # a coordinate is never truncated: 1.5 or true is refused
+            if not isinstance(normal, (list, tuple)) \
+                    or any(type(c) is not int for c in normal):
+                raise DiracforgeError("halfspace %d: normal %r is not a "
+                                      "list of integers" % (idx, normal))
+            normal = tuple(normal)
             if dimension is None:
                 dimension = len(normal)
             if len(normal) != dimension:
@@ -93,7 +102,7 @@ class ToricModel:
         if dimension is None:
             raise DiracforgeError(
                 "an empty half-space list needs an explicit dimension")
-        self.dimension = int(dimension)
+        self.dimension = dimension
         self.halfSpaces = tuple(spaces)
         self.system = systemFromLabel("T%d" % self.dimension)
         self.label = label if label is not None else \
@@ -115,7 +124,7 @@ class ToricModel:
         for subset in combinations(range(len(self.halfSpaces)), n):
             mat = ExactMatrix.from_rows(
                 [list(self.halfSpaces[j][0]) for j in subset])
-            inv = mat.solve(ExactMatrix.identity(n))
+            inv = mat.inverse()
             if inv is None:
                 continue
             rhs = ExactMatrix.from_rows([[-self.halfSpaces[j][1]]
@@ -218,8 +227,12 @@ class ToricModel:
     def fromDict(cls, data, label=None):
         if not isinstance(data, dict) or "halfspaces" not in data:
             raise DiracforgeError("toric model needs a 'halfspaces' field")
+        if not isinstance(data["halfspaces"], list):
+            raise DiracforgeError("'halfspaces' is not a list")
         spaces = []
         for idx, item in enumerate(data["halfspaces"]):
+            if not isinstance(item, dict):
+                raise DiracforgeError("halfspace %d is not an object" % idx)
             try:
                 normal = item["normal"]
                 offset = rat_from_str(str(item["offset"]))

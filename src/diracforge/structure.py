@@ -20,7 +20,7 @@ B/C/D root systems stay available in liecore but have no frame.
 
 from .errors import (BadStructureConstants, InternalError, NotOrthogonal,
                      UnsupportedType)
-from .exactmat import ExactMatrix, combination, commutator, inverse_rows
+from .exactmat import ExactMatrix, combination, commutator
 from .rationals import rat, rat_str, ZERO
 
 CARTAN, ROOT_A, ROOT_B = "iH", "A", "B"
@@ -179,12 +179,12 @@ class CompactFrame:
                                     " %s, not 2" % (_direction_str(na),
                                                     rat_str(g[a][a])))
         self.gram = tuple(tuple(row) for row in g)
-        self.gramInverse = inverse_rows(self.gram)
+        self.gramInverse = gm.inverse()
         if self.gramInverse is None:
             raise InternalError("the frame gram is singular")
         # coordinates over the frame through the dual frame: x = sum_c x_c
         # u_c with x_c = sum_e (G^-1)_{ce} B(x, u_e)
-        self._dual = -(ExactMatrix.from_rows(self.gramInverse) * pairing)
+        self._dual = -(self.gramInverse * pairing)
 
     # -------------------------------------------------------------- brackets
 
@@ -244,10 +244,8 @@ class PairFrame:
                            for a in self.pIndices)
         self.hGram = tuple(tuple(self.frame.gram[a][b] for b in self.hIndices)
                            for a in self.hIndices)
-        # h and p are orthogonal, so the p block of G^-1 inverts pGram
-        inv = self.frame.gramInverse
-        self.pGramInverse = tuple(tuple(inv[a][b] for b in self.pIndices)
-                                  for a in self.pIndices)
+        # h and p are orthogonal, so this is also the p block of G^-1
+        self.pGramInverse = ExactMatrix.from_rows(self.pGram).inverse()
         self._check_reductive()
 
     def _check_reductive(self):

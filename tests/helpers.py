@@ -19,7 +19,7 @@
   of the Cartan directions built one call at a time: the per-call route
   that ``clifford.PairSpinors`` must reproduce;
 - ``fractionRootData`` builds a system's roots, gram and rho on
-  ``Fraction`` weights, one ``ExactMatrix`` solve per simple factor and
+  ``Fraction`` weights, one ``ExactMatrix`` inverse per simple factor and
   one root-coefficient product per root: the oracle for the int core of
   ``liecore.RootSystem``;
 - ``ALL_LABELS`` are the systems every root-data test runs on;
@@ -50,7 +50,7 @@ from diracforge.clifford import buildCliffordFrame, hSpinAction
 from diracforge.dirac import _scalar_of, cubicDirac
 from diracforge.errors import (BadStructureConstants, DiracforgeError,
                                NonGenericPolarization)
-from diracforge.exactmat import ExactMatrix, inverse_rows
+from diracforge.exactmat import ExactMatrix
 from diracforge.liecore import _cartan_block, _half_lengths, weightString
 from diracforge.rationals import ZERO, rat, rat_str
 
@@ -103,7 +103,7 @@ class RawStructure:
         self.gram = tuple(tuple(rat(c) for c in row) for row in gram)
         self._f = tuple(tuple(tuple(rat(c) for c in col) for col in row)
                         for row in f)
-        self.gramInverse = inverse_rows(self.gram)
+        self.gramInverse = ExactMatrix.from_rows(self.gram).inverse()
         if self.gramInverse is None:
             raise BadStructureConstants("gram is singular")
 
@@ -227,7 +227,7 @@ def fractionRootData(factors, gram=None):
                 for j, c in enumerate(row):
                     coords[offset + j] = rat(c)
                 simple.append(tuple(coords))
-            ainv = ExactMatrix.from_rows(block).solve(ExactMatrix.identity(r))
+            ainv = ExactMatrix.from_rows(block).inverse()
             d = _half_lengths(f, r)
             for i in range(r):
                 for j in range(r):
@@ -238,7 +238,7 @@ def fractionRootData(factors, gram=None):
     n = len(positions)
     coef = ExactMatrix.from_rows(
         [[simple[j][p] for j in range(n)] for p in positions]
-    ).solve(ExactMatrix.identity(n)) if n else None
+    ).inverse() if n else None
 
     def coefficients(v):
         if not n:

@@ -436,6 +436,36 @@ def test_model_field_error_names_halfspace(capsys, tmp_path):
                      "--xi", "1", "--c", "0")
     assert rc == 2
     assert "nooff.json" in err and "halfspace 0" in err
+    # fields of the wrong type; [1.5] and [true] used to be truncated to
+    # the normal [1] and answered
+    other = [{"normal": [-1], "offset": 2}]
+    for doc, says in [
+            ({"halfspaces": 3}, "'halfspaces' is not a list"),
+            ({"halfspaces": [{"normal": 5, "offset": 0}] + other},
+             "halfspace 0: normal 5 is not a list of integers"),
+            ({"halfspaces": [{"normal": ["x"], "offset": 0}] + other},
+             "halfspace 0: normal ['x'] is not a list of integers"),
+            ({"halfspaces": [{"normal": [1], "offset": 0}] + other,
+              "dimension": "x"},
+             "dimension 'x' is not a non-negative integer"),
+            ({"halfspaces": [{"normal": [1.5], "offset": 0}] + other},
+             "halfspace 0: normal [1.5] is not a list of integers"),
+            ({"halfspaces": [{"normal": [True], "offset": 0}] + other},
+             "halfspace 0: normal [True] is not a list of integers")]:
+        bad.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "qr-toric", "--model", str(bad),
+                           "--xi", "1", "--c", "1")
+        assert (rc, out, err) == (2, "", "error: %s: %s\n" % (bad, says))
+
+
+@pytest.mark.parametrize("argv", [
+    ("restrict", "--pair", "A2:keep=x", "--weight", "1,0"),
+    ("verify-relative", "--pair", "A2:keep=x", "--weight", "0,0"),
+], ids=["restrict", "verify-relative"])
+def test_bad_keep_spec_is_usage_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == "error: keep index 'x' is not an integer\n"
 
 
 def test_character_parse_error_names_line(capsys, tmp_path):

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from diracforge.clifford import (CliffordModule, PairSpinors, PStructure,
-                                 SpinorEmbedding, _mixed_block,
+                                 SpinorEmbedding, _mixed_block, _orthogonalize,
                                  buildCliffordFrame, frameClifford,
                                  hSpinAction, spinRepresentation,
                                  splitCliffordForPair)
@@ -132,6 +134,40 @@ def test_non_positive_gram_rejected(gram):
         buildCliffordFrame(gram)
 
 
+def check_ldl(gram):
+    """_orthogonalize factors gram as back diag(norms) back^T, with back
+    unit lower triangular and every norm positive."""
+    back, norms = _orthogonalize(gram)
+    for j, row in enumerate(back):
+        assert row[j] == 1 and not any(row[j + 1:])
+    assert all(n > 0 for n in norms)
+    b = ExactMatrix.from_rows(back)
+    assert b * ExactMatrix.diag(norms) * b.transpose() \
+        == ExactMatrix.from_rows(gram)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ldl_of_random_positive_grams(seed):
+    rng = random.Random(seed)
+    for d in range(1, 13):
+        m = ExactMatrix.from_rows([[rat(rng.randint(-3, 3), rng.randint(1, 3))
+                                    for _ in range(d)] for _ in range(d)])
+        g = m.transpose() * m + ExactMatrix.identity(d)
+        check_ldl([[g.get(i, j)[0] for j in range(d)] for i in range(d)])
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A1xA1", "A1xT1", "T1", "T2",
+                                   "A1:T", "A2:T", "A2:u2", "A2:full",
+                                   "A1xT1:T"])
+def test_ldl_of_frame_and_pair_grams(label):
+    if ":" not in label:
+        check_ldl(buildFrame(systemFromLabel(label)).gram)
+    else:
+        pf = PairFrame(pairFromLabel(label))
+        check_ldl(pf.pGram)
+        check_ldl(pf.hGram)
+
+
 def test_wrong_gamma_names_the_failed_relation():
     cl = buildClifford(3)
     gamma = (cl.gamma[0], cl.gamma[0], cl.gamma[2])  # c(e_1) replaced
@@ -177,7 +213,7 @@ def spin_casimir(structure, ads, size):
     cas = ExactMatrix.zeros(size)
     for a in range(structure.dim):
         for b in range(structure.dim):
-            w = structure.gramInverse[a][b]
+            w = structure.gramInverse.get(a, b)[0]
             if w:
                 cas = cas - (ads[a] * ads[b]).scale(w)
     return cas
@@ -369,7 +405,7 @@ def test_tensor_model_is_the_spinor_module():
     for k in range(null.ncols):
         T = ExactMatrix.from_rows([[null.get(i * n + j, k) for j in range(n)]
                                    for i in range(n)])
-        if T.solve(ident) is not None:
+        if T.inverse() is not None:
             found = T
             break
     assert found is not None

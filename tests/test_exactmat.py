@@ -14,8 +14,8 @@ import random
 import pytest
 
 from diracforge import matops as ref
-from diracforge.errors import DimensionMismatch, NotPositiveDefinite
-from diracforge.exactmat import ExactMatrix, orthogonal_rows
+from diracforge.errors import DimensionMismatch
+from diracforge.exactmat import ExactMatrix
 from diracforge.rationals import ONE, ZERO, rat
 
 KINDS = ("real", "imag", "mixed")
@@ -223,24 +223,30 @@ def test_rref_nullspace_solve(seed):
         check(null, m, m - len(pivots), _ref_nullspace(m, want, pivots))
         check(a * null, n, null.ncols,
               ([ZERO] * (n * null.ncols),) * 2)
-        k = rng.randint(1, 3)
-        db = dense(rng, n, k, rng.choice(KINDS), fill)
-        check_solve(build(n, m, da), build(n, k, db), n, m, k, da, db)
+        if n == m:
+            check_inverse(a, n, da)
+        else:
+            with pytest.raises(DimensionMismatch):
+                a.inverse()
 
 
-def check_solve(a, rhs, n, m, k, da, db):
-    """a.solve(rhs) against the dense elimination of [da | db]."""
-    x = a.solve(rhs)
+def check_inverse(a, n, da):
+    """a.inverse() against the dense elimination of [da | I]: None when
+    the left block keeps fewer than n pivots, else the right block."""
+    x = a.inverse()
     aug = ([], [])
     for i in range(n):
-        for c in range(2):
-            aug[c].extend(da[c][i * m:(i + 1) * m] + db[c][i * k:(i + 1) * k])
-    _, aug_pivots = ref_rref(n, m + k, aug)
-    if any(p >= m for p in aug_pivots):
+        unit = [ONE if j == i else ZERO for j in range(n)]
+        aug[0].extend(da[0][i * n:(i + 1) * n] + unit)
+        aug[1].extend(da[1][i * n:(i + 1) * n] + [ZERO] * n)
+    red, pivots = ref_rref(n, 2 * n, aug)
+    if pivots[:n] != list(range(n)):
         assert x is None
-    else:
-        assert x is not None and a * x == rhs
-        check(x, m, k, _ref_solution(n, m, k, aug, aug_pivots))
+        return
+    ident = ExactMatrix.identity(n)
+    assert x is not None and a * x == ident and x * a == ident
+    check(x, n, n, tuple([part[i * 2 * n + n + j] for i in range(n)
+                          for j in range(n)] for part in red))
 
 
 def _ref_nullspace(m, red, pivots):
@@ -256,55 +262,31 @@ def _ref_nullspace(m, red, pivots):
     return re, im
 
 
-def _ref_solution(n, m, k, aug, pivots):
-    red, _ = ref_rref(n, m + k, aug)
-    re = [ZERO] * (m * k)
-    im = [ZERO] * (m * k)
-    for r, pj in enumerate(pivots):
-        for j in range(k):
-            re[pj * k + j] = red[0][r * (m + k) + m + j]
-            im[pj * k + j] = red[1][r * (m + k) + m + j]
-    return re, im
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_orthogonal_rows_under_a_form(seed):
-    rng = random.Random(seed)
-    n = 5
-    ident = ExactMatrix.identity(n)
-    a = build(n, n, dense(rng, n, n, "mixed", 0.6))
-    # seed 0 takes the standard form, the others A^H A + 1
-    form = None if seed == 0 else a.ctranspose() * a + ident
-    vecs = [build(1, n, dense(rng, 1, n, "mixed", 0.8)) for _ in range(3)]
-    rows, norms = orthogonal_rows(vecs, form)
-    done = ExactMatrix.vstack(rows, n)
-    assert done * (form or ident) * done.ctranspose() \
-        == ExactMatrix.diag(norms)
-    for k in range(len(vecs)):
-        # v_k is e_k minus a combination of e_0 .. e_{k-1}
-        _, pivots = ExactMatrix.vstack(vecs[:k + 1] + rows[k:k + 1],
-                                       n).rref()
-        assert len(pivots) == k + 1
-
-
-def test_orthogonal_rows_reject_a_non_positive_norm():
-    e0 = ExactMatrix.from_rows([[1, 0]])
-    e1 = ExactMatrix.from_rows([[0, 1]])
-    with pytest.raises(NotPositiveDefinite, match="^row 1 has norm -1$"):
-        orthogonal_rows([e0, e1], ExactMatrix.diag([1, -1]))
-    with pytest.raises(NotPositiveDefinite, match="^row 1 has norm 0$"):
-        orthogonal_rows([e0, e0.scale(3)])
-
-
 def test_solve_inverts_a_gram_matrix():
     g = ExactMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
-    inv = g.solve(ExactMatrix.identity(3))
+    inv = g.inverse()
     assert g * inv == ExactMatrix.identity(3)
     check(inv, 3, 3, ([rat(3, 4), rat(1, 2), rat(1, 4),
                        rat(1, 2), rat(1), rat(1, 2),
                        rat(1, 4), rat(1, 2), rat(3, 4)], [ZERO] * 9))
-    singular = ExactMatrix.from_rows([[1, 1], [1, 1]])
-    assert singular.solve(ExactMatrix.from_rows([[1], [2]])) is None
+    assert ExactMatrix.from_rows([[1, 1], [1, 1]]).inverse() is None
+    assert ExactMatrix.zeros(2).inverse() is None
+    check(ExactMatrix.zeros(0).inverse(), 0, 0, ([], []))
+    with pytest.raises(DimensionMismatch):
+        ExactMatrix.zeros(2, 3).inverse()
+
+
+@pytest.mark.parametrize("rows", [
+    [[(0, 1), 0], [0, (0, 1)]],
+    [[1, 0], [0, (0, 1)]],
+    [[1, 1], [0, (0, 1)]],
+    [[(0, rat(1, 2)), 1], [0, (0, 3)]],
+], ids=["i-identity", "imaginary-row", "mixed-imaginary-row", "halves"])
+def test_inverse_of_a_gaussian_matrix(rows):
+    # the inverse has a purely imaginary row, so one part of it has no
+    # entry there; the result must still be the reduced form
+    a = ExactMatrix.from_rows(rows)
+    check_inverse(a, 2, pairs(a))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -393,14 +375,19 @@ def test_put_rescales_then_reduces():
 @pytest.mark.parametrize("q1,q2", [(3, 4), (2, 6), (5, 1), (1, 1)])
 def test_vstack_and_solve_across_denominators(q1, q2):
     rng = random.Random(10 * q1 + q2)
-    for n, m, k in ((4, 4, 2), (3, 5, 1), (5, 3, 3)):
-        da, db = dense_over(rng, n, m, q1), dense_over(rng, n, k, q2)
-        dc = dense_over(rng, 2, m, q2)
-        a, rhs, c = build(n, m, da), build(n, k, db), build(2, m, dc)
-        assert (a.den, rhs.den, c.den) == (q1, q2, q2)
-        check(ExactMatrix.vstack([a, c, a], m), 2 * n + 2, m,
+    for n, m in ((4, 4), (3, 5), (5, 3)):
+        da, dc = dense_over(rng, n, m, q1), dense_over(rng, 2, m, q2)
+        a, c = build(n, m, da), build(2, m, dc)
+        assert (a.den, c.den) == (q1, q2)
+        stacked = ExactMatrix.vstack([a, c, a], m)
+        check(stacked, 2 * n + 2, m,
               (da[0] + dc[0] + da[0], da[1] + dc[1] + da[1]))
-        check_solve(a, rhs, n, m, k, da, db)
+        # a square system whose two row blocks have different denominators
+        rest = build(m - 2, m, dense_over(rng, m - 2, m, q1))
+        square = ExactMatrix.vstack([c, rest], m)
+        check_inverse(square, m, pairs(square))
+        if n == m:
+            check_inverse(a, n, da)
 
 
 @pytest.mark.parametrize("build", [

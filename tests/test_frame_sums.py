@@ -17,8 +17,7 @@ from diracforge.clifford import (PStructure, buildCliffordFrame, hSpinAction,
                                  spinRepresentation)
 from diracforge.dirac import (RelativePieces, cubicDirac, piCasimir,
                               relativeCubicDirac)
-from diracforge.exactmat import (ExactMatrix, combination, contract,
-                                 inverse_rows)
+from diracforge.exactmat import ExactMatrix, combination, contract
 from diracforge.liecore import pairFromLabel, systemFromLabel
 from diracforge.rationals import ZERO, rat
 from diracforge.reps import buildLieRep
@@ -67,7 +66,7 @@ def ref_spin(brackets_of, gamma, ginv, size):
                 continue
             cbr = ref_clifford_of(bracket, gamma, size)
             for b in range(d):
-                w = ginv[b][c]
+                w = ginv.get(b, c)[0]
                 if w:
                     acc = acc + (gamma[b] * cbr).scale(w * rat(1, 4))
         ads.append(acc)
@@ -81,7 +80,7 @@ def ref_assembly(pi, gamma, ginv, ads, q, dim_v, size):
     for a in range(len(pi)):
         cli = ExactMatrix.zeros(size)
         for b in range(len(gamma)):
-            w = ginv[a][b]
+            w = ginv.get(a, b)[0]
             if w:
                 cli = cli + gamma[b].scale(w)
         total = total + pi[a].kron(cli) + idv.kron(ads[a] * cli).scale(q)
@@ -93,7 +92,7 @@ def ref_pi_casimir(rep):
     cas = ExactMatrix.zeros(rep.dimension)
     for a in range(rep.frame.dim):
         for b in range(rep.frame.dim):
-            w = ginv[a][b]
+            w = ginv.get(a, b)[0]
             if w:
                 cas = cas - (rep.pi[a] * rep.pi[b]).scale(w)
     return cas
@@ -109,7 +108,7 @@ def ref_tensor_diagonal_casimir(rep, ads, size):
     cas = ExactMatrix.zeros(rep.dimension * size)
     for a in range(rep.frame.dim):
         for b in range(rep.frame.dim):
-            w = ginv[a][b]
+            w = ginv.get(a, b)[0]
             if w:
                 cas = cas - (deltas[a] * deltas[b]).scale(w)
     return cas
@@ -187,13 +186,19 @@ def test_combination_and_contract_expand_their_sums():
     b = ExactMatrix.from_rows([[0, 1], [1, 0]])
     assert combination((rat(2), ZERO), (a, b), 2) == a.scale(2)
     assert combination((), (), 3) == ExactMatrix.zeros(3)
-    ginv = ((rat(1), rat(1, 2)), (rat(-1), ZERO))
+    ginv = ExactMatrix.from_rows([[1, rat(1, 2)], [-1, 0]])
     want = a * a + (a * b).scale(rat(1, 2)) - b * a
     assert contract((a, b), (a, b), ginv, 2) == want
+    assert contract((a, b), (a, b), ExactMatrix.zeros(2), 2).is_zero()
+    with pytest.raises(TypeError):
+        contract((a, b), (a, b), ExactMatrix.identity(2).scale((0, 1)), 2)
 
 
-def test_inverse_rows():
-    assert inverse_rows(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
-    assert inverse_rows([[rat(1, 2)]]) == ((rat(2),),)
-    assert inverse_rows([[1, 2], [2, 4]]) is None
-    assert inverse_rows(()) == ()
+def test_inverse():
+    def inverse(rows):
+        return ExactMatrix.from_rows(rows).inverse()
+    assert inverse([[2, 1], [1, 1]]) == ExactMatrix.from_rows([[1, -1],
+                                                               [-1, 2]])
+    assert inverse([[rat(1, 2)]]) == ExactMatrix.identity(1, 2)
+    assert inverse([[1, 2], [2, 4]]) is None
+    assert inverse([]) == ExactMatrix.zeros(0)

@@ -121,3 +121,32 @@ def test_storage_read_is_found():
                          "    m.im = {}\n"
                          "    return m.re.get(0), m.den, re, den\n") \
         == [(4, "im"), (5, "den"), (5, "re")]
+
+
+# elimination stays behind one module: only exactmat reaches the dense
+# reference kernel
+def imported_names(source):
+    """The last dotted part of every module source imports, and every
+    name it imports from one."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").rpartition(".")[2])
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_only_exactmat_imports_matops():
+    importers = [path.stem for path in SOURCES
+                 if "matops" in imported_names(path.read_text())]
+    assert importers == ["exactmat"]
+
+
+def test_matops_import_is_found():
+    for source in ("from . import matops\n", "from .matops import rref_cplx\n",
+                   "import diracforge.matops\n",
+                   "def f():\n    from diracforge import matops\n"):
+        assert "matops" in imported_names(source)
+    assert "matops" not in imported_names("import os\nmatops = 1\n")

@@ -66,7 +66,7 @@ def unimodular_edges(model, vertex):
     lattice basis (determinant +-1)."""
     n = model.dimension
     rows = [list(model.halfSpaces[j][0]) for j in vertex.active]
-    inv = ExactMatrix.from_rows(rows).solve(ExactMatrix.identity(n))
+    inv = ExactMatrix.from_rows(rows).inverse()
     edges = []
     for k in range(n):
         col = [inv.get(i, k)[0] for i in range(n)]

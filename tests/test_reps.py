@@ -3,7 +3,6 @@ import pytest
 from diracforge.characters import irreducibleCharacter, weylDimension
 from diracforge.errors import (BadStructureConstants, NotDominant,
                                NotIntegral, TooLarge)
-from diracforge import exactmat
 from diracforge.exactmat import ExactMatrix, commutator
 from diracforge.liecore import systemFromLabel
 from diracforge.rationals import ZERO, rat
@@ -147,8 +146,8 @@ def test_cartan_acts_by_weight():
 
 
 def test_build_runs_no_elimination(monkeypatch):
-    # the patterns and their matrices are closed forms: no rref (nor the
-    # nullspace or solve built on it) and no Gram-Schmidt
+    # the patterns and their matrices are closed forms: no rref, nor the
+    # nullspace or inverse built on it
     rs = systemFromLabel("A2")
     buildFrame(rs)  # the frame's gram inverse is an elimination
     calls = []
@@ -161,8 +160,6 @@ def test_build_runs_no_elimination(monkeypatch):
 
     monkeypatch.setattr(ExactMatrix, "rref",
                         wrapped("rref", ExactMatrix.rref))
-    monkeypatch.setattr(exactmat, "orthogonal_rows",
-                        wrapped("orthogonal_rows", exactmat.orthogonal_rows))
     rep = buildLieRep(rs, (2, 1))
     assert rep.dimension == 15
     assert calls == []
