@@ -1,10 +1,14 @@
 """Persistent character cache.
 
-One JSON document per (root system, highest weight).  The root-system key
-includes a fingerprint of the gram matrix, because subgroup systems reuse
-labels like "A1xT1" with an inherited (different) inner product.  Documents
-are serialized canonically, so a cache hit is byte-identical to what a
-recomputation would have written.
+One file per (root system, highest weight lam), two lines of canonical
+JSON.  Line 2 holds the weight multiplicities of V_lam; line 1, the
+header, holds the system key (label and gram fingerprint: subgroup systems
+reuse labels like "A1xT1" with another inner product), lam, ``FORMAT`` and
+the SHA-256 of line 2.  ``load`` answers only when line 1 is the header
+recomputed from the request and the bytes after it, so a missing, foreign
+or older-format file and any changed byte are misses, and the
+recomputation overwrites the file.  The digest catches accidental damage,
+not an edit that recomputes it.
 """
 
 import contextlib
@@ -12,7 +16,12 @@ import hashlib
 import json
 import os
 
+from .rationals import rat_str
+
 ENV_VAR = "DIRACFORGE_CACHE"
+
+# version 1 was one JSON document with no header
+FORMAT = 2
 
 # set only inside ``directory``; never written to os.environ, so it cannot
 # outlive the call or reach child processes
@@ -42,39 +51,58 @@ def directory(path):
 
 
 def system_key(rs):
-    from .rationals import rat_str
     gram = ";".join(",".join(rat_str(x) for x in row) for row in rs.gram)
     fp = hashlib.sha256(gram.encode()).hexdigest()[:10]
     return "%s-%s" % (rs.label, fp)
 
 
-def _entry_path(rs, lam):
-    from .rationals import rat_str
+def _canonical(val):
+    return (json.dumps(val, sort_keys=True, separators=(",", ":"))
+            + "\n").encode()
+
+
+def _entry_path(key, lam):
     name = "w" + "_".join(rat_str(c).replace("/", "over").replace("-", "m")
                           for c in lam)
-    return os.path.join(cache_dir(), system_key(rs), name + ".json")
+    return os.path.join(cache_dir(), key, name + ".json")
 
 
-def dumps_canonical(doc):
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+def _header(key, lam, body):
+    return _canonical({"format": FORMAT,
+                       "lambda": ",".join(map(rat_str, lam)),
+                       "sha256": hashlib.sha256(body).hexdigest(),
+                       "system": key})
 
 
 def load(rs, lam):
-    path = _entry_path(rs, lam)
+    """The entries stored for (rs, lam), or None unless the file's first
+    line is the header of the rest."""
+    key = system_key(rs)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError):
+        with open(_entry_path(key, lam), "rb") as fh:
+            head = fh.readline()
+            body = fh.read()
+    except OSError:
+        return None
+    if head != _header(key, lam, body):
+        return None
+    try:
+        return json.loads(body)
+    except ValueError:
         return None
 
 
-def store(rs, lam, doc):
-    path = _entry_path(rs, lam)
+def store(rs, lam, entries):
+    """Write entries, a dict of JSON scalars, as the file of (rs, lam)."""
+    key = system_key(rs)
+    path = _entry_path(key, lam)
+    body = _canonical(entries)
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + ".tmp.%d" % os.getpid()
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(doc))
+        with open(tmp, "wb") as fh:
+            fh.write(_header(key, lam, body))
+            fh.write(body)
         os.replace(tmp, path)
     except OSError:
         pass  # a read-only cache directory must not break computation

@@ -21,23 +21,23 @@ by subtracting positive roots (``_dominant_below``), and each dominant
 multiplicity is spread over its orbit as soon as it is known
 (``RootSystem.dominantOrbit``, which reaches each weight once), so every
 root-string step reads the full weight dict.  The kernel
-``_irreducible_weights`` answers {weight: multiplicity} from a valid cache
-entry or from the recursion, together with the entries keyed by the
-"%d,..." spelling of each weight, formatted once and sorted once: the
-cache document and the ``char`` report share them.  Every decomposition
-is Dirac induction from the maximal torus (``_straighten``): each weight
-u + rho of a Weyl-invariant character is reflected into the dominant
-chamber and counted with the sign of the reflection, so no summand's
-irreducible character is built.
+``_irreducible_weights`` answers {weight: multiplicity} from the cache
+(whose file format and hit test are cache.py's alone) or from the
+recursion, together with the entries keyed by the "%d,..." spelling of
+each weight, formatted once: the cache file and the ``char`` report
+share them.  Every decomposition is Dirac induction from the maximal
+torus (``_straighten``): each weight u + rho of a Weyl-invariant
+character is reflected into the dominant chamber and counted with the
+sign of the reflection, so no summand's irreducible character is built.
 """
 
 import itertools
 import math
-from operator import add, attrgetter, eq, lt, mul, sub
+from operator import add, attrgetter, lt, mul, sub
 
 from . import cache
-from .errors import (DiracforgeError, InternalError, NotDominant,
-                     NotIntegral, SystemMismatch, WindowTooSmall)
+from .errors import (BadEntryLine, DiracforgeError, InternalError,
+                     NotDominant, NotIntegral, SystemMismatch, WindowTooSmall)
 from .liecore import (gramPairing, systemFromLabel, weightFromStrings,
                       weightString)
 from .rationals import coord, rat, ZERO, rat_str, rat_from_str
@@ -135,25 +135,34 @@ class FormalCharacter:
         return lines
 
     @classmethod
-    def from_lines(cls, lines, system=None):
+    def from_lines(cls, lines, system=None, first=1):
+        """From file lines, the header on line first; a bad entry line
+        raises BadEntryLine, before any header error."""
+        entries = _entries_from_lines(lines[1:], first + 1)
         header = lines[0].split()
         if len(header) != 2:
             raise DiracforgeError("bad character header: %r" % lines[0])
         label, basis = header
         if system is None:
             system = systemFromLabel(label)
-        return cls(system, _entries_from_lines(lines[1:]), basis)
+        return cls(system, entries, basis)
 
 
-def _entries_from_lines(lines):
-    """{weight: summed multiplicity} of "<coords p/q,...> <mult>" lines;
-    blank lines are skipped."""
+def _entries_from_lines(lines, first):
+    """{weight: summed multiplicity} of "<coords p/q,...> <mult>" lines,
+    lines[0] being line first of its file; blank lines are skipped."""
     entries = {}
-    for ln in lines:
+    for no, ln in enumerate(lines, first):
         if ln.strip():
-            coords, mult = ln.split()
-            w = weightFromStrings(coords.split(","))
-            entries[w] = entries.get(w, 0) + int(mult)
+            try:
+                coords, mult = ln.split()
+                w = weightFromStrings(coords.split(","))
+                m = int(mult)
+            except (ValueError, ZeroDivisionError):
+                raise BadEntryLine(
+                    "%d: expected '<coords> <multiplicity>', got %r"
+                    % (no, ln)) from None
+            entries[w] = entries.get(w, 0) + m
     return entries
 
 
@@ -288,68 +297,30 @@ def _int_format(rank):
     return ",".join(["%d"] * rank)
 
 
-def _cached_weights(rs, lam, doc):
-    """The {int weight: multiplicity} a cache document holds, or None unless
-    the document is for (rs, lam), its coordinates are ints, rank of them
-    per weight, each key is the canonical "%d,..." form of its weight, its
-    multiplicities are positive ints that sum to the Weyl dimension, and
-    lam has multiplicity 1.  A wrong entry counts as a miss, never as an
-    answer."""
-    if not isinstance(doc, dict) \
-            or doc.get("system") != cache.system_key(rs) \
-            or doc.get("lambda") != weightString(lam) \
-            or not isinstance(doc.get("entries"), dict):
-        return None
-    entries = doc["entries"]
-    mults = list(entries.values())
-    # type() rejects bool too
-    if not mults or set(map(type, mults)) != {int} or min(mults) <= 0:
-        return None
-    if set(map(str.count, entries, itertools.repeat(","))) != {rs.rank - 1}:
-        return None
-    # every key has rank coordinates, so the coordinates of all keys in a
-    # row, taken rank at a time, are the weights
-    coords = iter(map(int, ",".join(entries).split(",")))
-    try:
-        weights = dict(zip(zip(*[coords] * rs.rank), mults))
-    except ValueError:  # every weight of V_lam has int coordinates
-        return None
-    # lam itself once, as in every V_lam
-    if weights.get(lam) != 1 \
-            or sum(weights.values()) != _dimension(rs, lam):
-        return None
-    # the report prints the keys as they are, so int()'s other spellings of
-    # a coordinate ("+1", "01", " 1", "1_0", "-0") are misses too; no key
-    # collapsed into another, so the keys and weights pair up in order
-    fmt = _int_format(rs.rank)
-    if len(weights) != len(entries) \
-            or not all(map(eq, entries, map(fmt.__mod__, weights))):
-        return None
-    return weights
-
-
 def _irreducible_weights(rs, lam):
     """(weights, entries) of the irreducible with highest weight lam:
     weights is {int weight: multiplicity} in no particular order, entries
-    {"%d,..." key: multiplicity} in key order, the cache document's and
-    the char report's entries.
+    {"%d,..." key: multiplicity} in key order, the cache file's and the
+    char report's entries.
 
-    A valid cache entry answers; otherwise the fused Freudenthal recursion
-    does, each weight is formatted once, the keys are sorted once, and the
-    result is stored.  Entries are keyed by (system, lam); see cache.py.
+    The cache answers when it holds lam (see cache.py); its keys are split
+    back into weights.  Otherwise the fused Freudenthal recursion does,
+    each weight is formatted once, the keys are sorted once, and the
+    entries are stored.
     """
     lam = _require_dominant_integral(rs, lam)
-    doc = cache.load(rs, lam)
-    weights = _cached_weights(rs, lam, doc)
-    if weights is not None:
-        return weights, doc["entries"]
+    entries = cache.load(rs, lam)
+    if entries is not None:
+        if not rs.rank:  # the one weight, (), is spelled ""
+            return {(): entries[""]}, entries
+        # the coordinates of all keys in a row, taken rank at a time
+        coords = iter(map(int, ",".join(entries).split(",")))
+        return dict(zip(zip(*[coords] * rs.rank), entries.values())), entries
     weights = _freudenthal(rs, lam)
     fmt = _int_format(rs.rank)
     entries = dict(zip(map(fmt.__mod__, weights), weights.values()))
     entries = {k: entries[k] for k in sorted(entries)}
-    cache.store(rs, lam, {"system": cache.system_key(rs),
-                          "lambda": weightString(lam),
-                          "entries": entries})
+    cache.store(rs, lam, entries)
     return weights, entries
 
 
@@ -734,7 +705,10 @@ class ConeSeries:
         return lines
 
     @classmethod
-    def from_lines(cls, lines, system=None):
+    def from_lines(cls, lines, system=None, first=1):
+        """From file lines, the header on line first; a bad entry line
+        raises BadEntryLine, before any header error."""
+        entries = _entries_from_lines(lines[1:], first + 1)
         head = lines[0].split()
         if len(head) < 5 or head[1] != "cone-series":
             raise DiracforgeError("bad cone-series header: %r" % lines[0])
@@ -745,8 +719,7 @@ class ConeSeries:
         offset = None if fields["offset"] == "none" else rat_from_str(fields["offset"])
         window = None if fields["window"] == "none" else rat_from_str(fields["window"])
         lower = rat_from_str(fields["lower"]) if "lower" in fields else None
-        return cls(system, _entries_from_lines(lines[1:]), polarizer, offset,
-                   window, lower)
+        return cls(system, entries, polarizer, offset, window, lower)
 
     def __eq__(self, other):
         return (isinstance(other, ConeSeries)

@@ -22,8 +22,8 @@ from .characters import (ConeSeries, FormalCharacter, _irreducible_weights,
                          _keyed, restrictCharacter, tensorDecompose)
 from .clifford import frameClifford
 from .dirac import spectralCheckRelative, verifyKostantIdentity
-from .errors import (DiracforgeError, InternalError, SpectralMismatch,
-                     VerificationError)
+from .errors import (BadEntryLine, DiracforgeError, InternalError,
+                     SpectralMismatch, VerificationError)
 from .induction import diracInduct, inductCharacter
 from .liecore import (pairFromLabel, systemFromLabel, weightFromStrings,
                       weightString)
@@ -83,29 +83,20 @@ def _write_text(path, lines):
 
 
 def loadCharacterFile(path):
-    """Character or cone-series file; parse errors name file and line."""
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
-    if not lines:
+    """Character or cone-series file; parse errors name file and line,
+    blank lines counted."""
+    lines = _read_lines(path)
+    head = next((no for no, ln in enumerate(lines) if ln.strip()), None)
+    if head is None:
         raise DiracforgeError("%s: empty character file" % path)
-    for no, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        ok = len(parts) == 2
-        if ok:
-            try:
-                weightFromStrings(parts[0].split(","))
-                int(parts[1])
-            except (ValueError, ZeroDivisionError):
-                ok = False
-        if not ok:
-            raise DiracforgeError(
-                "%s:%d: expected '<coords> <multiplicity>', got %r"
-                % (path, no, ln))
+    cls = ConeSeries if "cone-series" in lines[head] else FormalCharacter
     try:
-        if "cone-series" in lines[0]:
-            return ConeSeries.from_lines(lines)
-        return FormalCharacter.from_lines(lines)
+        return cls.from_lines(lines[head:], first=head + 1)
+    except BadEntryLine as exc:
+        raise DiracforgeError("%s:%s" % (path, exc))
     except (DiracforgeError, KeyError, ValueError) as exc:
-        raise DiracforgeError("%s:1: bad header field: %s" % (path, exc))
+        raise DiracforgeError("%s:%d: bad header field: %s"
+                              % (path, head + 1, exc))
 
 
 def loadToricModel(path):
@@ -254,7 +245,7 @@ def cmd_orbit(config, args):
 def cmd_char(config, args):
     rs = systemFromLabel(args.type)
     lam = rs.weight(_parse_weight(args.weight))
-    # entries are the cache document's keys, formatted once by the kernel
+    # entries are the cache file's keys, formatted once by the kernel
     weights, entries = _irreducible_weights(rs, lam)
     payload = {"label": rs.label, "weight": weightString(lam),
                "dimension": sum(entries.values()), "entries": entries}

@@ -27,6 +27,11 @@ class UnsupportedType(DiracforgeError):
     """Root system family/rank outside the supported table."""
 
 
+class BadEntryLine(DiracforgeError):
+    """A file line that is not "<coords> <multiplicity>"; the message
+    starts with its line number."""
+
+
 class NotDominant(DiracforgeError):
     pass
 

@@ -34,16 +34,16 @@
   ``RootSystem.dominantOrbit`` and the fused ``characters._freudenthal``;
   ``oracleWeights`` joins them into {weight: multiplicity};
 - ``oldCharReport`` formats a ``char`` report and its file from sorted
-  weight tuples, and ``oldCacheDocument`` the cache file from the
-  weights: the route that ``cmd_char`` and the kernel must match byte for
-  byte.
+  weight tuples, and ``oldCacheDocument`` the two-line cache file from the
+  weights with its own ``hashlib`` and ``json`` calls: the route that
+  ``cmd_char``, the kernel and ``cache.store`` must match byte for byte.
 """
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
 
-from diracforge import cache
 from diracforge.characters import FormalCharacter, irreducibleCharacter
 from diracforge.cli import CLIFFORD_SIGN, NORMALIZATION, POLARIZATION_RULE
 from diracforge.clifford import buildCliffordFrame, hSpinAction
@@ -380,9 +380,20 @@ def oldCharReport(rs, lam, weights, fmt="json", out=None):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n", lines
 
 
+def _canonicalLine(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def oldCacheDocument(rs, lam, weights):
-    """The cache file text of V_lam, keys formatted with str per
-    coordinate."""
-    return cache.dumps_canonical({
-        "system": cache.system_key(rs), "lambda": weightString(lam),
-        "entries": {",".join(map(str, w)): m for w, m in weights.items()}})
+    """The cache file text of V_lam, built apart from ``cache``: a header
+    line (format 2, lambda, the SHA-256 of the body line and the system
+    key, the label and a gram fingerprint) over the body line, the entries
+    keyed with str per coordinate, both canonical JSON."""
+    body = _canonicalLine({",".join(map(str, w)): m
+                           for w, m in weights.items()})
+    gram = ";".join(",".join(map(rat_str, row)) for row in rs.gram)
+    fingerprint = hashlib.sha256(gram.encode()).hexdigest()[:10]
+    return _canonicalLine({
+        "format": 2, "lambda": weightString(lam),
+        "sha256": hashlib.sha256(body.encode()).hexdigest(),
+        "system": "%s-%s" % (rs.label, fingerprint)}) + body

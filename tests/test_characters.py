@@ -1,5 +1,6 @@
 import itertools
 import json
+import pathlib
 import random
 
 import pytest
@@ -450,83 +451,146 @@ def test_cache_distinguishes_gram_variants(tmp_path, monkeypatch):
     assert cache.system_key(standalone) != cache.system_key(inherited)
 
 
-def _corrupt_entry(tmp_path, monkeypatch, edit):
-    """Cache A2 (1,1), rewrite its file with edit(text), and return the
+def _corrupt_entry(tmp_path, monkeypatch, rs, lam, edit):
+    """Cache V_lam, rewrite its file with edit(text), and return the
     entry's path and the correct character."""
     monkeypatch.setenv(cache.ENV_VAR, str(tmp_path / "bad"))
-    chi = irreducibleCharacter(A2, (1, 1))
+    chi = irreducibleCharacter(rs, lam)
     (path,) = (tmp_path / "bad").rglob("*.json")
-    path.write_text(edit(path.read_text()))
+    text = path.read_text()
+    path.write_text(edit(text))
+    assert path.read_text() != text
     return path, chi
 
 
-def _edit_doc(fn):
+def _canonical(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _edit_entries(fn):
+    """Apply fn to the entries of the body line; the header, with the
+    digest of the old body, stays."""
     def edit(text):
-        doc = json.loads(text)
-        fn(doc)
-        return cache.dumps_canonical(doc)
+        head, body = text.splitlines()
+        entries = json.loads(body)
+        fn(entries)
+        return head + "\n" + _canonical(entries)
     return edit
 
 
-def _inflate(doc):
-    doc["entries"] = {k: v + 1 for k, v in doc["entries"].items()}
+def _inflate(entries):
+    for k in entries:
+        entries[k] += 1
 
 
-def _foreign_lambda(doc):
-    # the entry of V(1,0), filed under (1,1)
-    doc["lambda"] = "1,0"
-    doc["entries"] = {"-1,1": 1, "0,-1": 1, "1,0": 1}
+def _foreign_lambda(entries):
+    # the entries of V(1,0), filed under (1,1)
+    entries.clear()
+    entries.update({"-1,1": 1, "0,-1": 1, "1,0": 1})
 
 
-def _non_integer(doc):
-    doc["entries"]["1,1"] = 1.0
+def _non_integer(entries):
+    entries["1,1"] = 1.0
 
 
-def _fractional_weight(doc):
+def _fractional_weight(entries):
     # the multiplicities still sum to the Weyl dimension
-    doc["entries"]["1/2,0"] = doc["entries"].pop("0,0")
+    entries["1/2,0"] = entries.pop("0,0")
 
 
-def _moved_highest_weight(doc):
+def _moved_highest_weight(entries):
     # the same total; a peel that needs V(1,1) would never remove (1,1)
-    doc["entries"]["3,3"] = doc["entries"].pop("1,1")
+    entries["3,3"] = entries.pop("1,1")
+
+
+def _moved_lower_weight(entries):
+    # A1 (2): the same total, and 2 still has multiplicity 1
+    entries["4"] = entries.pop("0")
+
+
+def _swapped_multiplicities(entries):
+    # A2 (1,1): the same total, and (1,1) still has multiplicity 1
+    entries["0,0"], entries["-1,2"] = 1, 2
 
 
 def _respelled(key, spelling):
     """Rename the key to another spelling that int() reads: the report
     prints the keys as they are."""
-    def edit(doc):
-        doc["entries"][spelling] = doc["entries"].pop(key)
-    return _edit_doc(edit)
+    def edit(entries):
+        entries[spelling] = entries.pop(key)
+    return _edit_entries(edit)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda text: text[:len(text) // 2],
-    _edit_doc(_foreign_lambda),
-    _edit_doc(_inflate),
-    _edit_doc(_non_integer),
-    _edit_doc(_fractional_weight),
-    _edit_doc(_moved_highest_weight),
-    _respelled("1,1", "+1,1"),
-    _respelled("1,1", "01,1"),
-    _respelled("1,1", " 1,1"),
-    _respelled("0,0", "1_0,0"),
-    _respelled("0,0", "-0,0"),
+def _single_document(text):
+    """The file in the format before the header: one JSON document."""
+    head, body = map(json.loads, text.splitlines())
+    return _canonical({"entries": body, "lambda": head["lambda"],
+                       "system": head["system"]})
+
+
+def _flipped_body_byte(text):
+    head, body = text.splitlines(keepends=True)
+    i = len(body) // 2
+    return head + body[:i] + chr(ord(body[i]) ^ 1) + body[i + 1:]
+
+
+def _copied_from(rs, lam):
+    """The file of V_lam in place of the entry's own."""
+    return lambda text: oldCacheDocument(rs, lam, oracleWeights(rs, lam))
+
+
+@pytest.mark.parametrize("rs,lam,edit", [
+    (A2, (1, 1), lambda text: text[:len(text) // 2]),
+    (A2, (1, 1), _edit_entries(_foreign_lambda)),
+    (A2, (1, 1), _edit_entries(_inflate)),
+    (A2, (1, 1), _edit_entries(_non_integer)),
+    (A2, (1, 1), _edit_entries(_fractional_weight)),
+    (A2, (1, 1), _edit_entries(_moved_highest_weight)),
+    (A2, (1, 1), _respelled("1,1", "+1,1")),
+    (A2, (1, 1), _respelled("1,1", "01,1")),
+    (A2, (1, 1), _respelled("1,1", " 1,1")),
+    (A2, (1, 1), _respelled("0,0", "1_0,0")),
+    (A2, (1, 1), _respelled("0,0", "-0,0")),
+    (A1, (2,), _edit_entries(_moved_lower_weight)),
+    (A2, (1, 1), _edit_entries(_swapped_multiplicities)),
+    (A2, (1, 1), _single_document),
+    (A2, (1, 1), _flipped_body_byte),
+    (A2, (1, 1), _copied_from(A2, (1, 0))),
+    (systemFromLabel("A1xT1"), (1, 0),
+     _copied_from(pairFromLabel("A2:u2").h, (1, 0))),
 ], ids=["truncated", "foreign-lambda", "inflated-multiplicity",
         "non-integer-entry", "fractional-weight", "moved-highest-weight",
         "plus-sign", "leading-zero", "leading-space", "underscore",
-        "negative-zero"])
-def test_wrong_cache_entry_is_a_miss(tmp_path, monkeypatch, edit):
-    path, chi = _corrupt_entry(tmp_path, monkeypatch, edit)
-    good = irreducibleCharacter(A2, (1, 1))
+        "negative-zero", "moved-lower-weight", "swapped-multiplicities",
+        "single-document", "flipped-body-byte", "copied-from-weight",
+        "copied-from-system"])
+def test_wrong_cache_entry_is_a_miss(tmp_path, monkeypatch, rs, lam, edit):
+    path, chi = _corrupt_entry(tmp_path, monkeypatch, rs, lam, edit)
+    good = irreducibleCharacter(rs, lam)
     assert good == chi
-    assert good.coefficient((1, 1)) == 1 and good.coefficient((0, 0)) == 2
+    assert good.entries == oracleWeights(rs, lam)
     # the recomputation overwrote the bad entry
-    doc = json.loads(path.read_text())
-    assert doc["lambda"] == "1,1"
-    assert sum(doc["entries"].values()) == weylDimension(A2, (1, 1))
-    assert all(type(m) is int for m in doc["entries"].values())
-    assert path.read_text() == oldCacheDocument(A2, (1, 1), good.entries)
+    head, body = map(json.loads, path.read_text().splitlines())
+    assert head["lambda"] == weightString(lam)
+    assert sum(body.values()) == weylDimension(rs, lam)
+    assert all(type(m) is int for m in body.values())
+    assert path.read_text() == oldCacheDocument(rs, lam, good.entries)
+
+
+def test_rank_zero_entry_is_served(monkeypatch):
+    t0 = systemFromLabel("T0")
+    assert irreducibleCharacter(t0, ()).entries == {(): 1}
+    (path,) = pathlib.Path(cache.cache_dir()).rglob("*.json")
+    text = path.read_text()
+    assert text == oldCacheDocument(t0, (), {(): 1})
+
+    def refused(*args):
+        raise AssertionError("the entry was not served")
+
+    monkeypatch.setattr(characters, "_freudenthal", refused)
+    monkeypatch.setattr(cache, "store", refused)
+    assert irreducibleCharacter(t0, ()).entries == {(): 1}
+    assert path.read_text() == text
 
 
 # --------------------------------------------------------------- cone series

@@ -469,12 +469,20 @@ def test_bad_keep_spec_is_usage_error(capsys, argv):
 
 
 def test_character_parse_error_names_line(capsys, tmp_path):
+    # lines are numbered as they stand in the file, blank ones included
     bad = tmp_path / "bad.chr"
-    bad.write_text("T1 irreducible-basis\n3 1\nfoo bar\n")
-    rc, _, err = run(capsys, "induct", "--pair", "A1:T",
-                     "--input", str(bad))
-    assert rc == 2
-    assert "bad.chr:3:" in err
+    for text, where in [
+            ("T1 irreducible-basis\n3 1\nfoo bar\n", "3: expected"),
+            ("A1 weight-basis\n\n1 1\n\nx 2\n", "5: expected"),
+            ("\n\nT1 irreducible-basis\n3 1\n1/0 1\n", "5: expected"),
+            ("\nA1 half-basis\n1 1\n", "2: bad header field"),
+            ("\n\nA1 cone-series polarizer=1\n\n1 1\n",
+             "3: bad header field")]:
+        bad.write_text(text)
+        rc, _, err = run(capsys, "induct", "--pair", "A1:T",
+                         "--input", str(bad))
+        assert rc == 2
+        assert "bad.chr:%s" % where in err
 
 
 # -------------------------------------------- pairings per series entry
