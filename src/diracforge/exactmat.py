@@ -20,7 +20,8 @@ them.  Floats and strings raise ``TypeError``.
 This is the one linear-algebra core of the package: a vector is a 1 x n
 or n x 1 matrix, ``vstack`` stacks the row blocks of several matrices
 into one system, and ``rref``, ``nullspace`` and ``inverse`` do every
-elimination.  Other modules keep no vector arithmetic of their own.
+elimination, fraction-free on the stored int rows.  Other modules keep no
+vector arithmetic of their own.
 
 Frame sums happen in one place too.  ``combination`` is a linear
 combination sum_a c_a M_a, and ``contract`` is the dual-frame contraction
@@ -43,8 +44,7 @@ inside exact arithmetic.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rationals import ZERO, ONE, rat, rat_str
-from . import matops
+from .rationals import ZERO, rat, rat_str
 from .errors import DimensionMismatch
 
 
@@ -230,22 +230,36 @@ def _over_lcm(re, im):
                  for part in (re, im)) + (den,)
 
 
-def _dense(part, nrows, ncols):
-    rows = [[ZERO] * ncols for _ in range(nrows)]
-    for i, row in part.items():
-        dense = rows[i]
-        for j, v in row.items():
-            dense[j] = Fraction(v)
-    return rows
+def _combined(terms):
+    """sum_k z_k row_k over Z[i], for (z, row) in terms with z an (re, im)
+    pair of ints and row an (re, im) pair of {j: int}, divided by the gcd
+    of its numerators.  Only //, so no entry ever becomes a Fraction."""
+    re, im = {}, {}
+    for (a, b), (xr, xi) in terms:
+        # (a + i b)(xr + i xi) = (a xr - b xi) + i (a xi + b xr)
+        for out, s, part in ((re, a, xr), (re, -b, xi), (im, a, xi),
+                             (im, b, xr)):
+            if s:
+                for j, v in part.items():
+                    out[j] = out.get(j, 0) + s * v
+    re = {j: v for j, v in re.items() if v}
+    im = {j: v for j, v in im.items() if v}
+    g = gcd(*re.values(), *im.values())
+    if g > 1:
+        re = {j: v // g for j, v in re.items()}
+        im = {j: v // g for j, v in im.items()}
+    return re, im
 
 
-def _from_dense(rows):
-    out = {}
-    for i, dense in enumerate(rows):
-        row = {j: v for j, v in enumerate(dense) if v}
-        if row:
-            out[i] = row
-    return out
+def _eliminated(item, c, n, p):
+    """A (lead column, row) item with column c cleared by the pivot row p,
+    whose entry there is the int n: n q - q_c p; None when nothing is left."""
+    q = item[1]
+    z = q[0].get(c, 0), q[1].get(c, 0)
+    if z == (0, 0):
+        return item
+    q = _combined([((n, 0), q), ((-z[0], -z[1]), p)])
+    return (min([*q[0], *q[1]]), q) if q[0] or q[1] else None
 
 
 class ExactMatrix:
@@ -522,14 +536,36 @@ class ExactMatrix:
     # -- elimination ----------------------------------------------------
 
     def rref(self):
-        """Return (reduced matrix, pivot column list).  The numerators alone
-        are eliminated: den * self has the same reduced form."""
-        n, m = self.nrows, self.ncols
-        rr = _dense(self.re, n, m)
-        ri = _dense(self.im, n, m)
-        pivots = matops.rref_cplx(rr, ri, n, m, ZERO, ONE)
-        return ExactMatrix(n, m, *_over_lcm(_from_dense(rr),
-                                            _from_dense(ri))), pivots
+        """Return (reduced matrix, pivot column list), by Gauss-Jordan on
+        the int numerator rows over Z[i], fraction-free (cf. Bareiss, Math.
+        Comp. 22, 1968): a pivot row p is multiplied by its pivot's
+        conjugate, which leaves a positive int n there, each other row q
+        becomes n q - q_c p, and every new row is divided by the gcd of its
+        numerators.  Row p reduces to p / n, over the lcm of the pivots;
+        the reduced form is unique, so it is that of self."""
+        rows = [(min([*r, *i]), (r, i)) for r, i in (
+            (self.re.get(k, {}), self.im.get(k, {}))
+            for k in self.re.keys() | self.im.keys())]
+        done = []  # (pivot column, pivot row), the columns increasing
+        while rows:
+            c, (r, i) = rows.pop(min(range(len(rows)),
+                                     key=lambda t: rows[t][0]))
+            x, y = r.get(c, 0), i.get(c, 0)
+            p = _combined([((x, -y) if y else (1 if x > 0 else -1, 0),
+                            (r, i))])
+            done = [_eliminated(item, c, p[0][c], p) for item in done]
+            rows = [item for item in (_eliminated(item, c, p[0][c], p)
+                                      for item in rows) if item]
+            done.append((c, p))
+        den = lcm(*(p[0][c] for c, p in done))
+        parts = ({}, {})
+        for r, (c, p) in enumerate(done):
+            f = den // p[0][c]
+            for part, opart in zip(p, parts):
+                if part:
+                    opart[r] = {j: f * v for j, v in part.items()}
+        return (ExactMatrix(self.nrows, self.ncols, *_reduced(*parts, den)),
+                [c for c, _ in done])
 
     def nullspace(self):
         """Columns spanning {x : self x = 0}, as an ncols x d matrix."""

@@ -1,10 +1,11 @@
-"""Dense matrix kernels over Q and Q(i).
+"""Dense matrix kernels over Q and Q(i): the tests' reference.
 
-ExactMatrix calls only ``rref_cplx``; its sums and products run on sparse
-storage, and the products here stay as the dense reference the tests
-compare against.  Entries are ``Fraction``; a complex matrix is carried as
-two parallel flat row-major lists.  These functions are deliberately dumb:
-no views, no pivot heuristics beyond "first nonzero".
+No package module imports them; ExactMatrix computes on its own sparse
+int rows.  They stay as the tests' oracle until a benchmark change moves
+them under ``tests/`` (``perfbench`` names them).  Entries are
+``Fraction``; a complex matrix is carried as two parallel flat row-major
+lists.  These functions are deliberately dumb: no views, no pivot
+heuristics beyond "first nonzero".
 """
 
 # read by the benchmark environment record (perfbench/run.py)

@@ -22,14 +22,15 @@ lowering walk from the highest pattern (norm 1), with u -> c' v back,
 integer entries, and it is the identity on minuscule representations.
 
 The build is self-checking at every dimension: every pi(X) must be
-skew-adjoint for the form, the torus character must reproduce
-irreducibleCharacter, and the bracket relation of every pair of directions
-is compared against the frame's structure constants.  Those checks fix
+skew-adjoint for the form, the torus character must equal the
+Freudenthal recursion's, computed in memory (the build reads and writes
+no cache file), and the bracket relation of every pair of directions is
+compared against the frame's structure constants.  Those checks fix
 V_lambda up to isomorphism.
 """
 
-from .characters import (FormalCharacter, _require_dominant_integral,
-                         irreducibleCharacter, weylDimension)
+from .characters import (FormalCharacter, _freudenthal,
+                         _require_dominant_integral, weylDimension)
 from .errors import BadStructureConstants, InternalError, TooLarge
 from .exactmat import ExactMatrix, combination, commutator
 from .rationals import ONE, ZERO, exact_sqrt, rat, rat_str, squarefree_core
@@ -212,7 +213,7 @@ def _verify_rep(rep):
     for a in range(frame.dim):
         if not rep.pi[a].is_skewadjoint_wrt(rep.form):
             raise BadStructureConstants("pi is not skew-adjoint for the form")
-    if rep.character() != irreducibleCharacter(rep.system, rep.lam):
+    if rep.character().entries != _freudenthal(rep.system, rep.lam):
         raise BadStructureConstants("torus character mismatch")
     for a in range(frame.dim):
         for b in range(a + 1, frame.dim):

@@ -156,6 +156,20 @@ def test_verify_relative_single(capsys):
     assert all(b["match"] for b in one["blocks"])
 
 
+def test_verify_requests_leave_the_cache_empty(capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    for argv in (("verify-kostant", "--type", "A2", "--weight", "1,0"),
+                 ("verify-relative", "--pair", "A2:T", "--weight", "1,1")):
+        rc, _, _ = run(capsys, *argv, "--cache-dir", str(cache_dir))
+        assert rc == 0
+        assert list(cache_dir.iterdir()) == [], argv
+    # a character request on the same directory does store its entry
+    rc, _, _ = run(capsys, "char", "--type", "A2", "--weight", "1,0",
+                   "--cache-dir", str(cache_dir))
+    assert rc == 0 and list(cache_dir.iterdir()) != []
+
+
 def test_restrict_to_the_torus_of_a_torus_factor_pair(capsys):
     # the H-coordinates of A1xT1:T are the A1 charge, then the T1 coordinate
     rc, out, _ = run(capsys, "restrict", "--pair", "A1xT1:T",

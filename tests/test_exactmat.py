@@ -2,7 +2,9 @@
 
 Random Q(i) matrices are built as flat row-major lists, fed to the
 reference kernels in ``diracforge.matops`` (and to elementwise list
-arithmetic), and compared entry by entry with the sparse results.  After
+arithmetic), and compared entry by entry with the sparse results.  No
+package module calls those kernels: they are the tests' oracle, and
+``rref`` eliminates on the int numerators fraction-free.  After
 every operation the storage invariant is checked: int numerators with no
 stored zero and no empty row, over a positive denominator prime to them
 all.
@@ -14,8 +16,11 @@ import random
 import pytest
 
 from diracforge import matops as ref
+from diracforge.dirac import spectralCheckRelative
 from diracforge.errors import DimensionMismatch
 from diracforge.exactmat import ExactMatrix
+from diracforge.liecore import pairFromLabel, systemFromLabel
+from diracforge.qr import cp2
 from diracforge.rationals import ONE, ZERO, rat
 
 KINDS = ("real", "imag", "mixed")
@@ -406,3 +411,77 @@ def test_inexact_scalars_are_rejected(build):
     # one float would turn every later equality into an approximate one
     with pytest.raises(TypeError):
         build()
+
+
+# -- fraction-free elimination against the dense Fraction reference --------
+
+def _wide_entry(rng, kind):
+    """A 40-bit numerator over one of several denominators, as a pair."""
+    def one():
+        return rat(rng.randint(-2 ** 40, 2 ** 40), rng.choice((1, 2, 3, 7, 12)))
+    return one(), (one() if kind == "gaussian" else ZERO)
+
+
+def wide_matrix(rng, n, m, kind):
+    return ExactMatrix.from_rows([[_wide_entry(rng, kind) for _ in range(m)]
+                                  for _ in range(n)])
+
+
+def elimination_case(seed, kind, shape):
+    rng = random.Random(1000 + seed)
+    if shape == "tall":
+        return wide_matrix(rng, 9, 4, kind)
+    if shape == "wide":
+        return wide_matrix(rng, 4, 9, kind)
+    if shape == "square":
+        return wide_matrix(rng, 6, 6, kind)
+    if shape == "rank-deficient":  # 7 x 7 of rank 4
+        return wide_matrix(rng, 7, 4, kind) * wide_matrix(rng, 4, 7, kind)
+    # zero rows at the top, in the middle and at the bottom
+    a = wide_matrix(rng, 6, 6, kind)
+    for i in (0, 3, 5):
+        for j in range(6):
+            a.put(i, j, 0)
+    return a
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "square",
+                                   "rank-deficient", "zero-rows"])
+@pytest.mark.parametrize("kind", ["real", "gaussian"])
+@pytest.mark.parametrize("seed", range(3))
+def test_fraction_free_elimination_matches_the_dense_reference(seed, kind,
+                                                               shape):
+    a = elimination_case(seed, kind, shape)
+    n, m = a.nrows, a.ncols
+    da = pairs(a)
+    red, pivots = a.rref()
+    want, want_pivots = ref_rref(n, m, da)
+    assert pivots == want_pivots
+    check(red, n, m, want)
+    null = a.nullspace()
+    check(null, m, m - len(pivots), _ref_nullspace(m, want, pivots))
+    assert len(pivots) + null.ncols == m
+    assert (a * null).is_zero()
+    if n == m:
+        check_inverse(a, n, da)
+        singular = shape in ("rank-deficient", "zero-rows")
+        assert (a.inverse() is None) == singular
+        if not singular:
+            assert a * a.inverse() == ExactMatrix.identity(n)
+
+
+LABELS = ["A1", "A2", "A3", "A4", "B2", "C2", "D4", "T1", "T2", "T3", "T4",
+          "A1xT1", "A1xA1", "A2xT2"]
+
+
+def test_no_request_path_reaches_the_dense_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("matops.rref_cplx called")
+
+    monkeypatch.setattr(ref, "rref_cplx", refuse)
+    for label in LABELS:
+        systemFromLabel(label)
+    for label in ("A1:T", "A2:T", "A2:u2", "A2:full"):
+        pairFromLabel(label)
+    assert cp2(2).label == "cp2(k=2)"
+    assert spectralCheckRelative(pairFromLabel("A2:T"), (1, 1))

@@ -1,5 +1,6 @@
 import pytest
 
+from diracforge import cache
 from diracforge.characters import irreducibleCharacter, weylDimension
 from diracforge.errors import (BadStructureConstants, NotDominant,
                                NotIntegral, TooLarge)
@@ -136,6 +137,29 @@ def test_broken_bracket_is_caught_at_every_size(lam):
     with pytest.raises(BadStructureConstants,
                        match=r"^bracket relation failed at \(\d+, \d+\)$"):
         _verify_rep(broken)
+
+
+def test_swapped_weight_is_caught():
+    # swapping the two coordinates of the highest weight (1,0) of A2 gives
+    # (0,1): every pi still checks, only the torus character does not
+    rep = buildLieRep(systemFromLabel("A2"), (1, 0))
+    weights = list(rep.weights)
+    top = weights.index((1, 0))
+    weights[top] = weights[top][::-1]
+    broken = LieRep(rep.system, rep.frame, rep.lam, rep.pi, rep.form, weights)
+    with pytest.raises(BadStructureConstants,
+                       match="^torus character mismatch$"):
+        _verify_rep(broken)
+
+
+def test_character_check_uses_no_cache(monkeypatch):
+    # the oracle is the Freudenthal recursion in memory, never a file
+    def refuse(*args):
+        raise AssertionError("character cache used")
+
+    monkeypatch.setattr(cache, "load", refuse)
+    monkeypatch.setattr(cache, "store", refuse)
+    assert buildLieRep(systemFromLabel("A2"), (1, 1)).dimension == 8
 
 
 def test_cartan_acts_by_weight():
