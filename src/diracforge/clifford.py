@@ -9,25 +9,32 @@ paired into exact 2x2 block generators, iterated by Kronecker products, and
 the generators are mapped back to the original frame directions, so
 c(e_a)c(e_b) + c(e_b)c(e_a) = -2 G_ab holds entry-exactly.
 
-Pairing needs matched square classes.  A leftover direction whose norm is
-not a rational square has no irreducible module over Q(i); the builder then
-doubles (appends a matched auxiliary direction, builds the even module,
-drops the auxiliary gamma) and records that the module is the double of the
-irreducible one.  The Z2-grading exists exactly when all directions pair
-off within their square classes; otherwise it is recorded as absent with
-the obstruction.
+Pairing needs matched square classes.  Two leftover directions of
+different classes share a mixed block when their conic has a rational
+point, and one leftover of square norm takes the parity slot.  Every other
+leftover is doubled rather than refused: buildCliffordFrame appends a
+matched auxiliary direction, builds the larger module, drops the
+auxiliary gamma and records that the module is doubled.  The Z2-grading
+exists exactly when all directions pair off within their square classes;
+otherwise it is recorded as absent with the obstruction.
 
 Every module carries its positive Hermitian form (diagonal, rational);
 c(e) is skew-adjoint with respect to it.
 
-For an equal-rank pair, PairSpinors holds what the relative operator reads
-of the p spinors; splitCliffordForPair adds S_h and the Cl(g)-module
-S_h (x) S_p on top of it.
+spinRepresentation is the one spin map.  On a whole frame it gives the
+spin action ad of Kostant's operator; on a block p of a reductive split
+g = h + p it gives the action on S_p of every frame direction, ad^p for
+p and the spin action of h.  For an equal-rank pair, PairSpinors is the
+one owner of the split, of S_p and of those spin maps; splitCliffordForPair
+adds S_h and the Cl(g)-module S_h (x) S_p on top of it.
 """
+
+from itertools import combinations
+from math import prod
 
 from . import structure as _structure
 from .errors import (TooLarge, CliffordConstructionError,
-                     BadStructureConstants, DimensionMismatch)
+                     BadStructureConstants, DimensionMismatch, NotOrthogonal)
 from .exactmat import (ExactMatrix, anticommutator, combination, commutator,
                        contract)
 from .rationals import coord, rat, ONE, ZERO, exact_sqrt, squarefree_core
@@ -48,7 +55,9 @@ _CONIC_BOUND = 48
 
 def _conic_point(d1, d2):
     """Rational (x, y) with x^2 + d1 y^2 = d2, by a search over
-    y = num/den with 0 <= num <= _CONIC_BOUND and 1 <= den <= _CONIC_BOUND."""
+    y = num/den with 0 <= num <= _CONIC_BOUND and 1 <= den <= _CONIC_BOUND;
+    None when the search finds none, which leaves open whether the conic
+    has a point."""
     for den in range(1, _CONIC_BOUND + 1):
         for num in range(0, _CONIC_BOUND + 1):
             y = rat(num, den)
@@ -61,17 +70,10 @@ def _conic_point(d1, d2):
     return None
 
 
-def _mixed_block(d1, d2):
-    """Generators for a final block whose norms sit in different square
-    classes; exists whenever x^2 + d1 y^2 = d2 has a rational point."""
-    pt = _conic_point(d1, d2)
-    if pt is None:
-        raise CliffordConstructionError(
-            "bounded search found no rational point on x^2 + %s y^2 = %s "
-            "with y = p/q, 0 <= p <= %d, 1 <= q <= %d; whether the conic "
-            "has one was not decided"
-            % (d1, d2, _CONIC_BOUND, _CONIC_BOUND))
-    x, y = pt
+def _mixed_block(d1, point):
+    """Generators for a block whose norms d1, d2 sit in different square
+    classes, from a rational point (x, y) on x^2 + d1 y^2 = d2."""
+    x, y = point
     b1 = ExactMatrix.from_rows([[ZERO, -d1], [rat(1), ZERO]])
     b2 = ExactMatrix.from_rows([[(ZERO, x), (ZERO, d1 * y)],
                                 [(ZERO, y), (ZERO, -x)]])
@@ -83,11 +85,11 @@ class CliffordModule:
 
     size: matrix size; grading: ExactMatrix or None (gradingReason says
     why); form: positive diagonal Hermitian form making every gamma
-    skew-adjoint; doubled: True when the module is twice the irreducible.
+    skew-adjoint; doubled: True when auxiliary directions were added, each
+    doubling the module.
     """
 
-    def __init__(self, gram, gamma, grading, grading_reason, form, doubled,
-                 pivot_data):
+    def __init__(self, gram, gamma, grading, grading_reason, form, doubled):
         self.dim = len(gram)
         self.gram = gram
         self.gamma = tuple(gamma)
@@ -96,7 +98,6 @@ class CliffordModule:
         self.gradingReason = grading_reason
         self.form = form
         self.doubled = doubled
-        self.pivotData = pivot_data
         self._check()
 
     def _check(self):
@@ -128,7 +129,7 @@ class CliffordModule:
             return self
         return CliffordModule(self.gram, self.gamma,
                               self.grading.scale(rat(-1)), self.gradingReason,
-                              self.form, self.doubled, self.pivotData)
+                              self.form, self.doubled)
 
     def cliffordOf(self, coef):
         """c(v) for v = sum coef_a e_a over the input directions."""
@@ -169,35 +170,42 @@ def _orthogonalize(gram):
 
 
 def _plan_blocks(norms, pair_hints):
-    """Group pivot indices into 2x2 blocks: hinted adjacent pairs first
-    (root pairs share a class by construction), then remaining pivots by
-    square class; at most one mixed block (last) or one odd leftover."""
+    """Group pivot indices into 2x2 blocks (a, b, point): hinted adjacent
+    pairs first (root pairs share a class by construction), then remaining
+    pivots by square class.  Of the pivots left over, one per class, the
+    first two whose conic has a rational point share the mixed block, which
+    carries the point and comes last, since its second generator does not
+    anticommute with J.  Every other leftover gets an auxiliary block (b is
+    None), except that without a mixed block one of square norm takes the
+    parity slot.  Returns (blocks, parity), parity a pivot or None."""
     used = set()
     blocks = []
     for a, b in pair_hints:
         if squarefree_core(norms[a]) != squarefree_core(norms[b]):
             raise CliffordConstructionError("hinted pair has mismatched classes")
-        blocks.append((a, b, "same"))
+        blocks.append((a, b, None))
         used.update((a, b))
     by_class = {}
     for i, n in enumerate(norms):
-        if i in used:
-            continue
-        by_class.setdefault(squarefree_core(n), []).append(i)
+        if i not in used:
+            by_class.setdefault(squarefree_core(n), []).append(i)
     singles = []
     for cls in sorted(by_class):
         members = by_class[cls]
         while len(members) >= 2:
-            blocks.append((members.pop(0), members.pop(0), "same"))
-        if members:
-            singles.append(members[0])
-    if len(singles) > 2:
-        raise CliffordConstructionError(
-            "more than two unpaired norm classes; no exact module at this size")
-    if len(singles) == 2:
-        blocks.append((singles[0], singles[1], "mixed"))
-        return blocks, None
-    return blocks, (singles[0] if singles else None)
+            blocks.append((members.pop(0), members.pop(0), None))
+        singles.extend(members)
+    mixed = []
+    for a, b in combinations(singles, 2):
+        point = _conic_point(norms[a], norms[b])
+        if point is not None:
+            mixed = [(a, b, point)]
+            break
+    parity = None if mixed else next(
+        (a for a in singles if exact_sqrt(norms[a]) is not None), None)
+    aux = [(a, None, None) for a in singles
+           if a != parity and not any(a in blk[:2] for blk in mixed)]
+    return blocks + aux + mixed, parity
 
 
 def buildCliffordFrame(gram, pair_hints=()):
@@ -214,25 +222,17 @@ def buildCliffordFrame(gram, pair_hints=()):
     gram = tuple(tuple(rat(c) for c in row) for row in gram)
     if d == 0:
         return CliffordModule(gram, [], ExactMatrix.identity(1), None,
-                              ExactMatrix.identity(1), False,
-                              {"norms": (), "blocks": (), "leftover": None})
+                              ExactMatrix.identity(1), False)
     back, norms = _orthogonalize(gram)
     for a, b in pair_hints:
         if back[a][a] != 1 or back[b][b] != 1 \
                 or any(back[a][k] for k in range(d) if k != a) \
                 or any(back[b][k] for k in range(d) if k != b):
             raise CliffordConstructionError("hinted pair is not orthogonal")
-    blocks, leftover = _plan_blocks(norms, pair_hints)
-
-    doubled = False
-    odd_root = None
-    if leftover is not None:
-        odd_root = exact_sqrt(norms[leftover])
-        if odd_root is None:
-            # no irreducible module over Q(i): append a matched auxiliary
-            # direction and drop its gamma, doubling the module
-            blocks.append((leftover, None, "aux"))
-            doubled = True
+    blocks, parity = _plan_blocks(norms, pair_hints)
+    # an auxiliary block pairs a pivot with a matched direction whose gamma
+    # is dropped, doubling the module
+    doubled = any(b is None for _, b, _ in blocks)
 
     nblocks = len(blocks)
     size = 2 ** nblocks
@@ -247,53 +247,36 @@ def buildCliffordFrame(gram, pair_hints=()):
         return out if out is not None else ExactMatrix.identity(1)
 
     pivot_gamma = {}
-    form_factors = []
-    for t, (a, b, kind) in enumerate(blocks):
-        if kind == "same":
-            b1, b2 = _pair_block(norms[a], norms[b])
-        elif kind == "mixed":
-            b1, b2 = _mixed_block(norms[a], norms[b])
+    form = ExactMatrix.identity(1)
+    for t, (a, b, point) in enumerate(blocks):
+        if point is None:
+            b1, b2 = _pair_block(norms[a], norms[a if b is None else b])
         else:
-            b1, b2 = _pair_block(norms[a], norms[a])
+            b1, b2 = _mixed_block(norms[a], point)
         pivot_gamma[a] = lift(b1, t)
         if b is not None:
             pivot_gamma[b] = lift(b2, t)
-        form_factors.append(ExactMatrix.diag([rat(1), norms[a]]))
+        form = form.kron(ExactMatrix.diag([rat(1), norms[a]]))
+    if parity is not None:
+        # a square norm: i * sqrt(norm) times the parity chain
+        # J (x) ... (x) J anticommutes with every block generator
+        pivot_gamma[parity] = lift(J, nblocks).scale(
+            (ZERO, exact_sqrt(norms[parity])))
 
-    if leftover is not None and not doubled:
-        # single unpaired direction with square norm: i * sqrt(norm) times
-        # the full parity chain anticommutes with every block generator
-        parity = ExactMatrix.identity(1)
-        for _ in range(nblocks):
-            parity = parity.kron(J)
-        pivot_gamma[leftover] = parity.scale((ZERO, odd_root))
-
-    form = ExactMatrix.identity(1)
-    for f in form_factors:
-        form = form.kron(f)
-
-    grading = None
-    reason = None
-    if leftover is not None or doubled:
+    grading = reason = None
+    disc = prod(norms)
+    if d % 2:
         reason = "odd direction count"
+    elif exact_sqrt(disc) is None:
+        reason = "discriminant class %s is not a square" % squarefree_core(disc)
+    elif doubled or parity is not None:
+        reason = "norm classes left unpaired, so no grading is built"
     else:
-        disc = rat(1)
-        for n in norms:
-            disc *= n
-        if exact_sqrt(disc) is None:
-            reason = "discriminant class %s is not a square" % squarefree_core(disc)
-        else:
-            grading = ExactMatrix.identity(1)
-            for _ in range(nblocks):
-                grading = grading.kron(J)
+        grading = lift(J, nblocks)
 
     pivots = [pivot_gamma[k] for k in range(d)]
     gamma = [combination(back[j], pivots, size) for j in range(d)]
-
-    pivot_data = {"norms": tuple(norms), "blocks": tuple(blocks),
-                  "leftover": leftover}
-    return CliffordModule(gram, gamma, grading, reason, form, doubled,
-                          pivot_data)
+    return CliffordModule(gram, gamma, grading, reason, form, doubled)
 
 
 def frameClifford(frame):
@@ -310,10 +293,11 @@ def frameClifford(frame):
 
 # ----------------------------------------------------------------- spin rep
 
-def _validate_structure(structure):
-    d = structure.dim
-    f = [[structure.bracketCoefficients(a, b) for b in range(d)]
-         for a in range(d)]
+def _validate_structure(f, gram, jacobi):
+    """Check the bracket table f, f[a][b] the coefficients of [X_a, X_b],
+    against gram: antisymmetry and invariance of the form, and the Jacobi
+    identity when jacobi is true."""
+    d = len(f)
     for a in range(d):
         for b in range(d):
             if any(x + y for x, y in zip(f[a][b], f[b][a])):
@@ -322,34 +306,66 @@ def _validate_structure(structure):
     # <[a,b],c> + <b,[a,c]> = 0, i.e. ad[a] skew-adjoint for the gram
     ad = [ExactMatrix.from_rows([list(col) for col in f[a]]).transpose()
           for a in range(d)]
-    gram = ExactMatrix.from_rows(structure.gram)
+    gram = ExactMatrix.from_rows(gram)
     for a in range(d):
         if not ad[a].is_skewadjoint_wrt(gram):
             raise BadStructureConstants("form is not invariant")
-    # given antisymmetry, Jacobi is [ad_a, ad_b] = ad_[a,b]; projected
-    # structures (ad^p) are deliberately non-Lie and opt out
-    if getattr(structure, "requireJacobi", True):
+    # given antisymmetry, Jacobi is [ad_a, ad_b] = ad_[a,b]
+    if jacobi:
         for a in range(d):
             for b in range(a + 1, d):
                 if commutator(ad[a], ad[b]) != combination(f[a][b], ad, d):
                     raise BadStructureConstants("Jacobi identity fails")
-    return f
 
 
-def spinRepresentation(structure, cl):
+def spinRepresentation(structure, cl, on=None):
     """ad(X_a) = (1/4) sum_{b,c} (G^-1)_{bc} c(X_b) c([X_a, X_c]).
 
     The contraction runs through the dual frame, reducing to the familiar
     orthonormal-basis formula when G = I; the factor order (Clifford of the
     basis vector first, bracket second) is the one that satisfies
     [ad(X), c(Y)] = c([X, Y]) under the minus sign convention.
+
+    With on, the indices of a block p of structure's directions that is
+    orthogonal to the rest, cl is a module over p alone and b, c run over
+    p: every bracket [X_a, X_c] is projected on p, each direction outside p
+    must bracket p into itself ([h, p] inside p), and the table of p, the
+    structure behind ad^p, is checked for antisymmetry and invariance but
+    not for Jacobi, which the projection breaks.  Either way the result
+    holds the action on cl of every direction of structure.
     """
     d = structure.dim
-    if cl.dim != d:
+    block = range(d) if on is None else on
+    if cl.dim != len(block):
         raise DimensionMismatch("Clifford module has %d directions, "
-                                "structure has %d" % (cl.dim, d))
-    f = _validate_structure(structure)
-    return [_spin_of(f[a], cl, structure.gramInverse) for a in range(d)]
+                                "structure has %d" % (cl.dim, len(block)))
+    f = [[structure.bracketCoefficients(a, c) for c in block]
+         for a in range(d)]
+    gram, ginv = structure.gram, structure.gramInverse
+    if on is not None:
+        f = _projected(structure, f, on)
+        gram = [[gram[a][b] for b in on] for a in on]
+        # p is orthogonal to the rest, so its dual frame is read off G^-1
+        ginv = ExactMatrix.from_rows([[ginv.get(a, b) for b in on]
+                                      for a in on])
+    _validate_structure([f[a] for a in block], gram, jacobi=on is None)
+    return [_spin_of(brackets, cl, ginv) for brackets in f]
+
+
+def _projected(structure, f, on):
+    """The table f, f[a][j] the coefficients of [X_a, X_{on[j]}], cut to
+    the directions on; a direction outside on whose bracket leaves on
+    raises."""
+    inside = set(on)
+    for a, row in enumerate(f):
+        if a in inside:
+            continue
+        for j, coef in enumerate(row):
+            if any(co for c, co in enumerate(coef) if c not in inside):
+                raise NotOrthogonal("[h, p] escaped p at directions %s, %s"
+                                    % (structure.names[a],
+                                       structure.names[on[j]]))
+    return [[tuple(coef[c] for c in on) for coef in row] for row in f]
 
 
 def _spin_of(brackets, cl, ginv):
@@ -361,36 +377,15 @@ def _spin_of(brackets, cl, ginv):
 
 # ---------------------------------------------------------------- pair split
 
-class PStructure:
-    """The p block with p-projected brackets: the structure behind ad^p.
-    Not a Lie algebra (projection breaks Jacobi), which is the point."""
-
-    requireJacobi = False
-
-    def __init__(self, pframe):
-        self.pframe = pframe
-        self.dim = len(pframe.pIndices)
-        self.gram = pframe.pGram
-        self.gramInverse = pframe.pGramInverse
-
-    def bracketCoefficients(self, a, b):
-        return self.pframe.pBracketInP(a, b)
-
-
-def hSpinAction(pframe, s_p, h_local):
-    """Spin action on S_p of the h-frame direction with local index
-    h_local: (1/4) sum (Gp^-1)_{bc} c(u_b) c([Y, u_c]); lands in p exactly
-    because [h, p] is inside p."""
-    brackets = [pframe.hBracketOnP(h_local, c)
-                for c in range(len(pframe.pIndices))]
-    return _spin_of(brackets, s_p, pframe.pGramInverse)
-
-
 class PairSpinors:
     """The part of the relative operator that no lambda changes, built
-    once for an equal-rank pair: the pair frame, the graded S_p, the spin
-    map ad^p on it, the spin action of each h direction, and the weights
-    of the S_p basis vectors in G and in H coordinates.
+    once for an equal-rank pair, and the only code that splits a pair's
+    frame: p is the root directions of pair.pRoots, h the whole Cartan
+    and the kept root pairs.  It holds the frame, pIndices and hIndices,
+    the p gram and its inverse, the graded S_p, the spin map ad^p on it
+    (pSpin) and the spin action of each h direction (hSpin), both read
+    off one spinRepresentation call, and the weights of the S_p basis
+    vectors in G and in H coordinates.
 
     S_p is built with the root pairs sharing blocks, so the torus acts
     diagonally and the weights are read off it; its grading is oriented
@@ -399,41 +394,30 @@ class PairSpinors:
 
     def __init__(self, pair):
         self.pair = pair
-        self.pframe = pframe = _structure.PairFrame(pair)
+        self.frame = frame = _structure.buildFrame(pair.g)
+        proots = set(pair.pRoots)
+        self.pIndices = p = tuple(
+            i for i, nm in enumerate(frame.names)
+            if nm[0] != _structure.CARTAN and nm[1] in proots)
+        self.hIndices = h = tuple(i for i in range(frame.dim) if i not in p)
+        if any(frame.gram[a][b] for a in p for b in h):
+            raise NotOrthogonal("p and h directions are not form-orthogonal")
+        self.pGram = tuple(tuple(frame.gram[a][b] for b in p) for a in p)
+        # h and p are orthogonal, so this is also the p block of G^-1
+        self.pGramInverse = ExactMatrix.from_rows(self.pGram).inverse()
         hints = tuple((2 * i, 2 * i + 1) for i in range(len(pair.pRoots)))
-        s_p = buildCliffordFrame(pframe.pGram, hints)
+        s_p = buildCliffordFrame(self.pGram, hints)
         if s_p.grading is None:
             raise CliffordConstructionError("p spinors must be graded")
-        # the spin actions read only the gammas, which the sign leaves alone
-        self.hSpin = tuple(hSpinAction(pframe, s_p, local)
-                           for local in range(len(pframe.hIndices)))
-        self.gWeights = self._torus_weights(s_p.size)
+        # the spin maps read only the gammas, which the sign leaves alone
+        spin = spinRepresentation(frame, s_p, on=p)
+        self.pSpin = [spin[a] for a in p]
+        self.hSpin = tuple(spin[a] for a in h)
+        # the Cartan directions lead the frame
+        self.gWeights = _torus_weights(spin[:pair.g.rank], s_p.size)
         self.s_p = self._oriented(s_p)
-        self.pSpin = spinRepresentation(PStructure(pframe), self.s_p)
         self.hWeights = tuple(tuple(map(coord, pair.weightToH(w)))
                               for w in self.gWeights)
-
-    def _torus_weights(self, size):
-        """G-weights of the S_p basis vectors, read off the (diagonal)
-        spin actions of the Cartan directions."""
-        h_indices = self.pframe.hIndices
-        actions = [self.hSpin[h_indices.index(p)]
-                   for p in range(self.pair.g.rank)]
-        for m in actions:
-            if m != ExactMatrix.diag([m.get(v, v) for v in range(size)]):
-                raise CliffordConstructionError(
-                    "torus spin action is not diagonal")
-        weights = []
-        for v in range(size):
-            coords = []
-            for m in actions:
-                re, im = m.get(v, v)
-                if re != 0:
-                    raise CliffordConstructionError(
-                        "torus eigenvalue not imaginary")
-                coords.append(coord(im))
-            weights.append(tuple(coords))
-        return tuple(weights)
 
     def _oriented(self, s_p):
         """s_p with its grading sign chosen so the highest spinor weight
@@ -448,19 +432,40 @@ class PairSpinors:
         return s_p if sign == 1 else s_p.withGradingSign(-1)
 
 
+def _torus_weights(actions, size):
+    """Weights of the basis vectors of spinors of dimension size, read off
+    the (diagonal) spin actions of the Cartan directions."""
+    for m in actions:
+        if m != ExactMatrix.diag([m.get(v, v) for v in range(size)]):
+            raise CliffordConstructionError(
+                "torus spin action is not diagonal")
+    weights = []
+    for v in range(size):
+        coords = []
+        for m in actions:
+            re, im = m.get(v, v)
+            if re != 0:
+                raise CliffordConstructionError(
+                    "torus eigenvalue not imaginary")
+            coords.append(coord(im))
+        weights.append(tuple(coords))
+    return tuple(weights)
+
+
 class SpinorEmbedding:
     """Cl(g)-module structure on S_h (x) S_p: h-directions act through
     c_h (x) grading_p, p-directions through 1 (x) c_p; gammaFull is
     indexed like the ambient frame."""
 
-    def __init__(self, pframe, s_h, s_p):
-        self.pairFrame = pframe
-        self.gramFull = pframe.frame.gram
+    def __init__(self, spinors, s_h):
+        self.spinors = spinors
+        s_p = spinors.s_p
+        self.gramFull = spinors.frame.gram
         id_h = ExactMatrix.identity(s_h.size)
-        gammas = [None] * pframe.frame.dim
-        for local, a in enumerate(pframe.hIndices):
+        gammas = [None] * spinors.frame.dim
+        for local, a in enumerate(spinors.hIndices):
             gammas[a] = s_h.gamma[local].kron(s_p.grading)
-        for local, a in enumerate(pframe.pIndices):
+        for local, a in enumerate(spinors.pIndices):
             gammas[a] = id_h.kron(s_p.gamma[local])
         self.gammaFull = tuple(gammas)
         self.size = s_h.size * s_p.size
@@ -472,15 +477,17 @@ class SpinorEmbedding:
 def splitCliffordForPair(pair):
     """(S_h, S_p, embedding) for an equal-rank pair.
 
-    S_p and the pair frame are those of PairSpinors(pair); S_h covers the
+    S_p and the split are those of PairSpinors(pair); S_h covers the
     whole Cartan plus the kept root pairs.  The embedding realizes Cl(g)
     on S_h (x) S_p.  The relative operator needs only S_p and never
     builds S_h.
     """
     spinors = PairSpinors(pair)
-    pframe = spinors.pframe
+    h = spinors.hIndices
+    gram = spinors.frame.gram
     rank = pair.g.rank
-    kept_pairs = (len(pframe.hIndices) - rank) // 2
+    kept_pairs = (len(h) - rank) // 2
     hint_h = tuple((rank + 2 * i, rank + 2 * i + 1) for i in range(kept_pairs))
-    s_h = buildCliffordFrame(pframe.hGram, hint_h)
-    return s_h, spinors.s_p, SpinorEmbedding(pframe, s_h, spinors.s_p)
+    s_h = buildCliffordFrame(tuple(tuple(gram[a][b] for b in h) for a in h),
+                             hint_h)
+    return s_h, spinors.s_p, SpinorEmbedding(spinors, s_h)

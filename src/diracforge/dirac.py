@@ -22,11 +22,12 @@ with ad^a = sum_b (G^-1)_{ab} ad_b, so no product is formed on V (x) S.
 What does not depend on lambda is built once per request and kept on the
 object it belongs to: the frame on its system (structure.buildFrame), the
 frame's module and spin map on the frame, the strange-formula constant on
-the system, and a pair's PairSpinors (pair frame, graded S_p, the spin
-maps of p and h on S_p, the spinor weights) on the pair.  Every lambda of
-a sweep or of kernelIndex reads them; the checks that depend on lambda
-(the rep, self-adjoint and odd, H-equivariance, the square, the block
-scalars) still run for each lambda.  The relative operator acts on
+the system, and a pair's PairSpinors (the p/h split of the frame, graded
+S_p, the spin maps of p and h on S_p from one spinRepresentation call,
+the spinor weights) on the pair.  Every lambda of a sweep or of
+kernelIndex reads them; the checks that depend on lambda (the rep,
+self-adjoint and odd, H-equivariance, the square, the block scalars)
+still run for each lambda.  The relative operator acts on
 V (x) S_p, as in Cl(g) = Cl(h) (x) Cl(p), and never builds S_h.
 """
 
@@ -227,8 +228,8 @@ def verifyKostantIdentity(rep, cl):
 
 def _pair_split(pair):
     """PairSpinors(pair), built once per pair object and kept on it: the
-    pair frame, S_p, its spin maps and the spinor weights depend only on
-    the pair, while a sweep or kernelIndex needs them for every lambda."""
+    split, S_p, its spin maps and the spinor weights depend only on the
+    pair, while a sweep or kernelIndex needs them for every lambda."""
     spinors = getattr(pair, "_spinors", None)
     if spinors is None:
         spinors = pair._spinors = PairSpinors(pair)
@@ -244,7 +245,6 @@ class RelativePieces:
         self.rep = buildLieRep(pair.g, lam)
         self.spinors = spinors = _pair_split(pair)
         self.s_p = spinors.s_p
-        self.pframe = spinors.pframe
         size = self.rep.dimension * self.s_p.size
         if size > RELATIVE_SIZE_LIMIT:
             raise TooLarge("V (x) S_p would be %d x %d; limit %d"
@@ -254,7 +254,7 @@ class RelativePieces:
         # pi(Y) (x) 1 + 1 (x) spin(Y) for each local h direction Y
         self.hActions = tuple(
             self.rep.pi[a].kron(ids) + self.idv.kron(spin)
-            for a, spin in zip(self.pframe.hIndices, spinors.hSpin))
+            for a, spin in zip(spinors.hIndices, spinors.hSpin))
 
     def tensorHWeights(self):
         """H-weight of each tensor basis vector, row-major V x S_p."""
@@ -270,8 +270,8 @@ class RelativePieces:
         ops = []
         rank = self.pair.g.rank
         half = rat(1, 2)
-        for local, a in enumerate(self.pframe.hIndices):
-            if a < rank or self.pframe.frame.names[a][0] != "A":
+        for local, a in enumerate(self.spinors.hIndices):
+            if a < rank or self.spinors.frame.names[a][0] != "A":
                 continue
             ea, eb = self.hActions[local], self.hActions[local + 1]
             ops.append(ea.scale(half) + eb.scale((ZERO, -half)))
@@ -283,10 +283,10 @@ def relativeCubicDirac(pair, lam, pieces=None):
     dual contracted; graded by the p spinor grading; H-equivariance is
     checked exactly."""
     rp = pieces if pieces is not None else RelativePieces(pair, lam)
-    rep, s_p, pframe = rp.rep, rp.s_p, rp.pframe
+    rep, s_p, spinors = rp.rep, rp.s_p, rp.spinors
     n = rep.dimension * s_p.size
-    pi = [rep.pi[a] for a in pframe.pIndices]
-    total = _assemble(pi, s_p, pframe.pGramInverse, rp.spinors.pSpin,
+    pi = [rep.pi[a] for a in spinors.pIndices]
+    total = _assemble(pi, s_p, spinors.pGramInverse, spinors.pSpin,
                       rat(1, 3), rp.idv)
     grading = rp.idv.kron(s_p.grading)
     form = rep.form.kron(s_p.form)

@@ -37,8 +37,6 @@ from .exactmat import ExactMatrix
 from .errors import (IncompatiblePair, InternalError, SystemMismatch,
                      UnsupportedType)
 
-NORMALIZATION = "long-root-2"
-
 # the types of a weight coordinate (see rationals)
 _COORDS = frozenset((int, Fraction))
 

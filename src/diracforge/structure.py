@@ -15,11 +15,12 @@ downstream contract through the inverse of the frame gram instead of
 pretending the frame is orthonormal.
 
 Only type A simple factors (plus tori) have defining blocks here; the
-B/C/D root systems stay available in liecore but have no frame.
+B/C/D root systems stay available in liecore but have no frame.  The split
+of a frame along an equal-rank pair lives in clifford.PairSpinors, its one
+consumer.
 """
 
-from .errors import (BadStructureConstants, InternalError, NotOrthogonal,
-                     UnsupportedType)
+from .errors import BadStructureConstants, InternalError, UnsupportedType
 from .exactmat import ExactMatrix, combination, commutator
 from .rationals import rat, rat_str, ZERO
 
@@ -216,62 +217,9 @@ class CompactFrame:
 
 def buildFrame(rs):
     """The frame of rs, built once and kept on rs: every representation
-    and pair frame of the system shares it and its bracket cache."""
+    and pair of the system shares it and its bracket cache."""
     frame = getattr(rs, "_frame", None)
     if frame is None:
         frame = rs._frame = CompactFrame(rs)
     return frame
 
-
-class PairFrame:
-    """The frame of g split along an equal-rank pair: h gets the whole
-    Cartan plus the kept root pairs, p the complementary root pairs."""
-
-    def __init__(self, pair):
-        self.pair = pair
-        self.frame = buildFrame(pair.g)
-        proots = set(pair.pRoots)
-        self.pIndices = tuple(i for i, nm in enumerate(self.frame.names)
-                              if nm[0] != CARTAN and nm[1] in proots)
-        self.hIndices = tuple(i for i in range(self.frame.dim)
-                              if i not in set(self.pIndices))
-        for a in self.pIndices:
-            for b in self.hIndices:
-                if self.frame.gram[a][b] != 0:
-                    raise NotOrthogonal("p and h directions are not "
-                                        "form-orthogonal")
-        self.pGram = tuple(tuple(self.frame.gram[a][b] for b in self.pIndices)
-                           for a in self.pIndices)
-        self.hGram = tuple(tuple(self.frame.gram[a][b] for b in self.hIndices)
-                           for a in self.hIndices)
-        # h and p are orthogonal, so this is also the p block of G^-1
-        self.pGramInverse = ExactMatrix.from_rows(self.pGram).inverse()
-        self._check_reductive()
-
-    def _check_reductive(self):
-        # [h, p] must land in p: no h-component in any such bracket
-        pset = set(self.pIndices)
-        for a in self.hIndices:
-            for b in self.pIndices:
-                coef = self.frame.bracketCoefficients(a, b)
-                for c, co in enumerate(coef):
-                    if co and c not in pset:
-                        raise NotOrthogonal(
-                            "[h, p] escaped p at directions %s, %s"
-                            % (self.frame.names[a], self.frame.names[b]))
-
-    def pProjection(self, coef):
-        """Restrict a full-frame coefficient vector to the p block."""
-        return tuple(coef[i] for i in self.pIndices)
-
-    def pBracketInP(self, i, j):
-        """p-component of [p_i, p_j] (frame-local p indices)."""
-        coef = self.frame.bracketCoefficients(self.pIndices[i],
-                                              self.pIndices[j])
-        return self.pProjection(coef)
-
-    def hBracketOnP(self, hi, j):
-        """[h_hi, p_j] as p-coefficients; guaranteed inside p."""
-        coef = self.frame.bracketCoefficients(self.hIndices[hi],
-                                              self.pIndices[j])
-        return self.pProjection(coef)

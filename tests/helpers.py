@@ -15,9 +15,13 @@
   for the straightening (``characters._straighten``) behind
   ``decomposeCharacter``, ``tensorDecompose`` and ``restrictCharacter``,
   in answer, order, error type and message;
-- ``spinorWeights`` reads the G-weights of the S_p basis off spin actions
-  of the Cartan directions built one call at a time: the per-call route
-  that ``clifford.PairSpinors`` must reproduce;
+- ``refSpin`` is the spin map as the double sum over (G^-1)_{bc}, one
+  term at a time, on bracket rows from ``pBrackets``: the brackets of
+  frame directions with p from ``CompactFrame.bracketCoefficients``, cut
+  to p.  ``pairSpins`` joins them into the spin action on S_p of every
+  frame direction, and ``spinorWeights`` reads the G-weights of the S_p
+  basis off the Cartan ones: the oracles that ``clifford.PairSpinors`` and
+  ``spinRepresentation`` on a block must reproduce;
 - ``fractionRootData`` builds a system's roots, gram and rho on
   ``Fraction`` weights, one ``ExactMatrix`` inverse per simple factor and
   one root-coefficient product per root: the oracle for the int core of
@@ -46,7 +50,7 @@ from fractions import Fraction
 
 from diracforge.characters import FormalCharacter, irreducibleCharacter
 from diracforge.cli import CLIFFORD_SIGN, NORMALIZATION, POLARIZATION_RULE
-from diracforge.clifford import buildCliffordFrame, hSpinAction
+from diracforge.clifford import buildCliffordFrame
 from diracforge.dirac import _scalar_of, cubicDirac
 from diracforge.errors import (BadStructureConstants, DiracforgeError,
                                NonGenericPolarization)
@@ -80,11 +84,55 @@ def commutantDimension(cl):
     return stacked.nullspace().ncols
 
 
-def spinorWeights(pair, pframe, s_p):
-    """G-weights of the S_p basis vectors from one hSpinAction call per
-    Cartan direction, each action checked to be diagonal."""
-    actions = [hSpinAction(pframe, s_p, pframe.hIndices.index(p))
-               for p in range(pair.g.rank)]
+def refCliffordOf(coef, gamma, size):
+    out = ExactMatrix.zeros(size)
+    for a, c in enumerate(coef):
+        if c:
+            out = out + gamma[a].scale(c)
+    return out
+
+
+def refSpin(brackets_of, gamma, ginv, size):
+    """ad_a = (1/4) sum_{b,c} (G^-1)_{bc} c(X_b) c([X_a, X_c])."""
+    d = len(gamma)
+    ads = []
+    for a in range(len(brackets_of)):
+        acc = ExactMatrix.zeros(size)
+        for c in range(d):
+            bracket = brackets_of[a][c]
+            if not any(bracket):
+                continue
+            cbr = refCliffordOf(bracket, gamma, size)
+            for b in range(d):
+                w = ginv.get(b, c)[0]
+                if w:
+                    acc = acc + (gamma[b] * cbr).scale(w * rat(1, 4))
+        ads.append(acc)
+    return ads
+
+
+def pBrackets(frame, rows, p):
+    """For each frame direction a in rows, the brackets [X_a, X_c] for c
+    in p, cut to their coefficients on p."""
+    return [[tuple(frame.bracketCoefficients(a, c)[k] for k in p)
+             for c in p] for a in rows]
+
+
+def pairSpins(spinors):
+    """The spin action on S_p of every frame direction, by refSpin over
+    the inverse of the p block of the frame gram."""
+    frame, p, s_p = spinors.frame, spinors.pIndices, spinors.s_p
+    ginv = ExactMatrix.from_rows([[frame.gram[a][b] for b in p]
+                                  for a in p]).inverse()
+    return refSpin(pBrackets(frame, range(frame.dim), p), s_p.gamma, ginv,
+                   s_p.size)
+
+
+def spinorWeights(spinors):
+    """G-weights of the S_p basis vectors from the pairSpins actions of
+    the Cartan directions, each checked to be diagonal."""
+    s_p = spinors.s_p
+    actions = pairSpins(spinors)[:spinors.pair.g.rank]
     for m in actions:
         assert m == ExactMatrix.diag([m.get(v, v) for v in range(s_p.size)])
     weights = []

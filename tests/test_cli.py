@@ -673,6 +673,18 @@ def test_importing_the_cli_does_not_import_argparse():
     assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["verify-kostant", "--type", "A1", "--weight", "1", "--format",
+            "json"]
+    src = pathlib.Path(diracforge.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "diracforge", *argv],
+                          env=env, capture_output=True, timeout=120)
+    rc, out, err = run(capsys, *argv)
+    assert (done.returncode, done.stdout, done.stderr) \
+        == (rc, out.encode(), err.encode()) == (0, out.encode(), b"")
+
+
 # ------------------------------------------------------------ JSON emitter
 
 def _random_text(rng):

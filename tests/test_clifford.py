@@ -2,20 +2,19 @@ import random
 
 import pytest
 
-from diracforge.clifford import (CliffordModule, PairSpinors, PStructure,
-                                 SpinorEmbedding, _mixed_block, _orthogonalize,
+from diracforge.clifford import (CliffordModule, PairSpinors, _conic_point,
+                                 _orthogonalize, _validate_structure,
                                  buildCliffordFrame, frameClifford,
-                                 hSpinAction, spinRepresentation,
-                                 splitCliffordForPair)
+                                 spinRepresentation, splitCliffordForPair)
 from diracforge.errors import (BadStructureConstants, CliffordConstructionError,
                                TooLarge)
 from diracforge.exactmat import ExactMatrix, anticommutator, commutator
 from diracforge.liecore import pairFromLabel, systemFromLabel
 from diracforge.rationals import ZERO, rat
-from diracforge.structure import PairFrame, buildFrame
+from diracforge.structure import buildFrame
 
 from helpers import (RawStructure, buildClifford, commutantDimension,
-                     spinorWeights)
+                     pBrackets, pairSpins, spinorWeights)
 
 
 def frame_module(label):
@@ -73,8 +72,22 @@ FRAME_CASES = [
     # label, size, doubled, graded
     ("A1", 4, True, False),
     ("A2", 16, False, False),
+    ("A1xA1", 8, False, True),
     ("A1xT1", 4, False, False),
+    ("A1xT2", 8, True, False),
+    ("A1xT3", 8, False, False),
+    ("A2xT2", 32, False, False),
+    ("A1xA1xT1", 8, False, False),
+    ("A1xA2", 64, True, False),
+    ("A1xA1xA1", 32, True, False),
     ("T2", 2, False, True),
+    ("T3", 2, False, False),
+    # three unpaired norm classes (1, 2 and 6): a mixed block and an
+    # auxiliary one
+    ("A2xT1", 32, True, False),
+    # classes 1 and 6 with no conic point found: the square norm takes
+    # the parity slot and the other an auxiliary block
+    ("A2xA1xT1", 64, True, False),
 ]
 
 
@@ -163,9 +176,10 @@ def test_ldl_of_frame_and_pair_grams(label):
     if ":" not in label:
         check_ldl(buildFrame(systemFromLabel(label)).gram)
     else:
-        pf = PairFrame(pairFromLabel(label))
-        check_ldl(pf.pGram)
-        check_ldl(pf.hGram)
+        sp = PairSpinors(pairFromLabel(label))
+        check_ldl(sp.pGram)
+        check_ldl([[sp.frame.gram[a][b] for b in sp.hIndices]
+                   for a in sp.hIndices])
 
 
 def test_wrong_gamma_names_the_failed_relation():
@@ -174,18 +188,34 @@ def test_wrong_gamma_names_the_failed_relation():
     with pytest.raises(CliffordConstructionError,
                        match="^relation failed at directions 0, 1$"):
         CliffordModule(cl.gram, gamma, cl.grading, cl.gradingReason, cl.form,
-                       cl.doubled, cl.pivotData)
+                       cl.doubled)
 
 
-def test_mixed_block_error_names_the_bounded_search():
-    # 6X^2 + 9Y^2 = 5Z^2 has no non-zero solution; the search only says
-    # it found nothing within its bound, never that no point exists
-    with pytest.raises(CliffordConstructionError) as err:
-        _mixed_block(rat(3, 2), rat(5, 6))
-    assert str(err.value) == (
-        "bounded search found no rational point on x^2 + 3/2 y^2 = 5/6 "
-        "with y = p/q, 0 <= p <= 48, 1 <= q <= 48; whether the conic has "
-        "one was not decided")
+def test_unpaired_classes_without_a_conic_point_are_doubled():
+    # 6X^2 + 9Y^2 = 5Z^2 has no non-zero solution, so the bounded search
+    # finds no mixed block; neither norm is a square, so each direction
+    # gets an auxiliary block instead of a refusal
+    assert _conic_point(rat(3, 2), rat(5, 6)) is None
+    cl = buildCliffordFrame([[rat(3, 2), ZERO], [ZERO, rat(5, 6)]])
+    assert (cl.size, cl.doubled, cl.grading) == (4, True, None)
+    assert cl.gradingReason == "discriminant class 5 is not a square"
+    # a square norm among them takes the parity slot, the other one an
+    # auxiliary block (4x^2 + y^2 = 6 has no rational point)
+    assert _conic_point(rat(1, 4), rat(3, 2)) is None
+    cl = buildCliffordFrame([[rat(3, 2), ZERO], [ZERO, rat(1, 4)]])
+    assert (cl.size, cl.doubled) == (2, True)
+
+
+def test_square_discriminant_with_unpaired_classes_has_no_grading():
+    # classes 1, 2, 3 and 6 multiply to a square, but 1 and 2 share the
+    # mixed block and 3 and 6 get auxiliary blocks; J (x) ... (x) J does
+    # not anticommute with the mixed block, so no grading is claimed
+    norms = [rat(2), rat(3), rat(6), rat(1)]
+    cl = buildCliffordFrame([[n if i == j else ZERO for j in range(4)]
+                             for i, n in enumerate(norms)])
+    assert (cl.size, cl.doubled, cl.grading) == (8, True, None)
+    assert cl.gradingReason == \
+        "norm classes left unpaired, so no grading is built"
 
 
 def test_grading_sign_flip():
@@ -315,8 +345,8 @@ def test_split_shapes_and_relations(label):
     assert s_p.grading is not None
     # the embedding constructor already verified all Clifford relations;
     # re-check a couple across the h/p boundary
-    pf = emb.pairFrame
-    a, b = pf.hIndices[0], pf.pIndices[0]
+    sp = emb.spinors
+    a, b = sp.hIndices[0], sp.pIndices[0]
     assert anticommutator(emb.gammaFull[a], emb.gammaFull[b]) \
         == ExactMatrix.zeros(emb.size)
 
@@ -337,8 +367,7 @@ def test_spinor_weights_are_half_sums():
     pair = pairFromLabel("A2:T")
     spinors = PairSpinors(pair)
     ws = spinors.gWeights
-    roots = [spinors.pframe.frame.names[a][1]
-             for a in spinors.pframe.pIndices[::2]]
+    roots = [spinors.frame.names[a][1] for a in spinors.pIndices[::2]]
     half = rat(1, 2)
     expected = set()
     for signs in range(8):
@@ -355,11 +384,11 @@ def test_pair_spinors_match_the_per_call_route(label):
     # what a pair keeps for every lambda is what one call per lambda built
     pair = pairFromLabel(label)
     spinors = PairSpinors(pair)
-    pf, s_p = spinors.pframe, spinors.s_p
-    assert spinors.pSpin == spinRepresentation(PStructure(pf), s_p)
-    assert spinors.hSpin == tuple(hSpinAction(pf, s_p, hl)
-                                  for hl in range(len(pf.hIndices)))
-    weights = spinorWeights(pair, pf, s_p)
+    s_p = spinors.s_p
+    spins = pairSpins(spinors)
+    assert spinors.pSpin == [spins[a] for a in spinors.pIndices]
+    assert spinors.hSpin == tuple(spins[a] for a in spinors.hIndices)
+    weights = spinorWeights(spinors)
     assert spinors.gWeights == weights
     assert spinors.hWeights == tuple(pair.weightToH(w) for w in weights)
     # the split's S_p is the pair's, sign included
@@ -417,11 +446,10 @@ def test_h_spin_action_is_equivariant_for_p_cliffords():
     # [ad_Sp(Y), c(x)] = c([Y, x]) for Y in h, x in p
     pair = pairFromLabel("A2:u2")
     _, s_p, emb = splitCliffordForPair(pair)
-    pf = emb.pairFrame
-    for hl in range(len(pf.hIndices)):
-        act = hSpinAction(pf, s_p, hl)
-        for j in range(len(pf.pIndices)):
-            br = pf.hBracketOnP(hl, j)
+    sp = emb.spinors
+    table = pBrackets(sp.frame, sp.hIndices, sp.pIndices)
+    for act, brackets in zip(sp.hSpin, table):
+        for j, br in enumerate(brackets):
             assert commutator(act, s_p.gamma[j]) == s_p.cliffordOf(br)
         assert act.is_skewadjoint_wrt(s_p.form)
         # h acts evenly: the grading is h invariant
@@ -430,10 +458,12 @@ def test_h_spin_action_is_equivariant_for_p_cliffords():
 
 def test_p_structure_opts_out_of_jacobi():
     # ad^p for A2:T projects away h components, so Jacobi fails; the
-    # structure must still be accepted (antisymmetry and invariance hold)
-    pf = PairFrame(pairFromLabel("A2:T"))
-    st = PStructure(pf)
-    s_p = buildCliffordFrame(pf.pGram,
+    # block must still be accepted (antisymmetry and invariance hold)
+    sp = PairSpinors(pairFromLabel("A2:T"))
+    p = sp.pIndices
+    with pytest.raises(BadStructureConstants, match="^Jacobi identity fails$"):
+        _validate_structure(pBrackets(sp.frame, p, p), sp.pGram, jacobi=True)
+    s_p = buildCliffordFrame(sp.pGram,
                              tuple((2 * i, 2 * i + 1) for i in range(3)))
-    ads = spinRepresentation(st, s_p)
-    assert any(m != ExactMatrix.zeros(s_p.size) for m in ads)
+    ads = spinRepresentation(sp.frame, s_p, on=p)
+    assert any(ads[a] != ExactMatrix.zeros(s_p.size) for a in p)

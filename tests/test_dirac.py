@@ -301,9 +301,9 @@ def count_builds(monkeypatch):
     counts = {"frame": 0, "module": 0, "spin": 0}
 
     def counted(key, real):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[key] += 1
-            return real(*args)
+            return real(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(structure.CompactFrame, "__init__",

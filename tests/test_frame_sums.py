@@ -1,26 +1,28 @@
 """Frame sums through exactmat's combination and contract, against
 per-direction reference loops.
 
-The reference functions below spell every dual-frame sum out term by term:
+The reference functions spell every dual-frame sum out term by term:
 the dual gamma c^a = sum_b (G^-1)_{ab} c(X_b) built one direction at a
 time, the operator summed on V (x) S one direction at a time, the spin map
-as a double sum over (G^-1)_{bc}, and the tensor-diagonal Casimir as d^2
-products of the n x n matrices delta_a = pi_a (x) 1 + 1 (x) ad_a.  The
-package's operators must equal them as matrices, not only in their
-readings.
+as a double sum over (G^-1)_{bc} (``helpers.refSpin``, and
+``helpers.pairSpins`` on the p block of a pair), and the tensor-diagonal
+Casimir as d^2 products of the n x n matrices
+delta_a = pi_a (x) 1 + 1 (x) ad_a.  The package's operators must equal
+them as matrices, not only in their readings.
 """
 
 import pytest
 
 from diracforge import dirac
-from diracforge.clifford import (PStructure, buildCliffordFrame, hSpinAction,
-                                 spinRepresentation)
+from diracforge.clifford import buildCliffordFrame, spinRepresentation
 from diracforge.dirac import (RelativePieces, cubicDirac, piCasimir,
                               relativeCubicDirac)
 from diracforge.exactmat import ExactMatrix, combination, contract
 from diracforge.liecore import pairFromLabel, systemFromLabel
 from diracforge.rationals import ZERO, rat
 from diracforge.reps import buildLieRep
+
+from helpers import pairSpins, refSpin
 
 KOSTANT_CASES = [
     ("A1", (0,)), ("A1", (1,)),
@@ -45,33 +47,6 @@ def build(label, lam):
 
 
 # ------------------------------------------------------------- references
-
-def ref_clifford_of(coef, gamma, size):
-    out = ExactMatrix.zeros(size)
-    for a, c in enumerate(coef):
-        if c:
-            out = out + gamma[a].scale(c)
-    return out
-
-
-def ref_spin(brackets_of, gamma, ginv, size):
-    """ad_a = (1/4) sum_{b,c} (G^-1)_{bc} c(X_b) c([X_a, X_c])."""
-    d = len(gamma)
-    ads = []
-    for a in range(len(brackets_of)):
-        acc = ExactMatrix.zeros(size)
-        for c in range(d):
-            bracket = brackets_of[a][c]
-            if not any(bracket):
-                continue
-            cbr = ref_clifford_of(bracket, gamma, size)
-            for b in range(d):
-                w = ginv.get(b, c)[0]
-                if w:
-                    acc = acc + (gamma[b] * cbr).scale(w * rat(1, 4))
-        ads.append(acc)
-    return ads
-
 
 def ref_assembly(pi, gamma, ginv, ads, q, dim_v, size):
     """sum_a (pi_a (x) c^a + q 1 (x) ad_a c^a), one direction at a time."""
@@ -118,7 +93,7 @@ def frame_spin(rep, cl):
     fr = rep.frame
     brackets = [[fr.bracketCoefficients(a, c) for c in range(fr.dim)]
                 for a in range(fr.dim)]
-    return ref_spin(brackets, cl.gamma, fr.gramInverse, cl.size)
+    return refSpin(brackets, cl.gamma, fr.gramInverse, cl.size)
 
 
 # ------------------------------------------------------------ full operator
@@ -155,15 +130,15 @@ def test_pi_casimir_matches_double_sum(case):
 def test_relative_dirac_matches_per_direction_assembly(case):
     pair = pairFromLabel(case[0])
     rp = RelativePieces(pair, case[1])
-    pf, s_p, rep = rp.pframe, rp.s_p, rp.rep
-    st = PStructure(pf)
-    brackets = [[st.bracketCoefficients(a, c) for c in range(st.dim)]
-                for a in range(st.dim)]
-    ads = ref_spin(brackets, s_p.gamma, pf.pGramInverse, s_p.size)
-    assert spinRepresentation(st, s_p) == ads
-    pi = [rep.pi[a] for a in pf.pIndices]
-    want = ref_assembly(pi, s_p.gamma, pf.pGramInverse, ads, rat(1, 3),
-                        rep.dimension, s_p.size)
+    spinors, s_p, rep = rp.spinors, rp.s_p, rp.rep
+    p = spinors.pIndices
+    ads = pairSpins(spinors)
+    assert spinRepresentation(spinors.frame, s_p, on=p) == ads
+    pads = [ads[a] for a in p]
+    assert spinors.pSpin == pads
+    pi = [rep.pi[a] for a in p]
+    want = ref_assembly(pi, s_p.gamma, spinors.pGramInverse, pads,
+                        rat(1, 3), rep.dimension, s_p.size)
     assert relativeCubicDirac(pair, case[1], rp).matrix == want
 
 
@@ -171,12 +146,9 @@ def test_relative_dirac_matches_per_direction_assembly(case):
 def test_h_spin_action_matches_double_sum(label):
     pair = pairFromLabel(label)
     rp = RelativePieces(pair, (0,) * pair.g.rank)
-    pf, s_p = rp.pframe, rp.s_p
-    d = len(pf.pIndices)
-    for hl in range(len(pf.hIndices)):
-        brackets = [[pf.hBracketOnP(hl, c) for c in range(d)]]
-        want = ref_spin(brackets, s_p.gamma, pf.pGramInverse, s_p.size)[0]
-        assert hSpinAction(pf, s_p, hl) == want
+    spinors = rp.spinors
+    ads = pairSpins(spinors)
+    assert spinors.hSpin == tuple(ads[a] for a in spinors.hIndices)
 
 
 # ----------------------------------------------------------------- helpers

@@ -46,27 +46,43 @@ def test_unused_import_is_found():
                           "import x.y\nprint(e, x.y)\n") == ["d", "os"]
 
 
-def _names_in(node):
+def _credits(module, node, aliases):
+    """(module, name) for each name the statement node of module uses: a
+    name it mentions counts for module itself; a name imported from a
+    package module, or read as an attribute of one (aliases maps a local
+    name to the package module it binds), counts for that module."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out.add((module, sub.id))
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            out.add(sub.name)
+            out.add((module, sub.attr))
+            if isinstance(sub.value, ast.Name) and sub.value.id in aliases:
+                out.add((aliases[sub.value.id], sub.attr))
+        elif isinstance(sub, ast.ImportFrom) and sub.level == 1 \
+                and sub.module is not None:
+            out.update((sub.module, alias.name) for alias in sub.names)
     return out
 
 
 def unreferenced_definitions(sources):
     """(module, name) for each module-level def, class or assignment in
-    sources ({module: text}) whose name no other top-level statement of
-    any module mentions."""
+    sources ({module: text}) that no other top-level statement uses.  A
+    statement of the defining module uses a name by mentioning it; one of
+    another module only by importing the name from the defining module or
+    by reading it as an attribute of that module, so a same-named
+    definition elsewhere does not hide an unused one."""
     statements = []
     defined = []
     for module, text in sources.items():
-        for node in ast.parse(text).body:
-            statements.append((node, _names_in(node)))
+        tree = ast.parse(text)
+        # "from . import m as alias" binds alias to the package module m
+        aliases = {alias.asname or alias.name: alias.name
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module is None for alias in node.names}
+        for node in tree.body:
+            statements.append((node, _credits(module, node, aliases)))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 defined.append((module, node.name, node))
@@ -76,7 +92,8 @@ def unreferenced_definitions(sources):
                                if isinstance(target, ast.Name))
     return sorted((module, name) for module, name, node in defined
                   if module != "__init__"
-                  and not any(name in names for other, names in statements
+                  and not any((module, name) in credits
+                              for other, credits in statements
                               if other is not node))
 
 
@@ -92,9 +109,18 @@ def test_unreferenced_definition_is_found():
                     "def helper(): return 1\n"
                     "def tested_only(): return 2\n"
                     "def recursive(n): return recursive(n - 1)\n"
-                    "class Spare: pass\n"}
+                    "class Spare: pass\n",
+               # b's LIMIT and helper share names that a uses; only an
+               # import from c or a read of c.name counts for c
+               "b": "from . import c\n"
+                    "from .c import imported\n"
+                    "LIMIT = 4\n"
+                    "def reader(): return c.read + imported\n",
+               "c": "read = 1\nimported = 2\nunread = 3\n"
+                    "def helper(): return unread\n"}
     assert unreferenced_definitions(sources) == [
-        ("a", "Spare"), ("a", "recursive"), ("a", "tested_only")]
+        ("a", "Spare"), ("a", "recursive"), ("a", "tested_only"),
+        ("b", "LIMIT"), ("b", "reader"), ("c", "helper")]
 
 
 # ExactMatrix storage: integer numerator maps over one denominator, a

@@ -1,11 +1,16 @@
+from types import SimpleNamespace
+
 import pytest
 
+from diracforge.clifford import PairSpinors
 from diracforge.errors import BadStructureConstants, NotOrthogonal, UnsupportedType
 from diracforge.exactmat import ExactMatrix, commutator
 from diracforge.liecore import pairFromLabel, systemFromLabel
 from diracforge.rationals import ZERO, rat
 from diracforge.reps import buildLieRep
-from diracforge.structure import CompactFrame, PairFrame, buildFrame
+from diracforge.structure import CompactFrame, buildFrame
+
+from helpers import pBrackets
 
 FRAME_LABELS = ["A1", "A2", "A3", "T1", "T2", "A1xT1", "A1xA1", "A2xT1"]
 
@@ -27,11 +32,11 @@ def test_frame_dimension_and_gram(label):
 
 
 def test_one_frame_per_system():
-    # representations and pair frames of one system share its frame
+    # representations and pairs of one system share its frame
     pair = pairFromLabel("A2:u2")
     fr = buildFrame(pair.g)
     assert buildFrame(pair.g) is fr
-    assert PairFrame(pair).frame is fr
+    assert PairSpinors(pair).frame is fr
     assert buildLieRep(pair.g, (1, 0)).frame is fr
     # the kept frame is the frame a fresh build gives
     fresh = CompactFrame(pair.g)
@@ -137,62 +142,77 @@ def test_cartan_acts_by_root_coordinates():
                                          ("A2:full", 0), ("A3:keep=0,2", 8)])
 def test_pair_frame_split(label, psize):
     pair = pairFromLabel(label)
-    pf = PairFrame(pair)
-    assert len(pf.pIndices) == psize
-    assert len(pf.pIndices) + len(pf.hIndices) == pf.frame.dim
+    sp = PairSpinors(pair)
+    assert len(sp.pIndices) == psize
+    assert len(sp.pIndices) + len(sp.hIndices) == sp.frame.dim
     # p directions are exactly the root pairs listed by the pair
     proots = set(pair.pRoots)
-    for a in pf.pIndices:
-        name = pf.frame.names[a]
+    for a in sp.pIndices:
+        name = sp.frame.names[a]
         assert name[0] in ("A", "B")
         assert name[1] in proots
     # gram is block diagonal across the split, so the inverse of the p
     # gram is the p block of the frame's inverse gram
-    for a in pf.pIndices:
-        for b in pf.hIndices:
-            assert pf.frame.gram[a][b] == 0
-    inv = pf.frame.gramInverse
-    assert [[pf.pGramInverse.get(i, j) for j in range(psize)]
+    for a in sp.pIndices:
+        for b in sp.hIndices:
+            assert sp.frame.gram[a][b] == 0
+    assert sp.pGram == tuple(tuple(sp.frame.gram[a][b] for b in sp.pIndices)
+                             for a in sp.pIndices)
+    inv = sp.frame.gramInverse
+    assert [[sp.pGramInverse.get(i, j) for j in range(psize)]
             for i in range(psize)] \
-        == [[inv.get(a, b) for b in pf.pIndices] for a in pf.pIndices]
+        == [[inv.get(a, b) for b in sp.pIndices] for a in sp.pIndices]
 
 
 @pytest.mark.parametrize("label", ["A1:T", "A2:T", "A2:u2"])
 def test_pair_brackets_are_reductive(label):
-    pair = pairFromLabel(label)
-    pf = PairFrame(pair)
-    np_, nh = len(pf.pIndices), len(pf.hIndices)
-    # [h, p] stays in p: hBracketOnP reproduces the full bracket
-    for hi in range(nh):
-        for j in range(np_):
-            full = pf.frame.bracketCoefficients(pf.hIndices[hi], pf.pIndices[j])
-            onp = pf.hBracketOnP(hi, j)
-            for c in range(pf.frame.dim):
-                if c in pf.pIndices:
-                    assert onp[pf.pIndices.index(c)] == full[c]
-                else:
-                    assert full[c] == 0
+    # [h, p] stays in p: no full bracket of an h and a p direction has a
+    # component outside p
+    sp = PairSpinors(pairFromLabel(label))
+    for a in sp.hIndices:
+        for b in sp.pIndices:
+            full = sp.frame.bracketCoefficients(a, b)
+            assert not any(full[c] for c in sp.hIndices)
 
 
 def test_pair_p_bracket_projection():
     # for the symmetric pairs [p,p] lies in h, so the p projection is zero;
     # for A2:T the projection has honest content
     for label, vanishes in [("A1:T", True), ("A2:u2", True), ("A2:T", False)]:
-        pf = PairFrame(pairFromLabel(label))
-        np_ = len(pf.pIndices)
-        seen = False
-        for i in range(np_):
-            for j in range(np_):
-                if any(pf.pBracketInP(i, j)):
-                    seen = True
+        sp = PairSpinors(pairFromLabel(label))
+        table = pBrackets(sp.frame, sp.pIndices, sp.pIndices)
+        seen = any(any(coef) for row in table for coef in row)
         assert seen != vanishes
 
 
 def test_pair_weights_match_pair_data():
     # each (A, B) root pair carries the positive root, mapped to H coords
     pair = pairFromLabel("A2:u2")
-    pf = PairFrame(pair)
-    weights = sorted(pair.weightToH(pf.frame.names[a][1]) for a in pf.pIndices)
+    sp = PairSpinors(pair)
+    weights = sorted(pair.weightToH(sp.frame.names[a][1]) for a in sp.pIndices)
     expected = sorted(pair.weightToH(r) for r in pair.pRoots for _ in range(2))
     assert weights == expected
     assert set(weights) == {(rat(-1), rat(3)), (rat(1), rat(3))}
+
+
+def test_split_that_is_not_orthogonal_is_refused(monkeypatch):
+    pair = pairFromLabel("A2:u2")
+    fr = buildFrame(pair.g)
+    a = next(i for i, nm in enumerate(fr.names) if nm[1] in pair.pRoots)
+    gram = [list(row) for row in fr.gram]
+    gram[a][0] = gram[0][a] = rat(1)  # direction 0 is iH0, in h
+    monkeypatch.setattr(fr, "gram", tuple(map(tuple, gram)))
+    with pytest.raises(NotOrthogonal,
+                       match="^p and h directions are not form-orthogonal$"):
+        PairSpinors(pair)
+
+
+def test_split_whose_h_leaves_p_is_refused():
+    # p = the root pair of the first positive root of A2 alone: the other
+    # roots then sit in h, and their brackets with p land in h
+    g = systemFromLabel("A2")
+    not_reductive = SimpleNamespace(g=g, pRoots=(g.positiveRoots[0],))
+    with pytest.raises(NotOrthogonal) as err:
+        PairSpinors(not_reductive)
+    assert str(err.value) == ("[h, p] escaped p at directions "
+                              "('A', (1, 1)), ('A', (-1, 2))")
