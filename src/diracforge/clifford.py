@@ -21,22 +21,26 @@ otherwise it is recorded as absent with the obstruction.
 Every module carries its positive Hermitian form (diagonal, rational);
 c(e) is skew-adjoint with respect to it.
 
-spinRepresentation is the one spin map.  On a whole frame it gives the
-spin action ad of Kostant's operator; on a block p of a reductive split
-g = h + p it gives the action on S_p of every frame direction, ad^p for
-p and the spin action of h.  For an equal-rank pair, PairSpinors is the
-one owner of the split, of S_p and of those spin maps; splitCliffordForPair
-adds S_h and the Cl(g)-module S_h (x) S_p on top of it.
+Every module keeps the products gamma_a gamma_b, a < b, that its
+relation check forms.  spinRepresentation is the one spin map, and it
+reads them: each ad(X) is one linear combination of those products and
+the identity, so it multiplies no Clifford matrices of its own.  On a
+whole frame it gives the spin action ad of Kostant's operator; on a
+block p of a reductive split g = h + p it gives the action on S_p of
+every frame direction, ad^p for p and the spin action of h.  For an
+equal-rank pair, PairSpinors is the one owner of the split, of S_p and
+of those spin maps; splitCliffordForPair adds S_h and the Cl(g)-module
+S_h (x) S_p on top of it.
 """
 
+from copy import copy
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 from . import structure as _structure
 from .errors import (TooLarge, CliffordConstructionError,
                      BadStructureConstants, DimensionMismatch, NotOrthogonal)
-from .exactmat import (ExactMatrix, anticommutator, combination, commutator,
-                       contract)
+from .exactmat import ExactMatrix, anticommutator, combination
 from .rationals import coord, rat, ONE, ZERO, exact_sqrt, squarefree_core
 
 
@@ -86,7 +90,8 @@ class CliffordModule:
     size: matrix size; grading: ExactMatrix or None (gradingReason says
     why); form: positive diagonal Hermitian form making every gamma
     skew-adjoint; doubled: True when auxiliary directions were added, each
-    doubling the module.
+    doubling the module; products: {(a, b): gamma_a gamma_b} for a < b,
+    formed by the relation check and read by spinRepresentation.
     """
 
     def __init__(self, gram, gamma, grading, grading_reason, form, doubled):
@@ -104,7 +109,7 @@ class CliffordModule:
         d = self.dim
         ident = ExactMatrix.identity(self.size)
         zero = ExactMatrix.zeros(self.size)
-        failed = _relation_failure(self.gamma, self.gram, self.size)
+        failed, self.products = _relation_products(self.gamma, self.gram)
         if failed is not None:
             raise CliffordConstructionError(
                 "relation failed at directions %d, %d" % failed)
@@ -123,29 +128,35 @@ class CliffordModule:
                 raise CliffordConstructionError("grading eigenspaces unbalanced")
 
     def withGradingSign(self, sign):
+        """The module with its grading times sign.  The gammas, their
+        products and the form are shared, and every check of _check holds
+        for -grading when it holds for grading, so nothing is checked or
+        multiplied again."""
         if self.grading is None:
             raise CliffordConstructionError("module has no grading")
         if sign == 1:
             return self
-        return CliffordModule(self.gram, self.gamma,
-                              self.grading.scale(rat(-1)), self.gradingReason,
-                              self.form, self.doubled)
-
-    def cliffordOf(self, coef):
-        """c(v) for v = sum coef_a e_a over the input directions."""
-        return combination(coef, self.gamma, self.size)
+        flipped = copy(self)
+        flipped.grading = self.grading.scale(rat(-1))
+        return flipped
 
 
-def _relation_failure(gamma, gram, size):
-    """The first (a, b), a <= b, at which gamma_a gamma_b + gamma_b gamma_a
-    differs from -2 gram[a][b], or None when every relation holds."""
-    ident = ExactMatrix.identity(size)
-    for a in range(len(gamma)):
-        for b in range(a, len(gamma)):
-            if anticommutator(gamma[a], gamma[b]) \
-                    != ident.scale(-2 * gram[a][b]):
-                return a, b
-    return None
+def _relation_products(gamma, gram):
+    """(failed, products): products maps each (a, b), a < b, to gamma_a
+    gamma_b, and failed is the first (a, b), a <= b, at which gamma_a
+    gamma_b + gamma_b gamma_a differs from -2 gram[a][b], or None when
+    every relation holds.  The check stops at a failure, so products is
+    complete only when failed is None."""
+    products = {}
+    for a, ga in enumerate(gamma):
+        if (ga * ga).scalar_of_identity() != (-gram[a][a], ZERO):
+            return (a, a), products
+        for b in range(a + 1, len(gamma)):
+            ab = products[a, b] = ga * gamma[b]
+            if (ab + gamma[b] * ga).scalar_of_identity() \
+                    != (-2 * gram[a][b], ZERO):
+                return (a, b), products
+    return None, products
 
 
 def _orthogonalize(gram):
@@ -298,24 +309,38 @@ def _validate_structure(f, gram, jacobi):
     against gram: antisymmetry and invariance of the form, and the Jacobi
     identity when jacobi is true."""
     d = len(f)
+    sparse = [[{e: x for e, x in enumerate(coef) if x} for coef in row]
+              for row in f]
+    # the same brackets as ints over one denominator, for the exact sums
+    # of antisymmetry and Jacobi
+    den = lcm(*(x.denominator for row in sparse for col in row
+                for x in col.values()))
+    table = [[{e: x.numerator * (den // x.denominator) for e, x in col.items()}
+              for col in row] for row in sparse]
+    # f[a][b] = -f[b][a] is one condition per unordered pair
     for a in range(d):
-        for b in range(d):
-            if any(x + y for x, y in zip(f[a][b], f[b][a])):
+        for b in range(a, d):
+            if table[a][b] != {e: -x for e, x in table[b][a].items()}:
                 raise BadStructureConstants("brackets are not antisymmetric")
     # ad[a] has column b = [X_a, X_b]; invariance of the form is
     # <[a,b],c> + <b,[a,c]> = 0, i.e. ad[a] skew-adjoint for the gram
-    ad = [ExactMatrix.from_rows([list(col) for col in f[a]]).transpose()
-          for a in range(d)]
     gram = ExactMatrix.from_rows(gram)
-    for a in range(d):
-        if not ad[a].is_skewadjoint_wrt(gram):
+    for row in sparse:
+        ad = ExactMatrix.from_entries(d, d, {
+            (e, b): x for b, col in enumerate(row) for e, x in col.items()})
+        if not ad.is_skewadjoint_wrt(gram):
             raise BadStructureConstants("form is not invariant")
-    # given antisymmetry, Jacobi is [ad_a, ad_b] = ad_[a,b]
+    # given antisymmetry, the Jacobiator [[a,b],c] + [[b,c],a] + [[c,a],b]
+    # is alternating, so it vanishes once it does for each a < b < c
     if jacobi:
-        for a in range(d):
-            for b in range(a + 1, d):
-                if commutator(ad[a], ad[b]) != combination(f[a][b], ad, d):
-                    raise BadStructureConstants("Jacobi identity fails")
+        for a, b, c in combinations(range(d), 3):
+            acc = {}
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                for k, u in table[x][y].items():
+                    for e, v in table[k][z].items():
+                        acc[e] = acc.get(e, 0) + u * v
+            if any(acc.values()):
+                raise BadStructureConstants("Jacobi identity fails")
 
 
 def spinRepresentation(structure, cl, on=None):
@@ -324,7 +349,10 @@ def spinRepresentation(structure, cl, on=None):
     The contraction runs through the dual frame, reducing to the familiar
     orthonormal-basis formula when G = I; the factor order (Clifford of the
     basis vector first, bracket second) is the one that satisfies
-    [ad(X), c(Y)] = c([X, Y]) under the minus sign convention.
+    [ad(X), c(Y)] = c([X, Y]) under the minus sign convention.  Each ad(X_a)
+    is one combination of the products gamma_b gamma_e, b < e, that cl
+    formed for its relation check, and of the identity (_spin_terms),
+    so the spin map multiplies no Clifford matrices of its own.
 
     With on, the indices of a block p of structure's directions that is
     orthogonal to the rest, cl is a module over p alone and b, c run over
@@ -345,11 +373,19 @@ def spinRepresentation(structure, cl, on=None):
     if on is not None:
         f = _projected(structure, f, on)
         gram = [[gram[a][b] for b in on] for a in on]
-        # p is orthogonal to the rest, so its dual frame is read off G^-1
-        ginv = ExactMatrix.from_rows([[ginv.get(a, b) for b in on]
-                                      for a in on])
     _validate_structure([f[a] for a in block], gram, jacobi=on is None)
-    return [_spin_of(brackets, cl, ginv) for brackets in f]
+    # the non-zero (G^-1)_{bc} of each c; p is orthogonal to the rest, so
+    # its dual frame is read off G^-1
+    inv = ginv.nonzero()
+    dual = [[(j, inv[b, c][0]) for j, b in enumerate(block) if (b, c) in inv]
+            for c in block]
+    ident = ExactMatrix.identity(cl.size)
+    out = []
+    for brackets in f:
+        terms, scalar = _spin_terms(brackets, dual, cl.gram)
+        out.append(combination([*terms.values(), scalar],
+                               [*map(cl.products.get, terms), ident], cl.size))
+    return out
 
 
 def _projected(structure, f, on):
@@ -362,17 +398,42 @@ def _projected(structure, f, on):
             continue
         for j, coef in enumerate(row):
             if any(co for c, co in enumerate(coef) if c not in inside):
-                raise NotOrthogonal("[h, p] escaped p at directions %s, %s"
-                                    % (structure.names[a],
-                                       structure.names[on[j]]))
+                raise NotOrthogonal(
+                    "[h, p] escaped p at directions %s, %s"
+                    % (_structure._direction_str(structure.names[a]),
+                       _structure._direction_str(structure.names[on[j]])))
     return [[tuple(coef[c] for c in on) for coef in row] for row in f]
 
 
-def _spin_of(brackets, cl, ginv):
-    """(1/4) sum_{b,c} (G^-1)_{bc} c(X_b) c([X, X_c]), where brackets[c]
-    holds the coefficients of [X, X_c] over the directions of cl."""
-    cbr = [cl.cliffordOf(br) for br in brackets]
-    return contract(cl.gamma, cbr, ginv, cl.size).scale(rat(1, 4))
+def _spin_terms(brackets, dual, gram):
+    """The spin action of X as ({(b, e): coefficient of the product gamma_b
+    gamma_e, b < e}, coefficient of the identity), where brackets[c] holds
+    the coefficients of [X, X_c] and dual[c] the non-zero (b, (G^-1)_{bc}).
+    (1/4) sum_{b,c} (G^-1)_{bc} c(X_b) c([X, X_c]) is sum_{b,e} m_be gamma_b
+    gamma_e with m = (1/4) G^-1 F, F's row c being brackets[c]; the terms
+    with b > e and b = e fold into the pairs and the identity through
+    gamma_e gamma_b = -gamma_b gamma_e - 2 G_be and gamma_b^2 = -G_bb, gram
+    being the module's G.  (For an invariant form m is antisymmetric, so
+    the b = e terms vanish; the fold does not rely on it.)"""
+    m = {}
+    for c, coef in enumerate(brackets):
+        for e, x in enumerate(coef):
+            if x:
+                for b, w in dual[c]:
+                    m[b, e] = m.get((b, e), 0) + w * x
+    terms = {}
+    scalar = ZERO
+    for (b, e), x in m.items():
+        if b < e:
+            terms[b, e] = terms.get((b, e), 0) + x
+        elif b > e:
+            terms[e, b] = terms.get((e, b), 0) - x
+            scalar -= 2 * x * gram[b][e]
+        else:
+            scalar -= x * gram[b][b]
+    quarter = rat(1, 4)
+    return ({pair: quarter * x for pair, x in terms.items() if x},
+            quarter * scalar)
 
 
 # ---------------------------------------------------------------- pair split
@@ -469,7 +530,7 @@ class SpinorEmbedding:
             gammas[a] = id_h.kron(s_p.gamma[local])
         self.gammaFull = tuple(gammas)
         self.size = s_h.size * s_p.size
-        if _relation_failure(gammas, self.gramFull, self.size) is not None:
+        if _relation_products(gammas, self.gramFull)[0] is not None:
             raise CliffordConstructionError(
                 "tensor model broke a Clifford relation")
 

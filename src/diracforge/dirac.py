@@ -13,11 +13,11 @@ such.  The full operator satisfies D^2 = Cas_V + |rho|^2 with the Casimir
 acting through pi alone; the report of verifyKostantIdentity audits this
 against the tensor-diagonal reading of the Casimir and against the two
 candidate values for the affine constant (they agree by the strange
-formula, which is part of the audit's point).  With delta_a = pi_a (x) 1 +
-1 (x) ad_a and G^-1 symmetric, the tensor-diagonal Casimir
--sum (G^-1)_{ab} delta_a delta_b is read expanded, as
-Cas_V (x) 1 - 1 (x) sum (G^-1)_{ab} ad_a ad_b - 2 sum_a pi_a (x) ad^a
-with ad^a = sum_b (G^-1)_{ab} ad_b, so no product is formed on V (x) S.
+formula, which is part of the audit's point).  Once D^2 = c I is proved,
+both readings come from c and characters, not matrices: V is irreducible,
+so the pi-only one is c - <lam, lam + 2 rho>, and S is a sum of copies of
+V_rho (Kostant), so the tensor-diagonal one is c - <nu, nu + 2 rho> when
+every summand nu of V_lam (x) V_rho shares that value, else a failure.
 
 What does not depend on lambda is built once per request and kept on the
 object it belongs to: the frame on its system (structure.buildFrame), the
@@ -32,8 +32,11 @@ V (x) S_p, as in Cl(g) = Cl(h) (x) Cl(p), and never builds S_h.
 """
 
 import itertools
+from operator import add
 
-from .characters import FormalCharacter, decomposeCharacter, weylDimension
+from .characters import (FormalCharacter, _check_summands, _dimension,
+                         _freudenthal, _straighten, decomposeCharacter,
+                         weylDimension)
 from .clifford import PairSpinors, spinRepresentation
 from .errors import (DimensionMismatch, DiracforgeError, NotScalar,
                      SpectralMismatch, TooLarge)
@@ -110,22 +113,19 @@ def _frame_spin(frame, cl):
     return kept[1]
 
 
-def _pi_dual(pi, mats, ginv, dim_v, size):
-    """sum_a pi_a (x) sum_b (G^-1)_{ab} mats_b on V (x) S, where V and S
-    have dimensions dim_v and size."""
-    out = ExactMatrix.zeros(dim_v * size)
-    for a, p in enumerate(pi):
-        row = [x for x, _ in ginv.row(a)]
-        out = out + p.kron(combination(row, mats, size))
-    return out
-
-
 def _assemble(pi, cl, ginv, ads, q, idv):
     """sum_a pi_a (x) c^a + idv (x) q sum_a ad_a c^a, with the dual gammas
-    c^a = sum_b (G^-1)_{ab} c(X_b); the spin part is summed in S and
-    tensored once."""
-    spin = contract(ads, cl.gamma, ginv, cl.size).scale(q)
-    return _pi_dual(pi, cl.gamma, ginv, idv.nrows, cl.size) + idv.kron(spin)
+    c^a = sum_b (G^-1)_{ab} c(X_b) formed once; the spin part is summed in
+    S and tensored once, and the terms on V (x) S are summed by one
+    combination."""
+    size = cl.size
+    duals = [combination([x for x, _ in ginv.row(a)], cl.gamma, size)
+             for a in range(len(pi))]
+    spin = combination([q] * len(ads), [ad * c for ad, c in zip(ads, duals)],
+                       size)
+    terms = [p.kron(c) for p, c in zip(pi, duals)]
+    terms.append(idv.kron(spin))
+    return combination([1] * len(terms), terms, idv.nrows * size)
 
 
 def piCasimir(rep):
@@ -161,15 +161,22 @@ def _adjoint_trace_24th(rs):
     return kept
 
 
-def _tensor_diagonal_casimir(rep, ads, cas_v, size):
-    """-sum (G^-1)_{ab} delta_a delta_b with delta_a = pi_a (x) 1 + 1 (x)
-    ad_a, read expanded as in the module docstring; cas_v = piCasimir(rep)
-    and the spin map ads acts on spinors of dimension size."""
-    ginv = rep.frame.gramInverse
-    idv = ExactMatrix.identity(rep.dimension)
-    cross = _pi_dual(rep.pi, ads, ginv, rep.dimension, size)
-    return cas_v.kron(ExactMatrix.identity(size)) \
-        - idv.kron(contract(ads, ads, ginv, size)) - cross.scale(2)
+def _tensor_diagonal_constant(rs, lam, scalar, rho2):
+    """scalar minus the Casimir |nu + rho|^2 - |rho|^2 that every summand
+    nu of V_lam (x) V_rho shares, or None when they do not share one: the
+    tensor-diagonal Casimir acts on V (x) S as on V_lam (x) V_rho.  The
+    summands are the straightening of {lam + rho + v : m_rho(v)}, with
+    ch V_rho from Freudenthal in memory (Brauer-Klimyk)."""
+    rho = rs.rho
+    weights = _freudenthal(rs, rho)
+    top = tuple(map(add, lam, rho))
+    dec = _straighten(rs, {tuple(map(add, top, v)): m
+                           for v, m in weights.items()})
+    _check_summands(rs, dec, _dimension(rs, lam) * sum(weights.values()),
+                    "tensor product")
+    norms = {rs.innerProduct(s, s) for s in (tuple(map(add, nu, rho))
+                                             for nu in dec)}
+    return scalar - (norms.pop() - rho2) if len(norms) == 1 else None
 
 
 def verifyKostantIdentity(rep, cl):
@@ -177,32 +184,25 @@ def verifyKostantIdentity(rep, cl):
 
     Hard-fails (NotScalar) unless D^2 is an exact scalar; reports the
     scalar against |lam + rho|^2 and audits the affine constant under the
-    pi-only and tensor-diagonal Casimir readings."""
+    pi-only and tensor-diagonal Casimir readings, both read off the scalar
+    and characters: no matrix is built after the scalar test."""
     rs = rep.system
-    op = cubicDirac(rep, cl, rat(1, 3))
-    sq = op.square()
-    scalar = _scalar_of(sq)
+    scalar = _scalar_of(cubicDirac(rep, cl, rat(1, 3)).square())
     if scalar is None:
         raise NotScalar("D^2 is not scalar for lambda = (%s)"
                         % weightString(rep.lam))
     shifted = tuple(l + r for l, r in zip(rep.lam, rs.rho))
     expected = rs.innerProduct(shifted, shifted)
-
-    cas_v = piCasimir(rep)
-    pi_only = sq - cas_v.kron(ExactMatrix.identity(cl.size))
-    pi_const = _scalar_of(pi_only)
-
-    diag_cas = _tensor_diagonal_casimir(rep, op.meta["spin"], cas_v, cl.size)
-    diag_const = _scalar_of(sq - diag_cas)
-
     trace_24th, rho2 = _adjoint_trace_24th(rs)
-    empirical = pi_const if pi_const is not None else diag_const
+    # V is irreducible (_verify_rep checked it against Freudenthal), so
+    # pi's Casimir is |lam + rho|^2 - |rho|^2
+    pi_const = scalar - (expected - rho2)
+    diag_const = _tensor_diagonal_constant(rs, rep.lam, scalar, rho2)
     matched = []
-    if empirical is not None:
-        if empirical == rho2:
-            matched.append("rhoNormSquared")
-        if empirical == trace_24th:
-            matched.append("twelfthAdjointTrace")
+    if pi_const == rho2:
+        matched.append("rhoNormSquared")
+    if pi_const == trace_24th:
+        matched.append("twelfthAdjointTrace")
     return {
         "isScalarPerIsotypic": True,
         "scalars": {weightString(rep.lam): rat_str(scalar)},
@@ -210,7 +210,7 @@ def verifyKostantIdentity(rep, cl):
         "expected": expected,
         "scalarMatches": scalar == expected,
         "readings": {
-            "piOnly": rat_str(pi_const) if pi_const is not None else "failure",
+            "piOnly": rat_str(pi_const),
             "tensorDiagonal": rat_str(diag_const)
                               if diag_const is not None else "failure",
         },
@@ -218,8 +218,7 @@ def verifyKostantIdentity(rep, cl):
             "rhoNormSquared": rat_str(rho2),
             "twelfthAdjointTrace": rat_str(trace_24th),
         },
-        "affineConstant": rat_str(empirical)
-                          if empirical is not None else "failure",
+        "affineConstant": rat_str(pi_const),
         "matchedCandidates": matched,
     }
 

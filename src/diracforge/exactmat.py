@@ -30,10 +30,11 @@ matrix from ``inverse`` to the sum that reads it.  Cliffords of a vector,
 dual gammas, the Casimir, the spin map and the Dirac assembly are all
 built from them.
 
-Checks are matrix identities here as well.  Structure constants pass when
-each ad_a is skew-adjoint for the gram and [ad_a, ad_b] = ad_[a,b]; a toric
-vertex is unimodular when the inverse of its normals is integral; and the
-gram a subgroup inherits is the one product toG^T G toG.
+Checks are matrix identities here as well.  A form is invariant for
+structure constants when each ad_a is skew-adjoint for the gram; a frame
+closes when its coefficients times the frame give its commutators back; a
+toric vertex is unimodular when the inverse of its normals is integral;
+and the gram a subgroup inherits is the one product toG^T G toG.
 
 Adjointness is always relative to an explicitly recorded Hermitian form S:
 ``A`` is skew-adjoint for S when  A^H S + S A = 0  and self-adjoint when
@@ -151,7 +152,8 @@ def _axpy(acc, a, s):
 def _pruned(acc):
     out = {}
     for i, row in acc.items():
-        row = {j: v for j, v in row.items() if v}
+        if 0 in row.values():
+            row = {j: v for j, v in row.items() if v}
         if row:
             out[i] = row
     return out
@@ -379,6 +381,18 @@ class ExactMatrix:
     def row(self, i):
         return [self.get(i, j) for j in range(self.ncols)]
 
+    def nonzero(self):
+        """{(i, j): (re, im)} for the non-zero entries, in no particular
+        order."""
+        den = self.den
+        out = {(i, j): (Fraction(v, den), ZERO)
+               for i, row in self.re.items() for j, v in row.items()}
+        for i, row in self.im.items():
+            for j, v in row.items():
+                re = out[i, j][0] if (i, j) in out else ZERO
+                out[i, j] = (re, Fraction(v, den))
+        return out
+
     # -- structure ------------------------------------------------------
 
     def is_zero(self):
@@ -526,12 +540,15 @@ class ExactMatrix:
                      for part in (self.re, self.im))
 
     # -- adjointness w.r.t. a Hermitian form ---------------------------
+    # A^H S = (S A)^H for S = S^H, so each test forms the one product S A
 
     def is_skewadjoint_wrt(self, form):
-        return (self.ctranspose() * form + form * self).is_zero()
+        sa = form * self
+        return sa.ctranspose() == -sa
 
     def is_selfadjoint_wrt(self, form):
-        return self.ctranspose() * form == form * self
+        sa = form * self
+        return sa.ctranspose() == sa
 
     # -- elimination ----------------------------------------------------
 

@@ -59,7 +59,7 @@ class CompactFrame:
         self.system = rs
         self._build_directions()
         self._build_gram()
-        self._bracket_cache = {}
+        self._brackets = None
 
     # ------------------------------------------------------------ directions
 
@@ -191,33 +191,46 @@ class CompactFrame:
 
     def bracketCoefficients(self, a, b):
         """[u_a, u_b] expanded over the frame, via the dual frame."""
-        key = (a, b)
-        hit = self._bracket_cache.get(key)
-        if hit is not None:
-            return hit
-        if a == b:
-            coef = (ZERO,) * self.dim
-            self._bracket_cache[key] = coef
-            return coef
-        if (b, a) in self._bracket_cache:
-            coef = tuple(-c for c in self._bracket_cache[(b, a)])
-            self._bracket_cache[key] = coef
-            return coef
-        m = commutator(self.matrices[a], self.matrices[b])
-        coords = self._dual * m.reshape(self.matrixSize ** 2, 1)
-        coef = tuple(coords.get(c, 0)[0] for c in range(self.dim))
-        # the frame must close: reconstruct and compare exactly
-        if combination(coef, self.matrices, self.matrixSize) != m:
+        if self._brackets is None:
+            self._brackets = self._bracket_table()
+        return self._brackets[a][b]
+
+    def _bracket_table(self):
+        """Every [u_a, u_b] over the frame, from three products.  Read
+        row-major, ad(u_a) acts as u_a (x) 1 - 1 (x) u_a^T, so one product
+        gives every commutator, one row per (b, a) after a reshape; the
+        dual frame expands them all at once; and the frame must close: the
+        real coefficients times the frame give the commutators back
+        exactly."""
+        d, n = self.dim, self.matrixSize
+        n2 = n * n
+        rows = ExactMatrix.vstack([x.reshape(1, n2) for x in self.matrices],
+                                  n2)
+        ident = ExactMatrix.identity(n)
+        ads = ExactMatrix.vstack([x.kron(ident) - ident.kron(x.transpose())
+                                  for x in self.matrices], n2)
+        # row b * d + a: [u_a, u_b] read row-major
+        comms = (ads * rows.transpose()).transpose().reshape(d * d, n2)
+        real = {key: z[0] for key, z in
+                (comms * self._dual.transpose()).nonzero().items() if z[0]}
+        table = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
+        for (i, c), x in real.items():
+            table[i % d][i // d][c] = x
+        table = [[tuple(coef) for coef in row] for row in table]
+        if ExactMatrix.from_entries(d * d, d, real) * rows != comms:
+            a, b = next((a, b) for a, row in enumerate(table)
+                        for b, coef in enumerate(row)
+                        if combination(coef, self.matrices, n) != commutator(
+                            self.matrices[a], self.matrices[b]))
             raise BadStructureConstants(
                 "bracket of %s and %s left the frame span"
                 % (self.names[a], self.names[b]))
-        self._bracket_cache[key] = coef
-        return coef
+        return table
 
 
 def buildFrame(rs):
     """The frame of rs, built once and kept on rs: every representation
-    and pair of the system shares it and its bracket cache."""
+    and pair of the system shares it and its bracket table."""
     frame = getattr(rs, "_frame", None)
     if frame is None:
         frame = rs._frame = CompactFrame(rs)

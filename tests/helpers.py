@@ -15,6 +15,12 @@
   for the straightening (``characters._straighten``) behind
   ``decomposeCharacter``, ``tensorDecompose`` and ``restrictCharacter``,
   in answer, order, error type and message;
+- ``tensorDiagonalCasimir`` is -sum (G^-1)_{ab} delta_a delta_b on V (x)
+  S, delta_a = pi_a (x) 1 + 1 (x) ad_a, as matrices: the oracle for the
+  tensor-diagonal reading that ``dirac.verifyKostantIdentity`` takes from
+  characters, as ``dirac.piCasimir`` is for the pi-only one;
+- ``FRAME_CASES`` are the frame modules the Clifford and spin-map tests
+  run on, with their size, doubling and grading;
 - ``refSpin`` is the spin map as the double sum over (G^-1)_{bc}, one
   term at a time, on bracket rows from ``pBrackets``: the brackets of
   frame directions with p from ``CompactFrame.bracketCoefficients``, cut
@@ -54,7 +60,7 @@ from diracforge.clifford import buildCliffordFrame
 from diracforge.dirac import _scalar_of, cubicDirac
 from diracforge.errors import (BadStructureConstants, DiracforgeError,
                                NonGenericPolarization)
-from diracforge.exactmat import ExactMatrix
+from diracforge.exactmat import ExactMatrix, combination, contract
 from diracforge.liecore import _cartan_block, _half_lengths, weightString
 from diracforge.rationals import ZERO, rat, rat_str
 
@@ -82,6 +88,45 @@ def commutantDimension(cl):
     stacked = ExactMatrix.vstack([g.kron(ident) - ident.kron(g.transpose())
                                   for g in cl.gamma], n * n)
     return stacked.nullspace().ncols
+
+
+FRAME_CASES = [
+    # label, size, doubled, graded
+    ("A1", 4, True, False),
+    ("A2", 16, False, False),
+    ("A1xA1", 8, False, True),
+    ("A1xT1", 4, False, False),
+    ("A1xT2", 8, True, False),
+    ("A1xT3", 8, False, False),
+    ("A2xT2", 32, False, False),
+    ("A1xA1xT1", 8, False, False),
+    ("A1xA2", 64, True, False),
+    ("A1xA1xA1", 32, True, False),
+    ("T2", 2, False, True),
+    ("T3", 2, False, False),
+    # three unpaired norm classes (1, 2 and 6): a mixed block and an
+    # auxiliary one
+    ("A2xT1", 32, True, False),
+    # classes 1 and 6 with no conic point found: the square norm takes
+    # the parity slot and the other an auxiliary block
+    ("A2xA1xT1", 64, True, False),
+]
+
+
+def tensorDiagonalCasimir(rep, ads, cas_v, size):
+    """-sum (G^-1)_{ab} delta_a delta_b with delta_a = pi_a (x) 1 + 1 (x)
+    ad_a, read expanded with G^-1 symmetric as Cas_V (x) 1 - 1 (x)
+    sum (G^-1)_{ab} ad_a ad_b - 2 sum_a pi_a (x) ad^a, where ad^a =
+    sum_b (G^-1)_{ab} ad_b; cas_v = piCasimir(rep) and the spin map ads
+    acts on spinors of dimension size."""
+    ginv = rep.frame.gramInverse
+    idv = ExactMatrix.identity(rep.dimension)
+    cross = ExactMatrix.zeros(rep.dimension * size)
+    for a, p in enumerate(rep.pi):
+        row = [x for x, _ in ginv.row(a)]
+        cross = cross + p.kron(combination(row, ads, size))
+    return cas_v.kron(ExactMatrix.identity(size)) \
+        - idv.kron(contract(ads, ads, ginv, size)) - cross.scale(2)
 
 
 def refCliffordOf(coef, gamma, size):

@@ -7,8 +7,6 @@ tolerances to tune.
 
 import random
 
-import pytest
-
 from diracforge.characters import (ConeSeries, FormalCharacter,
                                    characterToSeries)
 from diracforge.clifford import buildCliffordFrame

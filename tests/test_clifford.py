@@ -13,8 +13,9 @@ from diracforge.liecore import pairFromLabel, systemFromLabel
 from diracforge.rationals import ZERO, rat
 from diracforge.structure import buildFrame
 
-from helpers import (RawStructure, buildClifford, commutantDimension,
-                     pBrackets, pairSpins, spinorWeights)
+from helpers import (FRAME_CASES, RawStructure, buildClifford,
+                     commutantDimension, pBrackets, pairSpins, refCliffordOf,
+                     refSpin, spinorWeights)
 
 
 def frame_module(label):
@@ -68,35 +69,25 @@ def test_commutant_is_scalars():
 
 # ----------------------------------------------------------- frame modules
 
-FRAME_CASES = [
-    # label, size, doubled, graded
-    ("A1", 4, True, False),
-    ("A2", 16, False, False),
-    ("A1xA1", 8, False, True),
-    ("A1xT1", 4, False, False),
-    ("A1xT2", 8, True, False),
-    ("A1xT3", 8, False, False),
-    ("A2xT2", 32, False, False),
-    ("A1xA1xT1", 8, False, False),
-    ("A1xA2", 64, True, False),
-    ("A1xA1xA1", 32, True, False),
-    ("T2", 2, False, True),
-    ("T3", 2, False, False),
-    # three unpaired norm classes (1, 2 and 6): a mixed block and an
-    # auxiliary one
-    ("A2xT1", 32, True, False),
-    # classes 1 and 6 with no conic point found: the square norm takes
-    # the parity slot and the other an auxiliary block
-    ("A2xA1xT1", 64, True, False),
-]
-
-
 @pytest.mark.parametrize("label,size,doubled,graded", FRAME_CASES)
 def test_frame_module_shapes(label, size, doubled, graded):
     fr, cl = frame_module(label)
     assert cl.size == size
     assert cl.doubled is doubled
     assert (cl.grading is not None) is graded
+
+
+@pytest.mark.parametrize("label", [case[0] for case in FRAME_CASES])
+def test_spin_map_reads_the_module_products(label):
+    # the module keeps gamma_a gamma_b, a < b, from its relation check; the
+    # spin map combines them and must equal the double sum term by term
+    fr, cl = frame_module(label)
+    assert cl.products == {(a, b): cl.gamma[a] * cl.gamma[b]
+                           for a in range(fr.dim) for b in range(a + 1, fr.dim)}
+    brackets = [[fr.bracketCoefficients(a, c) for c in range(fr.dim)]
+                for a in range(fr.dim)]
+    assert spinRepresentation(fr, cl) \
+        == refSpin(brackets, cl.gamma, fr.gramInverse, cl.size)
 
 
 def test_su3_grading_obstruction_names_class():
@@ -191,6 +182,15 @@ def test_wrong_gamma_names_the_failed_relation():
                        cl.doubled)
 
 
+def test_wrong_square_names_its_direction():
+    cl = buildClifford(3)
+    gamma = (cl.gamma[0], cl.gamma[1].scale(2), cl.gamma[2])
+    with pytest.raises(CliffordConstructionError,
+                       match="^relation failed at directions 1, 1$"):
+        CliffordModule(cl.gram, gamma, cl.grading, cl.gradingReason, cl.form,
+                       cl.doubled)
+
+
 def test_unpaired_classes_without_a_conic_point_are_doubled():
     # 6X^2 + 9Y^2 = 5Z^2 has no non-zero solution, so the bounded search
     # finds no mixed block; neither norm is a square, so each direction
@@ -235,7 +235,8 @@ def check_equivariance(structure, cl):
     for a in range(structure.dim):
         for b in range(structure.dim):
             assert commutator(ads[a], cl.gamma[b]) \
-                == cl.cliffordOf(structure.bracketCoefficients(a, b))
+                == refCliffordOf(structure.bracketCoefficients(a, b),
+                                 cl.gamma, cl.size)
     return ads
 
 
@@ -280,6 +281,24 @@ def test_spin_rep_from_raw_structure():
         == ExactMatrix.identity(cl.size).scale(rat(3, 2))
 
 
+def test_spin_rep_on_a_skew_basis():
+    # su(2) on u0 = e0, u1 = e1, u2 = e0 + e2, where [e0, e1] = e2 and
+    # cyclically: the gram couples u0 and u2, so the spin map folds terms
+    # gamma_2 gamma_0 into gamma_0 gamma_2 and the identity
+    gram = [[1, 0, 1], [0, 1, 0], [1, 0, 2]]
+    upper = {(0, 1): (-1, 0, 1), (0, 2): (0, -1, 0), (1, 2): (2, 0, -1)}
+    f = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for (a, b), coef in upper.items():
+        f[a][b] = list(coef)
+        f[b][a] = [-x for x in coef]
+    st = RawStructure(gram, f)
+    cl = buildCliffordFrame(st.gram)
+    ads = check_equivariance(st, cl)
+    assert ads == refSpin(st._f, cl.gamma, st.gramInverse, cl.size)
+    assert spin_casimir(st, ads, cl.size) \
+        == ExactMatrix.identity(cl.size).scale(rat(3, 4))
+
+
 def test_singular_raw_gram_rejected():
     gram = [[rat(1), rat(1)], [rat(1), rat(1)]]
     f = [[[ZERO, ZERO], [ZERO, ZERO]], [[ZERO, ZERO], [ZERO, ZERO]]]
@@ -293,6 +312,19 @@ def test_bad_structure_rejected():
     cl = buildCliffordFrame(gram)
     with pytest.raises(BadStructureConstants):
         spinRepresentation(RawStructure(gram, f), cl)  # not antisymmetric
+
+
+@pytest.mark.parametrize("a,b", [(0, 3), (3, 0), (2, 3), (7, 6), (5, 5)],
+                         ids=["a<b", "a>b", "a<b-roots", "a>b-roots", "a=b"])
+def test_antisymmetry_broken_at_one_ordered_pair_is_found(a, b):
+    # only f[a][b] changes, so the pair is caught from either side
+    fr = buildFrame(systemFromLabel("A2"))
+    f = [[list(fr.bracketCoefficients(x, y)) for y in range(fr.dim)]
+         for x in range(fr.dim)]
+    f[a][b][0] += 1
+    with pytest.raises(BadStructureConstants,
+                       match="^brackets are not antisymmetric$"):
+        _validate_structure(f, fr.gram, jacobi=True)
 
 
 def totally_antisymmetric(d, triples):
@@ -379,7 +411,8 @@ def test_spinor_weights_are_half_sums():
     assert set(ws) == expected
 
 
-@pytest.mark.parametrize("label", ["A1:T", "A2:T", "A2:u2", "A2:full"])
+@pytest.mark.parametrize("label", ["A1:T", "A2:T", "A2:u2", "A2:full",
+                                   "A1:full", "A1xT1:T", "A1xT2:T", "A3:T"])
 def test_pair_spinors_match_the_per_call_route(label):
     # what a pair keeps for every lambda is what one call per lambda built
     pair = pairFromLabel(label)
@@ -450,7 +483,8 @@ def test_h_spin_action_is_equivariant_for_p_cliffords():
     table = pBrackets(sp.frame, sp.hIndices, sp.pIndices)
     for act, brackets in zip(sp.hSpin, table):
         for j, br in enumerate(brackets):
-            assert commutator(act, s_p.gamma[j]) == s_p.cliffordOf(br)
+            assert commutator(act, s_p.gamma[j]) \
+                == refCliffordOf(br, s_p.gamma, s_p.size)
         assert act.is_skewadjoint_wrt(s_p.form)
         # h acts evenly: the grading is h invariant
         assert commutator(act, s_p.grading) == ExactMatrix.zeros(s_p.size)

@@ -14,7 +14,7 @@ from diracforge.dirac import (BadOperator, DiracOperator, RelativePieces,
 from diracforge.errors import DimensionMismatch, SpectralMismatch, TooLarge
 from diracforge.exactmat import ExactMatrix
 from diracforge.liecore import pairFromLabel, systemFromLabel
-from diracforge.rationals import ZERO, rat
+from diracforge.rationals import rat
 from diracforge.reps import buildLieRep
 
 from helpers import buildClifford, qSweepReport

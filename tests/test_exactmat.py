@@ -144,6 +144,36 @@ def test_from_entries_equals_from_rows(seed):
         ExactMatrix.from_entries(2, 3, {(0, 3): 1})
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_nonzero_lists_every_nonzero_entry(seed):
+    # the entries get reads, without the zeros; from_entries rebuilds the
+    # matrix from them
+    for rng, n, m, kind, fill, small in cases(seed):
+        mat = build(n, m, dense(rng, n, m, kind, fill, small))
+        want = {(i, j): mat.get(i, j) for i in range(n) for j in range(m)
+                if mat.get(i, j) != (ZERO, ZERO)}
+        assert mat.nonzero() == want
+        assert ExactMatrix.from_entries(n, m, mat.nonzero()) == mat
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_adjointness_matches_its_definition(seed):
+    # for a Hermitian S: skew-adjoint when A^H S + S A = 0, self-adjoint
+    # when A^H S = S A; the parts A -+ S^-1 A^H S hit both answers
+    rng = random.Random(seed)
+    for n in (1, 3, 6):
+        b = build(n, n, dense(rng, n, n, "mixed", 0.5))
+        s = b.ctranspose() * b + ExactMatrix.identity(n)
+        a = build(n, n, dense(rng, n, n, rng.choice(KINDS), 0.5, True))
+        back = s.inverse() * a.ctranspose() * s
+        for m in (a, a - back, a + back):
+            assert m.is_skewadjoint_wrt(s) \
+                == (m.ctranspose() * s + s * m).is_zero()
+            assert m.is_selfadjoint_wrt(s) == (m.ctranspose() * s == s * m)
+        assert (a - back).is_skewadjoint_wrt(s)
+        assert (a + back).is_selfadjoint_wrt(s)
+
+
 def test_add_cancels_to_an_empty_row():
     a = ExactMatrix.from_rows([[1, (2, 1)], [3, 0]])
     b = ExactMatrix.from_rows([[-1, (-2, -1)], [0, 5]])

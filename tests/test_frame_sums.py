@@ -8,21 +8,25 @@ as a double sum over (G^-1)_{bc} (``helpers.refSpin``, and
 ``helpers.pairSpins`` on the p block of a pair), and the tensor-diagonal
 Casimir as d^2 products of the n x n matrices
 delta_a = pi_a (x) 1 + 1 (x) ad_a.  The package's operators must equal
-them as matrices, not only in their readings.
+them as matrices, not only in their readings.  The Kostant report reads
+its two Casimir readings off the scalar and characters; they must equal
+the readings of the matrices ``piCasimir`` and
+``helpers.tensorDiagonalCasimir``.
 """
 
 import pytest
 
-from diracforge import dirac
-from diracforge.clifford import buildCliffordFrame, spinRepresentation
-from diracforge.dirac import (RelativePieces, cubicDirac, piCasimir,
-                              relativeCubicDirac)
+from diracforge.clifford import (buildCliffordFrame, frameClifford,
+                                 spinRepresentation)
+from diracforge.dirac import (RelativePieces, _scalar_of, cubicDirac,
+                              piCasimir, relativeCubicDirac,
+                              verifyKostantIdentity)
 from diracforge.exactmat import ExactMatrix, combination, contract
 from diracforge.liecore import pairFromLabel, systemFromLabel
-from diracforge.rationals import ZERO, rat
+from diracforge.rationals import ZERO, rat, rat_str
 from diracforge.reps import buildLieRep
 
-from helpers import pairSpins, refSpin
+from helpers import FRAME_CASES, pairSpins, refSpin, tensorDiagonalCasimir
 
 KOSTANT_CASES = [
     ("A1", (0,)), ("A1", (1,)),
@@ -114,8 +118,40 @@ def test_cubic_dirac_matches_per_direction_assembly(case):
 def test_tensor_diagonal_casimir_matches_products(case):
     rep, cl = build(*case)
     ads = frame_spin(rep, cl)
-    got = dirac._tensor_diagonal_casimir(rep, ads, piCasimir(rep), cl.size)
+    got = tensorDiagonalCasimir(rep, ads, piCasimir(rep), cl.size)
     assert got == ref_tensor_diagonal_casimir(rep, ads, cl.size)
+
+
+def reading(mat):
+    """The report's spelling of mat's scalar: "failure" unless mat is a
+    real multiple of the identity."""
+    z = _scalar_of(mat)
+    return "failure" if z is None else rat_str(z)
+
+
+def nonzero_weight(rs):
+    """1 at the last simple coordinate, or at the first torus one."""
+    lam = [0] * rs.rank
+    lam[(rs.simple_positions or [0])[-1]] = 1
+    return tuple(lam)
+
+
+@pytest.mark.parametrize("label", [case[0] for case in FRAME_CASES])
+def test_audit_readings_match_the_matrix_readings(label):
+    # the report reads both from the scalar and characters; here they are
+    # read off D^2 minus each Casimir as a matrix on V (x) S
+    rs = systemFromLabel(label)
+    for lam in ((0,) * rs.rank, nonzero_weight(rs)):
+        rep = buildLieRep(rs, lam)
+        cl = frameClifford(rep.frame)
+        sq = cubicDirac(rep, cl, rat(1, 3)).square()
+        cas_v = piCasimir(rep)
+        diag = tensorDiagonalCasimir(rep, spinRepresentation(rep.frame, cl),
+                                     cas_v, cl.size)
+        want = {"piOnly": reading(sq - cas_v.kron(
+                    ExactMatrix.identity(cl.size))),
+                "tensorDiagonal": reading(sq - diag)}
+        assert verifyKostantIdentity(rep, cl)["readings"] == want
 
 
 @pytest.mark.parametrize("case", KOSTANT_CASES, ids=case_id)

@@ -1,5 +1,6 @@
-"""Every module-level import of the package binds a name its module uses,
-and every module-level definition is used somewhere in the package.
+"""Every module-level import of the package and of the tests binds a name
+its module uses, and every module-level definition is used somewhere in
+the package.
 
 ``__init__.py`` is left out of the import check: its imports are the
 package's re-exports, and they count as uses for the definition check.
@@ -14,12 +15,14 @@ import diracforge
 
 SOURCES = sorted(pathlib.Path(diracforge.__file__).parent.glob("*.py"))
 MODULES = [path for path in SOURCES if path.name != "__init__.py"]
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 # read by perfbench, which lies outside the package: run.py records
-# BACKEND_NAME and RATIONAL_BACKEND, spans.py wraps the dense kernels
+# BACKEND_NAME and RATIONAL_BACKEND, spans.py wraps the dense kernels and
+# piCasimir
 BENCHMARK_READ = {("matops", "BACKEND_NAME"), ("matops", "mul_real"),
                   ("matops", "mul_cplx"), ("matops", "rref_cplx"),
-                  ("rationals", "RATIONAL_BACKEND")}
+                  ("rationals", "RATIONAL_BACKEND"), ("dirac", "piCasimir")}
 
 
 def unused_imports(source):
@@ -37,6 +40,11 @@ def unused_imports(source):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
 def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda path: path.stem)
+def test_no_unused_test_imports(path):
     assert unused_imports(path.read_text()) == []
 
 

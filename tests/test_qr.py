@@ -8,7 +8,7 @@ from diracforge.characters import (ConeSeries, FormalCharacter,
                                    characterToSeries, sumSeries)
 from diracforge.errors import (ConventionMismatch, DiracforgeError,
                                NonGenericDirection, NotDelzant, NotIntegral,
-                               NotPrequantized, QRViolation, SingularShift,
+                               NotPrequantized, SingularShift,
                                UnsupportedType)
 from diracforge.exactmat import ExactMatrix
 from diracforge.liecore import systemFromLabel

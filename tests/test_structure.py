@@ -215,4 +215,4 @@ def test_split_whose_h_leaves_p_is_refused():
     with pytest.raises(NotOrthogonal) as err:
         PairSpinors(not_reductive)
     assert str(err.value) == ("[h, p] escaped p at directions "
-                              "('A', (1, 1)), ('A', (-1, 2))")
+                              "A(1,1), A(-1,2)")
