@@ -1,14 +1,16 @@
 """Persistent character cache.
 
 One file per (root system, highest weight lam), two lines of canonical
-JSON.  Line 2 holds the weight multiplicities of V_lam; line 1, the
-header, holds the system key (label and gram fingerprint: subgroup systems
-reuse labels like "A1xT1" with another inner product), lam, ``FORMAT`` and
-the SHA-256 of line 2.  ``load`` answers only when line 1 is the header
-recomputed from the request and the bytes after it, so a missing, foreign
-or older-format file and any changed byte are misses, and the
-recomputation overwrites the file.  The digest catches accidental damage,
-not an edit that recomputes it.
+JSON.  Line 2, the body, holds the weight multiplicities of V_lam; line
+1, the header, holds the system key (label and gram fingerprint: subgroup
+systems reuse labels like "A1xT1" with another inner product), lam,
+``FORMAT`` and the SHA-256 of line 2.  ``load`` answers only when line 1
+is the header recomputed from the request and the bytes after it, so a
+missing, foreign or older-format file and any changed byte are misses,
+and the recomputation overwrites the file.  The digest catches accidental
+damage, not an edit that recomputes it.  ``load`` and ``store`` answer
+with the body's text, not a parsed dict: ``char`` prints it as it stands
+(see ``cli._dump_json``), and only callers that need weights parse it.
 """
 
 import contextlib
@@ -75,8 +77,8 @@ def _header(key, lam, body):
 
 
 def load(rs, lam):
-    """The entries stored for (rs, lam), or None unless the file's first
-    line is the header of the rest."""
+    """The body stored for (rs, lam), as text without its newline, or None
+    unless the file's first line is the header of the rest."""
     key = system_key(rs)
     try:
         with open(_entry_path(key, lam), "rb") as fh:
@@ -86,14 +88,14 @@ def load(rs, lam):
         return None
     if head != _header(key, lam, body):
         return None
-    try:
-        return json.loads(body)
-    except ValueError:
-        return None
+    # the digest attests the body store wrote: ASCII JSON and a newline
+    return body[:-1].decode("ascii", "replace")
 
 
 def store(rs, lam, entries):
-    """Write entries, a dict of JSON scalars, as the file of (rs, lam)."""
+    """Write entries, a dict of JSON scalars, as the file of (rs, lam),
+    and return the body text, as ``load`` would, whether or not the write
+    succeeded."""
     key = system_key(rs)
     path = _entry_path(key, lam)
     body = _canonical(entries)
@@ -106,6 +108,7 @@ def store(rs, lam, entries):
         os.replace(tmp, path)
     except OSError:
         pass  # a read-only cache directory must not break computation
+    return body[:-1].decode("ascii")
 
 
 def stats():

@@ -23,15 +23,18 @@ multiplicity is spread over its orbit as soon as it is known
 root-string step reads the full weight dict.  The kernel
 ``_irreducible_weights`` answers {weight: multiplicity} from the cache
 (whose file format and hit test are cache.py's alone) or from the
-recursion, together with the entries keyed by the "%d,..." spelling of
-each weight, formatted once: the cache file and the ``char`` report
-share them.  Every decomposition is Dirac induction from the maximal
-torus (``_straighten``): each weight u + rho of a Weyl-invariant
-character is reflected into the dominant chamber and counted with the
-sign of the reflection, so no summand's irreducible character is built.
+recursion; ``_irreducible_body`` answers the cache body, the entries
+keyed by the "%d,..." spelling of each weight, which the ``char`` JSON
+report prints as it stands, so a hit parses nothing.  A miss formats
+each weight once and checks the total against the Weyl dimension.
+Every decomposition is Dirac induction from the maximal torus
+(``_straighten``): each weight u + rho of a Weyl-invariant character is
+reflected into the dominant chamber and counted with the sign of the
+reflection, so no summand's irreducible character is built.
 """
 
 import itertools
+import json
 import math
 from operator import add, attrgetter, lt, mul, sub
 
@@ -297,38 +300,56 @@ def _int_format(rank):
     return ",".join(["%d"] * rank)
 
 
-def _irreducible_weights(rs, lam):
-    """(weights, entries) of the irreducible with highest weight lam:
-    weights is {int weight: multiplicity} in no particular order, entries
-    {"%d,..." key: multiplicity} in key order, the cache file's and the
-    char report's entries.
-
-    The cache answers when it holds lam (see cache.py); its keys are split
-    back into weights.  Otherwise the fused Freudenthal recursion does,
-    each weight is formatted once, the keys are sorted once, and the
-    entries are stored.
-    """
-    lam = _require_dominant_integral(rs, lam)
-    entries = cache.load(rs, lam)
-    if entries is not None:
-        if not rs.rank:  # the one weight, (), is spelled ""
-            return {(): entries[""]}, entries
-        # the coordinates of all keys in a row, taken rank at a time
-        coords = iter(map(int, ",".join(entries).split(",")))
-        return dict(zip(zip(*[coords] * rs.rank), entries.values())), entries
+def _computed(rs, lam):
+    """(weights, body) of V_lam on a cache miss: weights from the fused
+    Freudenthal recursion, checked to sum to the Weyl dimension, each
+    formatted once as its "%d,..." key, and the body as cache.store
+    writes it (sorted by key, once, in the encoder)."""
     weights = _freudenthal(rs, lam)
+    total, dim = sum(weights.values()), _dimension(rs, lam)
+    if total != dim:
+        raise InternalError("the multiplicities of (%s) sum to %d, not the"
+                            " Weyl dimension %d"
+                            % (weightString(lam), total, dim))
     fmt = _int_format(rs.rank)
     entries = dict(zip(map(fmt.__mod__, weights), weights.values()))
-    entries = {k: entries[k] for k in sorted(entries)}
-    cache.store(rs, lam, entries)
-    return weights, entries
+    return weights, cache.store(rs, lam, entries)
+
+
+def _irreducible_body(rs, lam):
+    """The cache body of the irreducible with highest weight lam, the text
+    of its {"%d,...": multiplicity} entries in key order: the file's on a
+    hit, the recomputation's on a miss."""
+    lam = _require_dominant_integral(rs, lam)
+    body = cache.load(rs, lam)
+    return _computed(rs, lam)[1] if body is None else body
+
+
+def _irreducible_weights(rs, lam):
+    """{int weight: multiplicity} of the irreducible with highest weight
+    lam, in no particular order: a cache hit's keys split back into
+    weights, or the recomputation's weights on a miss."""
+    lam = _require_dominant_integral(rs, lam)
+    body = cache.load(rs, lam)
+    return _computed(rs, lam)[0] if body is None else _body_weights(rs, body)
+
+
+def _body_weights(rs, body):
+    """{int weight: multiplicity} of a cache body of rs: its keys split
+    back into weights."""
+    entries = json.loads(body)
+    if not rs.rank:  # the one weight, (), is spelled ""
+        return {(): entries[""]}
+    # the coordinates of all keys in a row, taken rank at a time
+    coords = iter(map(int, ",".join(entries).split(",")))
+    return dict(zip(zip(*[coords] * rs.rank), entries.values()))
 
 
 def irreducibleCharacter(rs, lam):
     """Weight multiplicities of the irreducible with highest weight lam,
     as a weight-basis character in weight order; see
     _irreducible_weights."""
-    weights, _ = _irreducible_weights(rs, lam)
+    weights = _irreducible_weights(rs, lam)
     # the keys are weights of rs and the multiplicities nonzero ints
     # already, so the entries dict is built once, here, not again by the
     # constructor
@@ -419,7 +440,7 @@ def tensorDecompose(rs, lam, mu):
     if dims[0] < dims[1]:
         lam, mu = mu, lam
     top = tuple(map(add, lam, rs.rho))
-    weights, _ = _irreducible_weights(rs, mu)
+    weights = _irreducible_weights(rs, mu)
     dec = _straighten(rs, {tuple(map(add, top, v)): m
                            for v, m in weights.items()})
     _check_summands(rs, dec, dims[0] * dims[1], "tensor product")
@@ -431,7 +452,7 @@ def restrictCharacter(pair, lam):
     {dominant H-weight: multiplicity}: V_lam's weights straightened on H."""
     g, h = pair.g, pair.h
     lam = _require_dominant_integral(g, lam)
-    weights, _ = _irreducible_weights(g, lam)
+    weights = _irreducible_weights(g, lam)
     shifted = {}
     for u, m in weights.items():
         v = tuple(map(add, pair.weightToH(u), h.rho))

@@ -18,8 +18,9 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import cache
-from .characters import (ConeSeries, FormalCharacter, _irreducible_weights,
-                         _keyed, restrictCharacter, tensorDecompose)
+from .characters import (ConeSeries, FormalCharacter, _body_weights,
+                         _irreducible_body, _irreducible_weights, _keyed,
+                         restrictCharacter, tensorDecompose, weylDimension)
 from .clifford import frameClifford
 from .dirac import spectralCheckRelative, verifyKostantIdentity
 from .errors import (BadEntryLine, DiracforgeError, InternalError,
@@ -161,7 +162,13 @@ def _generic_text(payload):
     return lines
 
 
-_CONTAINERS = (dict, list, tuple)
+class CanonicalEntries(str):
+    """Canonical JSON (sorted keys, separators "," and ":") of a non-empty
+    dict of ints whose keys hold no '"', ':' or '\\', as a cache body is;
+    ``_dump_json`` prints it as that dict."""
+
+
+_CONTAINERS = (dict, list, tuple, CanonicalEntries)
 
 
 def _dump_json(write, val, nl):
@@ -169,15 +176,21 @@ def _dump_json(write, val, nl):
     being on a line that starts with nl.  json runs its C encoder only
     without indent, so a container of scalars is one C call with the
     newline and indent in its item separator; Python walks only the
-    containers that hold containers."""
+    containers that hold containers.  A CanonicalEntries is re-separated,
+    not parsed: as its keys hold no '"', ':' or '\\' and its values are
+    ints, '":' ends a key and ',"' starts the next, exactly where the
+    encoder would put '": ' and ',' and the indent."""
     if not isinstance(val, _CONTAINERS) or not val:
         write(json.dumps(val))
         return
     inner = nl + "  "
-    is_dict = isinstance(val, dict)
+    is_dict = isinstance(val, (dict, CanonicalEntries))
     opening, closing = "{}" if is_dict else "[]"
-    if not any(map(isinstance, val.values() if is_dict else val,
-                   repeat(_CONTAINERS))):
+    if isinstance(val, CanonicalEntries):
+        write(opening + inner)
+        write(val[1:-1].replace('":', '": ').replace(',"', "," + inner + '"'))
+    elif not any(map(isinstance, val.values() if is_dict else val,
+                     repeat(_CONTAINERS))):
         flat = json.dumps(val, sort_keys=True, separators=("," + inner, ": "))
         write(opening + inner)
         write(flat[1:-1])
@@ -245,12 +258,18 @@ def cmd_orbit(config, args):
 def cmd_char(config, args):
     rs = systemFromLabel(args.type)
     lam = rs.weight(_parse_weight(args.weight))
-    # entries are the cache file's keys, formatted once by the kernel
-    weights, entries = _irreducible_weights(rs, lam)
     payload = {"label": rs.label, "weight": weightString(lam),
-               "dimension": sum(entries.values()), "entries": entries}
-    if config.format == "json" and not args.out:
-        return payload, None
+               "dimension": weylDimension(rs, lam)}
+    if config.format == "json":
+        # the cache body, printed as it stands; on a miss _irreducible_body
+        # checked that its multiplicities sum to the dimension
+        body = _irreducible_body(rs, lam)
+        payload["entries"] = CanonicalEntries(body)
+        if not args.out:
+            return payload, None
+        weights = _body_weights(rs, body)
+    else:
+        weights = _irreducible_weights(rs, lam)
     # the text report and the file list the weights in weight order
     lines = ["%s %s" % (rs.label, FormalCharacter.WEIGHT)]
     lines.extend("%s %d" % kv for kv in _keyed(weights, rs.rank))

@@ -464,8 +464,10 @@ class PairSpinors:
         if any(frame.gram[a][b] for a in p for b in h):
             raise NotOrthogonal("p and h directions are not form-orthogonal")
         self.pGram = tuple(tuple(frame.gram[a][b] for b in p) for a in p)
-        # h and p are orthogonal, so this is also the p block of G^-1
-        self.pGramInverse = ExactMatrix.from_rows(self.pGram).inverse()
+        # h and p are orthogonal, so the p block of G^-1 inverts the p gram
+        inv = frame.gramInverse
+        self.pGramInverse = ExactMatrix.from_rows(
+            [[inv.get(a, b) for b in p] for a in p])
         hints = tuple((2 * i, 2 * i + 1) for i in range(len(pair.pRoots)))
         s_p = buildCliffordFrame(self.pGram, hints)
         if s_p.grading is None:

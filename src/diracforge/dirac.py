@@ -166,9 +166,12 @@ def _tensor_diagonal_constant(rs, lam, scalar, rho2):
     nu of V_lam (x) V_rho shares, or None when they do not share one: the
     tensor-diagonal Casimir acts on V (x) S as on V_lam (x) V_rho.  The
     summands are the straightening of {lam + rho + v : m_rho(v)}, with
-    ch V_rho from Freudenthal in memory (Brauer-Klimyk)."""
+    ch V_rho from Freudenthal in memory, once per system and kept on it
+    (Brauer-Klimyk)."""
     rho = rs.rho
-    weights = _freudenthal(rs, rho)
+    weights = getattr(rs, "_rho_weights", None)
+    if weights is None:
+        weights = rs._rho_weights = _freudenthal(rs, rho)
     top = tuple(map(add, lam, rho))
     dec = _straighten(rs, {tuple(map(add, top, v)): m
                            for v, m in weights.items()})

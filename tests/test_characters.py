@@ -6,8 +6,8 @@ import random
 import pytest
 
 from diracforge import cache, characters
-from diracforge.characters import (ConeSeries, FormalCharacter, _dominant_below,
-                                   _freudenthal, _irreducible_weights,
+from diracforge.characters import (ConeSeries, FormalCharacter, _computed,
+                                   _dominant_below, _freudenthal,
                                    characterToSeries, decomposeCharacter,
                                    dualWeight, irreducibleCharacter,
                                    polarizationWitness, restrictCharacter,
@@ -25,7 +25,7 @@ from diracforge.polarized import polarizedExpand
 
 from helpers import (ALL_LABELS, boxDominantBelow, fractionDecompose,
                      intWhenIntegral, isWeylInvariant, oldCacheDocument,
-                     oracleWeights)
+                     oldCharReport, oracleWeights)
 
 A1 = systemFromLabel("A1")
 A2 = systemFromLabel("A2")
@@ -113,10 +113,12 @@ def test_cold_kernel_walks_each_orbit_once_and_formats_once(monkeypatch):
                         lambda rank, _fmt=characters._int_format:
                         Counted(_fmt(rank)))
     d4 = systemFromLabel("D4")
-    weights, entries = _irreducible_weights(d4, (1, 1, 2, 1))
+    weights, body = _computed(d4, (1, 1, 2, 1))
+    entries = json.loads(body)
     assert len(weights) == len(entries) == 1152
     assert sorted(formatted) == sorted(weights)
     assert list(entries) == sorted(entries)
+    assert cache.load(d4, (1, 1, 2, 1)) == body
 
 
 def test_rejects_bad_highest_weights():
@@ -539,7 +541,7 @@ def _copied_from(rs, lam):
     return lambda text: oldCacheDocument(rs, lam, oracleWeights(rs, lam))
 
 
-@pytest.mark.parametrize("rs,lam,edit", [
+CORRUPTIONS = [
     (A2, (1, 1), lambda text: text[:len(text) // 2]),
     (A2, (1, 1), _edit_entries(_foreign_lambda)),
     (A2, (1, 1), _edit_entries(_inflate)),
@@ -558,12 +560,17 @@ def _copied_from(rs, lam):
     (A2, (1, 1), _copied_from(A2, (1, 0))),
     (systemFromLabel("A1xT1"), (1, 0),
      _copied_from(pairFromLabel("A2:u2").h, (1, 0))),
-], ids=["truncated", "foreign-lambda", "inflated-multiplicity",
-        "non-integer-entry", "fractional-weight", "moved-highest-weight",
-        "plus-sign", "leading-zero", "leading-space", "underscore",
-        "negative-zero", "moved-lower-weight", "swapped-multiplicities",
-        "single-document", "flipped-body-byte", "copied-from-weight",
-        "copied-from-system"])
+]
+CORRUPTION_IDS = [
+    "truncated", "foreign-lambda", "inflated-multiplicity",
+    "non-integer-entry", "fractional-weight", "moved-highest-weight",
+    "plus-sign", "leading-zero", "leading-space", "underscore",
+    "negative-zero", "moved-lower-weight", "swapped-multiplicities",
+    "single-document", "flipped-body-byte", "copied-from-weight",
+    "copied-from-system"]
+
+
+@pytest.mark.parametrize("rs,lam,edit", CORRUPTIONS, ids=CORRUPTION_IDS)
 def test_wrong_cache_entry_is_a_miss(tmp_path, monkeypatch, rs, lam, edit):
     path, chi = _corrupt_entry(tmp_path, monkeypatch, rs, lam, edit)
     good = irreducibleCharacter(rs, lam)
@@ -575,6 +582,17 @@ def test_wrong_cache_entry_is_a_miss(tmp_path, monkeypatch, rs, lam, edit):
     assert sum(body.values()) == weylDimension(rs, lam)
     assert all(type(m) is int for m in body.values())
     assert path.read_text() == oldCacheDocument(rs, lam, good.entries)
+
+
+@pytest.mark.parametrize("rs,lam,edit", CORRUPTIONS, ids=CORRUPTION_IDS)
+def test_wrong_cache_entry_is_a_miss_for_char_json(tmp_path, monkeypatch,
+                                                   capsys, rs, lam, edit):
+    path, _ = _corrupt_entry(tmp_path, monkeypatch, rs, lam, edit)
+    weights = oracleWeights(rs, lam)
+    assert main(["char", "--type", rs.label, "--weight", weightString(lam),
+                 "--format", "json"]) == 0
+    assert capsys.readouterr().out == oldCharReport(rs, lam, weights)[0]
+    assert path.read_text() == oldCacheDocument(rs, lam, weights)
 
 
 def test_rank_zero_entry_is_served(monkeypatch):

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import diracforge
-from diracforge import cache, cli
+from diracforge import cache, characters, cli
 
 from diracforge.characters import ConeSeries, FormalCharacter
 from diracforge.cli import SUBCOMMANDS, build_parser, main
@@ -293,6 +293,175 @@ def test_char_bytes_match_the_tuple_route(capsys, tmp_path, label, weight,
             assert pathlib.Path(path).read_text() == "\n".join(lines) + "\n"
         (entry,) = cache_dir.rglob("*.json")
         assert entry.read_text() == oldCacheDocument(rs, lam, weights)
+
+
+# ------------------------------------------- char JSON from the cache body
+
+BODY_CASES = [("A1", "3"), ("A2", "2,1"), ("A3", "1,0,1"), ("A4", "1,0,0,1"),
+              ("B2", "1,2"), ("C2", "2,1"), ("D4", "1,0,1,1"), ("T2", "3,-1"),
+              ("A1xT1", "2,1")]
+
+
+def _char_json(label, weight, cache_dir):
+    return ["char", "--type", label, "--weight", weight, "--format", "json",
+            "--cache-dir", str(cache_dir)]
+
+
+@pytest.mark.parametrize("label,weight", BODY_CASES)
+def test_char_json_miss_and_hit_match_the_tuple_route(capsys, tmp_path,
+                                                      label, weight):
+    rs = systemFromLabel(label)
+    lam = weightFromStrings(weight.split(","))
+    weights = oracleWeights(rs, lam)
+    want, _ = oldCharReport(rs, lam, weights)
+    argv = _char_json(label, weight, tmp_path / "cache")
+    assert run(capsys, *argv) == (0, want, "")  # a miss
+    (entry,) = (tmp_path / "cache").rglob("*.json")
+    assert entry.read_text() == oldCacheDocument(rs, lam, weights)
+    assert run(capsys, *argv) == (0, want, "")  # a hit
+    assert entry.read_text() == oldCacheDocument(rs, lam, weights)
+
+
+def test_char_json_serves_files_written_apart_from_cache(capsys, tmp_path,
+                                                         monkeypatch):
+    # each file is oldCacheDocument's, placed where a miss put its own
+    placed = []
+    for label, weight in BODY_CASES:
+        rs = systemFromLabel(label)
+        lam = weightFromStrings(weight.split(","))
+        weights = oracleWeights(rs, lam)
+        fresh = tmp_path / label
+        assert main(_char_json(label, weight, fresh)) == 0
+        (entry,) = fresh.rglob("*.json")
+        path = tmp_path / "old" / entry.relative_to(fresh)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(oldCacheDocument(rs, lam, weights))
+        placed.append((label, weight, oldCharReport(rs, lam, weights)[0]))
+    capsys.readouterr()
+
+    def refused(*args):
+        raise AssertionError("the file was not served")
+
+    monkeypatch.setattr(characters, "_computed", refused)
+    monkeypatch.setattr(cache, "store", refused)
+    for label, weight, want in placed:
+        assert run(capsys, *_char_json(label, weight, tmp_path / "old")) \
+            == (0, want, "")
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_char_json_on_an_unwritable_cache_computes_once(capsys, tmp_path,
+                                                        monkeypatch, out):
+    # the cache directory lies below a file, so every store fails; the
+    # report still comes from the body store returns
+    rs, lam = systemFromLabel("B2"), (1, 2)
+    weights = oracleWeights(rs, lam)
+    (tmp_path / "file").write_text("")
+    calls = []
+
+    def counted(rs, lam, _freudenthal=characters._freudenthal):
+        calls.append(lam)
+        return _freudenthal(rs, lam)
+
+    monkeypatch.setattr(characters, "_freudenthal", counted)
+    argv = _char_json("B2", "1,2", tmp_path / "file" / "cache")
+    path = str(tmp_path / "b2.chr") if out else None
+    if out:
+        argv += ["--out", path]
+    want, lines = oldCharReport(rs, lam, weights, "json", path)
+    assert run(capsys, *argv) == (0, want, "")
+    assert calls == [lam]
+    if out:
+        assert pathlib.Path(path).read_text() == "\n".join(lines) + "\n"
+
+
+def test_char_json_of_a_non_integral_weight_is_refused(capsys, tmp_path):
+    rc, out, err = run(capsys, *_char_json("A1xT1", "2,1/2",
+                                           tmp_path / "cache"))
+    assert (rc, out) == (2, "")
+    assert err == "error: weight (2,1/2) is not integral\n"
+    assert not (tmp_path / "cache").exists()
+
+
+def test_char_json_hit_does_no_per_weight_work(capsys, tmp_path,
+                                               monkeypatch):
+    rs = systemFromLabel("D4")
+    lam = (1, 1, 2, 1)
+    weights = oracleWeights(rs, lam)
+    keys = {",".join(map(str, w)) for w in weights}
+    want, _ = oldCharReport(rs, lam, weights)
+    argv = _char_json("D4", "1,1,2,1", tmp_path / "cache")
+    assert run(capsys, *argv) == (0, want, "")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a hit parsed or rebuilt its entries")
+
+    def no_entries(val, *args, _dumps=json.dumps, **kwargs):
+        # the cache header is encoded; a dict keyed by weights is not
+        assert not isinstance(val, dict) or keys.isdisjoint(val)
+        return _dumps(val, *args, **kwargs)
+
+    for owner in (characters, cli):
+        monkeypatch.setattr(owner, "_irreducible_weights", refused)
+    monkeypatch.setattr(characters, "_computed", refused)
+    monkeypatch.setattr(cache, "store", refused)
+    monkeypatch.setattr(json, "loads", refused)
+    monkeypatch.setattr(json, "dumps", no_entries)
+    rc, out, err = run(capsys, *argv)
+    monkeypatch.undo()
+    assert (rc, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_char_whose_multiplicities_miss_the_dimension_exits_3(
+        capsys, tmp_path, monkeypatch, fmt):
+    def inflated(rs, lam, _freudenthal=characters._freudenthal):
+        weights = _freudenthal(rs, lam)
+        weights[lam] += 1
+        return weights
+
+    monkeypatch.setattr(characters, "_freudenthal", inflated)
+    rc, out, err = run(capsys, "char", "--type", "A2", "--weight", "2,1",
+                       "--format", fmt, "--cache-dir", str(tmp_path / "c"))
+    assert (rc, out) == (3, "")
+    assert err == ("internal error: the multiplicities of (2,1) sum to 16,"
+                   " not the Weyl dimension 15\n")
+    assert not list(tmp_path.rglob("*.json"))
+
+
+def _random_key(rng, rank):
+    """A weight key: rank coordinates, ints or p/q, either sign."""
+    coords = []
+    for _ in range(rank):
+        c = rng.randint(-60, 60)
+        coords.append(str(c) if rng.random() < 0.6
+                      else "%d/%d" % (c, rng.randint(2, 9)))
+    return ",".join(coords)
+
+
+def test_body_re_separation_matches_json_dumps():
+    rng = random.Random(37)
+    for _ in range(9000):
+        rank = rng.randint(0, 4)
+        entries = {_random_key(rng, rank): rng.randint(-10 ** 12, 10 ** 12)
+                   for _ in range(rng.choice([1, 2, 3, 8, 40]))}
+        text = json.dumps(entries, sort_keys=True, separators=(",", ":"))
+        depth = rng.randint(1, 3)
+        nl = "\n" + "  " * (depth - 1)
+        inner = nl + "  "
+        pieces = []
+        cli._dump_json(pieces.append, cli.CanonicalEntries(text), nl)
+        flat = json.dumps(json.loads(text), sort_keys=True,
+                          separators=("," + inner, ": "))
+        assert "".join(pieces) == flat[0] + inner + flat[1:-1] + nl + flat[-1]
+        # the same text inside a report, depth containers deep
+        doc, want = cli.CanonicalEntries(text), entries
+        for level in range(depth - 1):
+            doc, want = ({"a": doc, "b": [level, "x"]},
+                         {"a": want, "b": [level, "x"]})
+        assert emitted({"entries": doc, "n": 1}) \
+            == json.dumps({"entries": want, "n": 1}, sort_keys=True,
+                          indent=2) + "\n"
 
 
 # ------------------------------------------------------------ exit codes
@@ -738,7 +907,11 @@ def test_emitter_matches_json_dumps_on_every_seed_zero_report(
 
     def checked(stream, doc):
         text = emitted(doc)
-        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        # a char report's entries are the cache body, printed as the dict
+        # it encodes
+        parsed = {k: json.loads(v) if isinstance(v, cli.CanonicalEntries)
+                  else v for k, v in doc.items()}
+        assert text == json.dumps(parsed, sort_keys=True, indent=2) + "\n"
         reports.append(doc)
         stream.write(text)
 

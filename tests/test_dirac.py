@@ -99,6 +99,23 @@ def test_spin_map_built_once_per_kostant_check(monkeypatch):
     assert len(calls) == 1
 
 
+def test_rho_character_built_once_per_sweep(monkeypatch, capsys):
+    # the tensor-diagonal reading straightens lam + rho + ch V_rho; ch V_rho
+    # is kept on the system, so a sweep computes it once
+    calls = []
+
+    def counting(rs, lam, _real=dirac._freudenthal):
+        calls.append(tuple(lam))
+        return _real(rs, lam)
+
+    monkeypatch.setattr(dirac, "_freudenthal", counting)
+    rc = main(["verify-kostant", "--type", "A1xA1", "--lambda-max", "1",
+               "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and len(doc["blocks"]) == 4
+    assert calls == [(1, 1)]
+
+
 def test_q_sweep_scalar_only_at_third():
     rep, cl = build("A1", (1,))
     assert qSweepReport(rep, cl) == {

@@ -138,6 +138,16 @@ def test_cartan_acts_by_root_coordinates():
             assert all(c == 0 for j, c in enumerate(cf) if j != i + 1)
 
 
+@pytest.mark.parametrize("label", [
+    "A1:T", "A1:full", "A1xT1:T", "A1xT2:T", "A2:T", "A2:u2", "A2:full",
+    "A3:T", "A3:keep=0,1", "A3:keep=0,2"])
+def test_p_gram_inverse_is_the_inverse_of_the_p_gram(label):
+    # PairSpinors reads the p block of the frame's G^-1; it must be the
+    # inverse of the p gram itself
+    sp = PairSpinors(pairFromLabel(label))
+    assert sp.pGramInverse == ExactMatrix.from_rows(sp.pGram).inverse()
+
+
 @pytest.mark.parametrize("label,psize", [("A1:T", 2), ("A2:T", 6), ("A2:u2", 4),
                                          ("A2:full", 0), ("A3:keep=0,2", 8)])
 def test_pair_frame_split(label, psize):
