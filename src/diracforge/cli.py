@@ -314,19 +314,16 @@ def cmd_induct(config, args):
         out = inductCharacter(pair, loadCharacterFile(args.input))
     keyed = out.keyed()
     lines = out.to_lines(keyed)
-    if args.out:
-        _write_text(args.out, lines)
-    if isinstance(out, ConeSeries):
-        payload = {"pair": pair.label,
-                   "entries": dict(keyed),
-                   "polarizer": weightString(out.polarizer),
-                   "window": "none" if out.window is None
-                             else rat_str(out.window)}
-        return payload, lines
     entries = dict(keyed)
     payload = {"pair": pair.label, "entries": entries}
     if args.out:
+        _write_text(args.out, lines)
         payload["out"] = args.out
+    if isinstance(out, ConeSeries):
+        payload["polarizer"] = weightString(out.polarizer)
+        payload["window"] = "none" if out.window is None \
+            else rat_str(out.window)
+        return payload, lines
     if not entries:
         return payload, ["0"]
     text = ["%+d V(%s)" % (m, w) for w, m in sorted(entries.items())]

@@ -296,9 +296,8 @@ def frameClifford(frame):
     which every representation of its system shares."""
     cl = getattr(frame, "_clifford", None)
     if cl is None:
-        hints = tuple((i, i + 1) for i, nm in enumerate(frame.names)
-                      if nm[0] == _structure.ROOT_A)
-        cl = frame._clifford = buildCliffordFrame(frame.gram, hints)
+        cl = frame._clifford = buildCliffordFrame(frame.gram,
+                                                  frame.rootPairs)
     return cl
 
 
@@ -458,8 +457,8 @@ class PairSpinors:
         self.frame = frame = _structure.buildFrame(pair.g)
         proots = set(pair.pRoots)
         self.pIndices = p = tuple(
-            i for i, nm in enumerate(frame.names)
-            if nm[0] != _structure.CARTAN and nm[1] in proots)
+            a for beta, ab in zip(pair.g.positiveRoots, frame.rootPairs)
+            if beta in proots for a in ab)
         self.hIndices = h = tuple(i for i in range(frame.dim) if i not in p)
         if any(frame.gram[a][b] for a in p for b in h):
             raise NotOrthogonal("p and h directions are not form-orthogonal")

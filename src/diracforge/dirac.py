@@ -143,14 +143,11 @@ def _adjoint_trace_24th(rs):
         return kept
     total = ZERO
     rho2 = rs.innerProduct(rs.rho, rs.rho)
-    # group positive roots by factor via their support
-    owner = []
-    for bi, (fam, rank) in enumerate(rs.factors):
-        owner.extend([bi] * rank)
+    # group positive roots by the factor that owns their support
     by_factor = {}
     for beta in rs.positiveRoots:
-        support = [p for p, c in enumerate(beta) if c]
-        by_factor.setdefault(owner[support[0]], []).append(beta)
+        p = next(p for p, c in enumerate(beta) if c)
+        by_factor.setdefault(rs.coordinateOwner[p][0], []).append(beta)
     for bi, roots in by_factor.items():
         theta = max(roots, key=lambda b: rs.innerProduct(b, rs.rho))
         cas = rs.innerProduct(theta, theta) \
@@ -268,16 +265,12 @@ class RelativePieces:
         return out
 
     def raisingOps(self):
-        """One raising operator per kept root pair of h."""
-        ops = []
-        rank = self.pair.g.rank
+        """One raising operator (A_b - i B_b) / 2 per kept root pair of h."""
+        local = {a: i for i, a in enumerate(self.spinors.hIndices)}
         half = rat(1, 2)
-        for local, a in enumerate(self.spinors.hIndices):
-            if a < rank or self.spinors.frame.names[a][0] != "A":
-                continue
-            ea, eb = self.hActions[local], self.hActions[local + 1]
-            ops.append(ea.scale(half) + eb.scale((ZERO, -half)))
-        return ops
+        return [self.hActions[local[a]].scale(half)
+                + self.hActions[local[b]].scale((ZERO, -half))
+                for a, b in self.spinors.frame.rootPairs if a in local]
 
 
 def relativeCubicDirac(pair, lam, pieces=None):

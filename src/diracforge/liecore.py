@@ -109,16 +109,21 @@ class RootSystem:
         self.rank = sum(r for _, r in factors)
         self.label = label if label is not None else self._default_label()
 
-        # global positions of simple-root coordinates, factor by factor
+        # global positions of simple-root coordinates, factor by factor, and
+        # the one map of coordinates onto factors: coordinateOwner[p] is
+        # (factor index, p's index within that factor)
         self.simple_positions = []
         offset = 0
         blocks = []
-        for f, r in factors:
+        owner = []
+        for bi, (f, r) in enumerate(factors):
             blocks.append((f, r, offset))
+            owner.extend((bi, local) for local in range(r))
             if f != "Torus":
                 self.simple_positions.extend(range(offset, offset + r))
             offset += r
         self._blocks = blocks
+        self.coordinateOwner = tuple(owner)
 
         self.cartanMatrix = self._assemble_cartan()
         # s_i(v) = v - v[p] alpha_i, alpha_i the Cartan row as an int weight

@@ -11,8 +11,8 @@ of its factors' patterns, and the basis is sorted by weight.
 The units act in closed form with rational entries: E_kk is diagonal,
 E_(k,k+1) and E_(k+1,k) move one entry of row k by one with Molev's
 coefficients, and every other E_jk is the commutator of two nearer units.
-A frame direction is the combination of the units its defining block
-holds.
+A torus line is a unit acting as lam_p, and a frame direction is the
+combination of the units the frame lists for it (CompactFrame.units).
 
 The patterns are orthogonal for the invariant Hermitian form, and
 E_(k+1,k) is the adjoint of E_(k,k+1).  So on an edge v -> c u of the
@@ -33,7 +33,7 @@ from .characters import (FormalCharacter, _freudenthal,
                          _require_dominant_integral, weylDimension)
 from .errors import BadStructureConstants, InternalError, TooLarge
 from .exactmat import ExactMatrix, combination, commutator
-from .rationals import ONE, ZERO, exact_sqrt, rat, rat_str, squarefree_core
+from .rationals import ONE, exact_sqrt, rat, rat_str, squarefree_core
 from .structure import buildFrame
 
 DIM_LIMIT = 64
@@ -103,15 +103,26 @@ def buildLieRep(rs, lam):
                        % (dim, DIM_LIMIT))
     frame = buildFrame(rs)
 
+    units, cores, weights = _gl_units(rs, lam, dim)
+    # each frame direction is one combination of its units
+    pis = [combination([z for *_, z in line],
+                       [units[bi, j, k] for bi, j, k, _ in line], dim)
+           for line in frame.units]
+    rep = LieRep(rs, frame, lam, pis, ExactMatrix.diag(cores), weights)
+    _verify_rep(rep)
+    return rep
+
+
+def _gl_units(rs, lam, dim):
+    """The units of every factor on the scaled Gelfand-Tsetlin basis of
+    V_lambda, keyed (factor, j, k); the diagonal of the form on that
+    basis; and the weights of its vectors."""
     # (factor, first coordinate, rank) of each A factor; a basis vector is
     # one pattern per A factor, the highest one has every row a prefix of
     # the top row
-    blocks = []
-    pos = 0
-    for bi, (fam, rank) in enumerate(rs.factors):
-        if fam == "A":
-            blocks.append((bi, pos, rank))
-        pos += rank
+    blocks = [(bi, p, rs.factors[bi][1])
+              for p, (bi, local) in enumerate(rs.coordinateOwner)
+              if local == 0 and rs.factors[bi][0] == "A"]
     highest = tuple(
         tuple(tuple(sum(lam[pos + j:pos + rank]) for j in range(t + 1))
               for t in range(rank + 1))
@@ -155,8 +166,11 @@ def buildLieRep(rs, lam):
     scales = [exact_sqrt(rat(norms[state], c))
               for state, c in zip(basis, cores)]
 
-    # the units of each A factor on the scaled basis
-    units = {}
+    # the units of each factor on the scaled basis: a torus line acts as
+    # lam_p
+    units = {(bi, local, local): ExactMatrix.identity(dim, lam[p])
+             for p, (bi, local) in enumerate(rs.coordinateOwner)
+             if rs.factors[bi][0] == "Torus"}
     for f, (bi, _, rank) in enumerate(blocks):
         for t in range(rank + 1):
             units[bi, t, t] = ExactMatrix.diag(
@@ -181,30 +195,7 @@ def buildLieRep(rs, lam):
                                              units[bi, k - 1, k])
                 units[bi, k, j] = commutator(units[bi, k, k - 1],
                                              units[bi, k - 1, j])
-
-    # each frame direction is the combination of its block's units
-    pis = []
-    for a in range(frame.dim):
-        bi = frame.directionFactor[a]
-        fam, boff, size = frame.factorBlocks[bi]
-        if fam == "Torus":
-            p = frame.names[a][1]
-            pis.append(ExactMatrix.identity(dim).scale((ZERO, rat(lam[p]))))
-            continue
-        coefs = []
-        mats = []
-        for j in range(size):
-            for k in range(size):
-                z = frame.matrices[a].get(boff + j, boff + k)
-                if z[0] or z[1]:
-                    coefs.append(z)
-                    mats.append(units[bi, j, k])
-        pis.append(combination(coefs, mats, dim))
-
-    rep = LieRep(rs, frame, lam, pis, ExactMatrix.diag(cores),
-                 [weight(state) for state in basis])
-    _verify_rep(rep)
-    return rep
+    return units, cores, [weight(state) for state in basis]
 
 
 def _verify_rep(rep):

@@ -14,6 +14,15 @@ exactly with the weight-space normalization.  Basis-summed operator formulas
 downstream contract through the inverse of the frame gram instead of
 pretending the frame is orthonormal.
 
+The frame owns its layout, and every other module reads it instead of
+decoding direction names or block offsets.  units[a] is direction a as gl
+units (factor, j, k, z), z times E_jk of that factor's block, where a
+torus factor's units are its diagonal lines; rootPairs[i] holds the
+indices of (A_b, B_b) for the i-th positive root b of the system; and
+matrices place the units on the defining blocks.  All three come from one
+walk over the system's one coordinate -> factor map,
+RootSystem.coordinateOwner.
+
 Only type A simple factors (plus tori) have defining blocks here; the
 B/C/D root systems stay available in liecore but have no frame.  The split
 of a frame along an equal-rank pair lives in clifford.PairSpinors, its one
@@ -22,21 +31,9 @@ consumer.
 
 from .errors import BadStructureConstants, InternalError, UnsupportedType
 from .exactmat import ExactMatrix, combination, commutator
-from .rationals import rat, rat_str, ZERO
+from .rationals import ONE, ZERO, rat_str
 
 CARTAN, ROOT_A, ROOT_B = "iH", "A", "B"
-
-
-def _a_root_span(factor_rank, coeffs):
-    """Positive A_m root with simple coefficients (0..1 run) -> (j, k) with
-    b = eps_j - eps_k on the factor's diagonal block."""
-    ones = [i for i, c in enumerate(coeffs) if c == 1]
-    if not ones or any(c not in (0, 1) for c in coeffs):
-        raise BadStructureConstants("not an A-family positive root")
-    j, top = ones[0], ones[-1]
-    if ones != list(range(j, top + 1)):
-        raise BadStructureConstants("root support is not an interval")
-    return j, top + 1
 
 
 def _direction_str(name):
@@ -64,86 +61,56 @@ class CompactFrame:
     # ------------------------------------------------------------ directions
 
     def _build_directions(self):
+        """names, units, rootPairs and matrices in one walk over the
+        coordinates and the positive roots."""
         rs = self.system
-        blocks = []   # (offset, size) per factor
-        offset = 0
+        offsets = []  # the first row of each factor's block
+        n = 0
         for fam, rank in rs.factors:
-            size = rank + 1 if fam == "A" else 1  # torus factors split below
-            if fam == "Torus":
-                blocks.append(("Torus", offset, rank))
-                offset += rank
-            else:
-                blocks.append(("A", offset, size))
-                offset += size
-        self.matrixSize = offset
-        self.factorBlocks = tuple(blocks)
+            offsets.append(n)
+            n += rank + 1 if fam == "A" else rank
+        self.matrixSize = n
 
-        # coordinate position -> owning factor block and local index
-        owner = {}
-        pos = 0
-        for bi, (fam, rank) in enumerate(rs.factors):
-            for local in range(rank):
-                owner[pos] = (bi, local)
-                pos += 1
-
+        one, i = (ONE, ZERO), (ZERO, ONE)
         names = []
-        mats = []
-        dir_factor = []
-        n = self.matrixSize
-        for p in range(rs.rank):
-            bi, local = owner[p]
-            dir_factor.append(bi)
-            fam, boff, _ = blocks[bi]
-            m = ExactMatrix.zeros(n, n)
-            if fam == "A":
-                # simple coroot H = e_ii - e_{i+1,i+1}, taken times i
-                m.put(boff + local, boff + local, (ZERO, rat(1)))
-                m.put(boff + local + 1, boff + local + 1, (ZERO, rat(-1)))
-            else:
-                m.put(boff + local, boff + local, (ZERO, rat(1)))
+        units = []
+        for p, (bi, local) in enumerate(rs.coordinateOwner):
+            # a torus line e_ii, or a simple coroot H = e_ii - e_{i+1,i+1},
+            # taken times i
+            line = ((bi, local, local, i),)
+            if rs.factors[bi][0] == "A":
+                line += ((bi, local + 1, local + 1, (ZERO, -ONE)),)
             names.append((CARTAN, p))
-            mats.append(m)
+            units.append(line)
 
-        simple_set = rs.simple_positions
-        factor_of_simple = {}
-        idx = 0
-        pos = 0
-        for bi, (fam, rank) in enumerate(rs.factors):
-            for local in range(rank):
-                if fam == "A":
-                    factor_of_simple[pos] = (bi, local)
-                pos += 1
-
+        pairs = []
         for beta, coeffs in zip(rs.positiveRoots, rs.intRootCoefficients):
-            # locate the unique simple factor carrying this root
-            support = [i for i, c in enumerate(coeffs) if c]
-            bi0, _ = factor_of_simple[simple_set[support[0]]]
-            fam, boff, bsize = blocks[bi0]
-            local_coeffs = []
-            for i, c in enumerate(coeffs):
-                bi, local = factor_of_simple[simple_set[i]]
-                if bi == bi0:
-                    local_coeffs.append(c)
-                elif c:
-                    raise BadStructureConstants("root crosses factor blocks")
-            j, k = _a_root_span(bsize - 1, local_coeffs)
-            e = ExactMatrix.zeros(n, n)
-            e.put(boff + j, boff + k, rat(1))
-            f = ExactMatrix.zeros(n, n)
-            f.put(boff + k, boff + j, rat(1))
-            a_mat = e - f
-            b_mat = (e + f).scale((ZERO, rat(1)))
-            names.append((ROOT_A, beta))
-            mats.append(a_mat)
-            names.append((ROOT_B, beta))
-            mats.append(b_mat)
-            dir_factor.extend((bi0, bi0))
+            # the root's simple coordinates, in order, inside one factor
+            owners = [rs.coordinateOwner[p]
+                      for p, c in zip(rs.simple_positions, coeffs) if c]
+            bi = owners[0][0]
+            if any(f != bi for f, _ in owners):
+                raise BadStructureConstants("root crosses factor blocks")
+            if any(c not in (0, 1) for c in coeffs):
+                raise BadStructureConstants("not an A-family positive root")
+            j, k = owners[0][1], owners[-1][1] + 1
+            if len(owners) != k - j:
+                raise BadStructureConstants("root support is not an interval")
+            # b = eps_j - eps_k: A_b = E_jk - E_kj and B_b = i(E_jk + E_kj)
+            pairs.append((len(names), len(names) + 1))
+            names += [(ROOT_A, beta), (ROOT_B, beta)]
+            units += [((bi, j, k, one), (bi, k, j, (-ONE, ZERO))),
+                      ((bi, j, k, i), (bi, k, j, i))]
 
-        self.directionFactor = tuple(dir_factor)
         self.names = tuple(names)
-        self.matrices = tuple(mats)
-        self.dim = len(mats)
-        self._index = {nm: i for i, nm in enumerate(names)}
+        self.units = tuple(units)
+        self.rootPairs = tuple(pairs)
+        self.matrices = tuple(
+            ExactMatrix.from_entries(n, n, {
+                (offsets[bi] + j, offsets[bi] + k): z
+                for bi, j, k, z in line}) for line in units)
+        self.dim = len(units)
+        self._index = {nm: a for a, nm in enumerate(names)}
 
     def index(self, name):
         return self._index[name]
@@ -224,7 +191,8 @@ class CompactFrame:
                             self.matrices[a], self.matrices[b]))
             raise BadStructureConstants(
                 "bracket of %s and %s left the frame span"
-                % (self.names[a], self.names[b]))
+                % (_direction_str(self.names[a]),
+                   _direction_str(self.names[b])))
         return table
 
 

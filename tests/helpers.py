@@ -46,7 +46,12 @@
 - ``oldCharReport`` formats a ``char`` report and its file from sorted
   weight tuples, and ``oldCacheDocument`` the two-line cache file from the
   weights with its own ``hashlib`` and ``json`` calls: the route that
-  ``cmd_char``, the kernel and ``cache.store`` must match byte for byte.
+  ``cmd_char``, the kernel and ``cache.store`` must match byte for byte;
+- ``definingBlockPi`` is pi of V_lambda read off the defining blocks: each
+  frame direction takes the units at the non-zero entries of its matrix's
+  block, and a torus direction acts as i lam_p: the route
+  ``reps.buildLieRep`` took before the frame listed each direction's
+  units, and the oracle for the one that reads ``CompactFrame.units``.
 """
 
 import hashlib
@@ -54,7 +59,8 @@ import itertools
 import json
 from fractions import Fraction
 
-from diracforge.characters import FormalCharacter, irreducibleCharacter
+from diracforge.characters import (FormalCharacter, irreducibleCharacter,
+                                   weylDimension)
 from diracforge.cli import CLIFFORD_SIGN, NORMALIZATION, POLARIZATION_RULE
 from diracforge.clifford import buildCliffordFrame
 from diracforge.dirac import _scalar_of, cubicDirac
@@ -63,6 +69,8 @@ from diracforge.errors import (BadStructureConstants, DiracforgeError,
 from diracforge.exactmat import ExactMatrix, combination, contract
 from diracforge.liecore import _cartan_block, _half_lengths, weightString
 from diracforge.rationals import ZERO, rat, rat_str
+from diracforge.reps import _gl_units
+from diracforge.structure import buildFrame
 
 ALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "C2", "D4", "T1", "T4",
               "A1xT1", "A1xA1", "A2xT2"]
@@ -490,3 +498,38 @@ def oldCacheDocument(rs, lam, weights):
         "format": 2, "lambda": weightString(lam),
         "sha256": hashlib.sha256(body.encode()).hexdigest(),
         "system": "%s-%s" % (rs.label, fingerprint)}) + body
+
+
+def definingBlockPi(rs, lam):
+    """pi(X_a) for every frame direction of rs on V_lam, from the entries
+    of the frame matrices on the defining blocks and the units of
+    ``reps._gl_units``."""
+    frame = buildFrame(rs)
+    dim = weylDimension(rs, lam)
+    units = _gl_units(rs, lam, dim)[0]
+    blocks = []   # (factor, family, first row, size) of each block
+    offset = 0
+    for bi, (fam, rank) in enumerate(rs.factors):
+        size = rank + 1 if fam == "A" else rank
+        blocks.append((bi, fam, offset, size))
+        offset += size
+    pis = []
+    for (_, label), m in zip(frame.names, frame.matrices):
+        bi, fam, boff, size = next(
+            block for block in blocks
+            if any(block[2] <= i < block[2] + block[3]
+                   for i, _ in m.nonzero()))
+        if fam == "Torus":
+            # label is the torus coordinate p
+            pis.append(ExactMatrix.identity(dim).scale(
+                (ZERO, rat(lam[label]))))
+            continue
+        coefs, mats = [], []
+        for j in range(size):
+            for k in range(size):
+                z = m.get(boff + j, boff + k)
+                if z[0] or z[1]:
+                    coefs.append(z)
+                    mats.append(units[bi, j, k])
+        pis.append(combination(coefs, mats, dim))
+    return tuple(pis)

@@ -147,6 +147,20 @@ def test_induct_roundtrip_through_files(capsys, tmp_path):
     assert out == "0\n"
 
 
+def test_induct_on_a_cone_series_reports_its_out_file(capsys, tmp_path):
+    series, induced = tmp_path / "t1.series", tmp_path / "induced.series"
+    rc, _, _ = run(capsys, "polarize", "--type", "T1", "--fiber", "1;-2",
+                   "--alpha", "1", "--window", "4", "--shift", "1",
+                   "--out", str(series))
+    assert rc == 0
+    rc, doc, _ = runj(capsys, "induct", "--pair", "A1:T", "--input",
+                      str(series), "--out", str(induced))
+    assert rc == 0 and doc["out"] == str(induced)
+    rc, out, _ = run(capsys, "induct", "--pair", "A1:T", "--input",
+                     str(series))
+    assert rc == 0 and induced.read_text() == out
+
+
 def test_verify_relative_single(capsys):
     rc, doc, _ = runj(capsys, "verify-relative", "--pair", "A1:T",
                       "--weight", "2")

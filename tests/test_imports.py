@@ -185,3 +185,50 @@ def test_matops_import_is_found():
                    "def f():\n    from diracforge import matops\n"):
         assert "matops" in imported_names(source)
     assert "matops" not in imported_names("import os\nmatops = 1\n")
+
+
+# the frame's layout is structure's: the other modules read a direction's
+# units, the root pairs and RootSystem.coordinateOwner, never the kinds of
+# direction names
+KINDS = {"CARTAN", "ROOT_A", "ROOT_B"}
+
+
+def kind_reads(source):
+    """Each direction-kind constant that source names (bare, as an
+    attribute or imported), and "names[][0]" where it reads the kind of a
+    direction name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Subscript)
+              and isinstance(node.slice, ast.Constant)
+              and node.slice.value == 0
+              and isinstance(node.value, ast.Subscript)
+              and isinstance(node.value.value, ast.Attribute)
+              and node.value.value.attr == "names"):
+            found.add("names[][0]")
+    return sorted(found & (KINDS | {"names[][0]"}))
+
+
+def test_only_structure_knows_the_direction_kinds():
+    reads = {path.stem: kind_reads(path.read_text()) for path in SOURCES
+             if path.stem != "structure"}
+    assert {stem: found for stem, found in reads.items() if found} == {}
+
+
+def test_kind_read_is_found():
+    assert kind_reads("from .structure import CARTAN\n"
+                      "from . import structure\n"
+                      "a = structure.ROOT_A\n"
+                      "def f(frame, i):\n"
+                      "    return ROOT_B, frame.names[i][0] == 'A'\n") \
+        == ["CARTAN", "ROOT_A", "ROOT_B", "names[][0]"]
+    assert kind_reads("CARTANS = 'ROOT_A'\n"
+                      "def f(frame, i):\n"
+                      "    return frame.names[i][1], frame.units[i][0]\n") \
+        == []

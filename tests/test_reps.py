@@ -10,6 +10,8 @@ from diracforge.rationals import ZERO, rat
 from diracforge.reps import LieRep, _verify_rep, buildLieRep
 from diracforge.structure import buildFrame
 
+from helpers import definingBlockPi
+
 
 def entries(m):
     return [[m.get(i, j) for j in range(m.ncols)] for i in range(m.nrows)]
@@ -123,6 +125,15 @@ def test_all_bracket_relations(label, lam):
                 if x:
                     want = want + rep.pi[c].scale(x)
             assert commutator(rep.pi[a], rep.pi[b]) == want
+
+
+@pytest.mark.parametrize("label,lam", [("A2", (1, 1)), ("A1xA1", (1, 2)),
+                                       ("A1xT2", (2, 1, -1))])
+def test_pi_is_the_defining_block_route(label, lam):
+    # pi reads each direction's units off the frame; the reference reads
+    # the entries of the frame matrices on the defining blocks
+    rs = systemFromLabel(label)
+    assert buildLieRep(rs, lam).pi == definingBlockPi(rs, lam)
 
 
 @pytest.mark.parametrize("lam", [(1, 1), (2, 2)], ids=["dim8", "dim27"])

@@ -10,7 +10,7 @@ from diracforge.rationals import ZERO, rat
 from diracforge.reps import buildLieRep
 from diracforge.structure import CompactFrame, buildFrame
 
-from helpers import pBrackets
+from helpers import FRAME_CASES, pBrackets
 
 FRAME_LABELS = ["A1", "A2", "A3", "T1", "T2", "A1xT1", "A1xA1", "A2xT1"]
 
@@ -29,6 +29,35 @@ def test_frame_dimension_and_gram(label):
     for i, name in enumerate(fr.names):
         if name[0] in ("A", "B"):
             assert fr.gram[i][i] == 2
+
+
+@pytest.mark.parametrize("label", [case[0] for case in FRAME_CASES])
+def test_units_placed_on_the_blocks_are_the_matrices(label):
+    rs = systemFromLabel(label)
+    fr = buildFrame(rs)
+    offsets, n = [], 0
+    for fam, rank in rs.factors:
+        offsets.append(n)
+        n += rank + 1 if fam == "A" else rank
+    assert fr.matrixSize == n and len(fr.units) == len(fr.matrices) == fr.dim
+    for line, m in zip(fr.units, fr.matrices):
+        placed = ExactMatrix.zeros(n)
+        for bi, j, k, z in line:
+            placed = placed + ExactMatrix.from_entries(
+                n, n, {(offsets[bi] + j, offsets[bi] + k): z})
+        assert placed == m
+
+
+@pytest.mark.parametrize("label", [case[0] for case in FRAME_CASES])
+def test_root_pairs_name_both_directions_of_each_root(label):
+    # one pair per positive root, in the system's order, after the Cartan
+    rs = systemFromLabel(label)
+    fr = buildFrame(rs)
+    assert fr.names[:rs.rank] == tuple(("iH", p) for p in range(rs.rank))
+    assert [(fr.names[a], fr.names[b]) for a, b in fr.rootPairs] \
+        == [(("A", beta), ("B", beta)) for beta in rs.positiveRoots]
+    assert sorted(i for ab in fr.rootPairs for i in ab) \
+        == list(range(rs.rank, fr.dim))
 
 
 def test_one_frame_per_system():
@@ -81,8 +110,8 @@ def test_bracket_outside_the_frame_rejected():
     fr = buildFrame(systemFromLabel("A1"))
     fr.matrices = fr.matrices[:2] + (fr.matrices[2].scale(2),)
     with pytest.raises(BadStructureConstants,
-                       match=r"^bracket of \('iH', 0\) and \('A', .*\) left "
-                             r"the frame span$"):
+                       match=r"^bracket of iH0 and A\(2\) left the frame "
+                             r"span$"):
         fr.bracketCoefficients(0, 1)
 
 
