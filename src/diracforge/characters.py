@@ -9,34 +9,36 @@ The two container types:
   polarizing direction, a support bound (offset), and a completeness
   window.  window=None means the stored entries are the entire series.
   No entry inside the certified range is ever silently missing; operations
-  shrink windows instead of guessing.
+  shrink windows instead of guessing.  Each weight pairs with the
+  polarizer as it stands (ConeSeries).
 
-A weight coordinate is an int when it is integral and a Fraction
-otherwise (see liecore), so the integral weights every kernel here makes
-are int tuples from the kernel to the report.  Irreducible characters come
-from the Freudenthal recursion on them, reading the root system's int
+A weight coordinate is an int when it is integral and a Fraction otherwise
+(see liecore), so the integral weights every kernel here makes are int
+tuples from the kernel to the report; a translation converts its sums with
+``coord`` only when some coordinate is a Fraction.  Irreducible characters
+come from the Freudenthal recursion on them, reading the root system's int
 data: the positive roots with their heights, rho and the scaled gram.  It
-makes one pass per Weyl orbit: the dominant weights below lam are found
-by subtracting positive roots (``_dominant_below``), and each dominant
+makes one pass per Weyl orbit: the dominant weights below lam are found by
+subtracting positive roots (``_dominant_below``), and each dominant
 multiplicity is spread over its orbit as soon as it is known
 (``RootSystem.dominantOrbit``, which reaches each weight once), so every
 root-string step reads the full weight dict.  The kernel
 ``_irreducible_weights`` answers {weight: multiplicity} from the cache
 (whose file format and hit test are cache.py's alone) or from the
-recursion; ``_irreducible_body`` answers the cache body, the entries
-keyed by the "%d,..." spelling of each weight, which the ``char`` JSON
-report prints as it stands, so a hit parses nothing.  A miss formats
-each weight once and checks the total against the Weyl dimension.
-Every decomposition is Dirac induction from the maximal torus
-(``_straighten``): each weight u + rho of a Weyl-invariant character is
-reflected into the dominant chamber and counted with the sign of the
-reflection, so no summand's irreducible character is built.
+recursion; ``_irreducible_body`` answers the cache body, the entries keyed
+by the "%d,..." spelling of each weight, which the ``char`` JSON report
+prints as it stands, so a hit parses nothing.  A miss formats each weight
+once and checks the total against the Weyl dimension.  Every decomposition
+is Dirac induction from the maximal torus (``_straighten``): each weight
+u + rho of a Weyl-invariant character is reflected into the dominant
+chamber and counted with the sign of the reflection, so no summand's
+irreducible character is built.
 """
 
 import itertools
 import json
-import math
-from operator import add, attrgetter, lt, mul, sub
+from fractions import Fraction
+from operator import add, le, lt, mul, sub
 
 from . import cache
 from .errors import (BadEntryLine, DiracforgeError, InternalError,
@@ -55,8 +57,7 @@ class FormalCharacter:
             raise DiracforgeError("unknown basis flag %r" % basis)
         self.system = system
         self.basis = basis
-        self.entries = {system.weight(w): int(m) for w, m in entries.items()
-                        if int(m) != 0}
+        self.entries = dict(_checked(system, entries))
 
     def coefficient(self, w):
         return self.entries.get(self.system.weight(w), 0)
@@ -149,6 +150,25 @@ class FormalCharacter:
         if system is None:
             system = systemFromLabel(label)
         return cls(system, entries, basis)
+
+
+def _checked(system, entries):
+    """(weight, multiplicity) for each entry of {weight: m} with m nonzero,
+    each checked: m is an int or an integral Fraction, taken as its int; a
+    Fraction off the integers raises NotIntegral, and any other type (a
+    float, a bool, a string) TypeError."""
+    for w, m in entries.items():
+        w = system.weight(w)
+        if type(m) is not int:
+            if type(m) is not Fraction:
+                raise TypeError("multiplicity at (%s) must be an int or a "
+                                "Fraction: %r" % (weightString(w), m))
+            if m.denominator != 1:
+                raise NotIntegral("multiplicity %s at (%s) is not an integer"
+                                  % (rat_str(m), weightString(w)))
+            m = m.numerator
+        if m:
+            yield w, m
 
 
 def _entries_from_lines(lines, first):
@@ -397,18 +417,19 @@ def decomposeCharacter(chi):
     rs = chi.system
     if chi.basis == FormalCharacter.IRREDUCIBLE:
         return chi
-    L, coords = _lattice_coords(chi.entries)
-    if L != 1:
+    weights = chi.entries
+    if not all(type(c) is int for w in weights for c in w):
         off = []
-        for w in chi.entries:
+        for w in weights:
             if rs.isDominant(w) and not rs.isIntegral(w):
                 w_rho = tuple(map(add, w, rs.rho))
                 off.append((rs.innerProduct(w_rho, w_rho), w))
         if off:
             _require_dominant_integral(rs, max(off)[1])  # raises
-        # an orbit of lattice weights has none off the lattice
-        raise DiracforgeError(_NOT_VIRTUAL)
-    weights = dict(zip(coords, chi.entries.values()))
+        if not all(rs.isIntegral(w) for w in weights):
+            # an orbit of lattice weights has none off the lattice
+            raise DiracforgeError(_NOT_VIRTUAL)
+        weights = {tuple(map(int, w)): m for w, m in weights.items()}
     orbits = [(rs.dominantOrbit(u), m) for u, m in weights.items()
               if rs.isDominant(u)]
     if sum(len(orbit) for orbit, _ in orbits) != len(weights) \
@@ -476,69 +497,33 @@ def dualWeight(rs, lam):
     return dom
 
 
-# ------------------------------------------------ int lattice coordinates
-
-_NUM = attrgetter("numerator")
-_DEN = attrgetter("denominator")
-
-
-def _lattice_scale(weights):
-    """The lcm of the coordinate denominators of the weights: 1 on the
-    integral lattice."""
-    return math.lcm(*set(map(_DEN, itertools.chain.from_iterable(weights))))
-
-
-def _int_coords(weights, L):
-    """L w as a tuple of ints for each weight in turn; L a multiple of
-    every coordinate denominator.  Int order on the L w is the rational
-    order on the weights."""
-    if L == 1:
-        return (tuple(map(_NUM, w)) for w in weights)
-    return (tuple([c.numerator * (L // c.denominator) for c in w])
-            for w in weights)
-
-
-def _lattice_coords(weights):
-    """(L, [L w for w in weights]) with L = _lattice_scale(weights)."""
-    L = _lattice_scale(weights)
-    return L, list(_int_coords(weights, L))
-
-
-def _rational_weights(coords, L):
-    """The weights u / L for int tuples u, one shared coordinate object per
-    distinct coordinate: an int where L divides it."""
-    if L == 1:
-        return coords
-    scalars = {c: coord(c, L)
-               for c in set(itertools.chain.from_iterable(coords))}
-    return [tuple([scalars[c] for c in u]) for u in coords]
-
+# ---------------------------------------------------------- weight keys
 
 def _keyed(entries, rank):
     """[(coordinate string "p/q,...", value)] of {weight: value}, sorted
-    by weight.  On the integral lattice the weights themselves are
-    formatted and compared; otherwise their int coordinates L w are.
-    Entries already in weight order, as a character from ints or a
-    polarized expansion is, are not sorted."""
-    L = _lattice_scale(entries)
-    if L == 1:
-        coords = list(entries)
-        keys = map(_int_format(rank).__mod__, coords)
+    by weight.  Weights on the integral lattice (an integral coordinate
+    may be a Fraction) are formatted "%d,...".  Entries already in weight
+    order, as a character from ints or a polarized expansion is, are not
+    sorted."""
+    weights = list(entries)
+    if all(c.denominator == 1 for w in weights for c in w):
+        keys = map(_int_format(rank).__mod__, weights)
     else:
-        coords = list(_int_coords(entries, L))
-        keys = (",".join(rat_str(rat(c, L)) for c in u) for u in coords)
+        keys = (",".join(map(rat_str, w)) for w in weights)
     keyed = list(zip(keys, entries.values()))
-    if all(map(lt, coords, itertools.islice(coords, 1, None))):
+    if all(map(lt, weights, itertools.islice(weights, 1, None))):
         return keyed
     return [keyed[i] for i in sorted(range(len(keyed)),
-                                     key=coords.__getitem__)]
+                                     key=weights.__getitem__)]
 
 
 def _translated(weights, beta):
-    """[w + beta for w in weights], added on int coordinates."""
-    L, coords = _lattice_coords([beta, *weights])
-    b = coords[0]
-    return _rational_weights([tuple(map(add, u, b)) for u in coords[1:]], L)
+    """[w + beta for w in weights], each coordinate an int where the sum
+    is integral."""
+    moved = [tuple(map(add, w, beta)) for w in weights]
+    if all(type(c) is int for w in moved for c in w):
+        return moved
+    return [tuple(map(coord, w)) for w in moved]
 
 
 # --------------------------------------------------------------- cone series
@@ -546,19 +531,19 @@ def _translated(weights, beta):
 class ConeSeries:
     """Lattice series with a polarizing direction and explicit certification.
 
-    Pairings run on ints.  (a, den) = system.pairingFunctional(polarizer)
-    gives <w, polarizer> = (a . w) / den, so a lattice weight w has the int
-    numerator n(w) = a . w; a weight with coordinates in (1/L)Z has
-    n(w) = a . (L w) over den * L instead, L the lcm of the coordinate
-    denominators of the weights compared.
+    (a, den) = system.pairingFunctional(polarizer) gives
+    <w, polarizer> = n(w) / den with the numerator n(w) = a . w of the
+    weight as it stands: an int on the lattice, an exact Fraction off it.
+    Each bound x is compared as x * den, an int where it is integral, so
+    lattice series compare ints only.
 
-    Completeness contract: every lattice weight w with
-        ceil(lower * den) <= n(w) <= floor(window * den),
+    Completeness contract: every weight w with
+        lower * den <= n(w) <= window * den,
     that is lower <= <w, polarizer> <= window, has its exact coefficient
     stored (absent = 0).  window=None means the stored entries are the
     entire series.  lower=None means certified all the way down, backed by
     the support bound: offset=None claims nothing, otherwise every support
-    weight satisfies n(w) >= ceil(-offset * den * L), that is
+    weight satisfies n(w) >= -offset * den, that is
     <w, polarizer> >= -offset.
     """
 
@@ -568,27 +553,18 @@ class ConeSeries:
         self.offset = None if offset is None else rat(offset)
         self.window = None if window is None else rat(window)
         self.lower = None if lower is None else rat(lower)
-        self._functional = system.pairingFunctional(self.polarizer)
-        kept = []
-        for w, m in entries.items():
-            m = int(m)
-            if m:
-                kept.append((system.weight(w), m))
-        a, den = self._functional
-        L, coords = _lattice_coords([w for w, _ in kept])
-        scale = den * L
-        hi = None if self.window is None else math.floor(self.window * scale)
-        lo = None if self.lower is None else math.ceil(self.lower * scale)
-        floor_ = None if self.offset is None \
-            else math.ceil(-self.offset * scale)
+        a, den = self._functional = system.pairingFunctional(self.polarizer)
+        # the bounds, scaled to bound the numerators n(w)
+        hi, lo, off = (None if x is None else coord(x * den)
+                       for x in (self.window, self.lower, self.offset))
         self.entries = {}
-        for (w, m), u in zip(kept, coords):
-            n = sum(map(mul, a, u))
+        for w, m in _checked(system, entries):
+            n = sum(map(mul, a, w))
             if hi is not None and n > hi:
                 continue  # beyond the certified window: drop, never guess
             if lo is not None and n < lo:
                 continue
-            if floor_ is not None and n < floor_:
+            if off is not None and n < -off:
                 raise DiracforgeError(
                     "weight (%s) violates the declared support bound"
                     % weightString(w))
@@ -596,8 +572,7 @@ class ConeSeries:
 
     def pairing(self, w):
         a, den = self._functional
-        L, (u,) = _lattice_coords([self.system.weight(w)])
-        return rat(sum(map(mul, a, u)), den * L)
+        return rat(sum(map(mul, a, self.system.weight(w))), den)
 
     def coefficient(self, w):
         w = self.system.weight(w)
@@ -624,8 +599,7 @@ class ConeSeries:
         if not self.entries:
             return None
         a, den = self._functional
-        L, coords = _lattice_coords(self.entries)
-        return rat(min(sum(map(mul, a, u)) for u in coords), den * L)
+        return rat(min(sum(map(mul, a, w)) for w in self.entries), den)
 
     def scale(self, k):
         return ConeSeries(self.system,
@@ -699,11 +673,9 @@ class ConeSeries:
         keys = set()
         for s in (self, other):
             a, den = s._functional
-            L, coords = _lattice_coords(s.entries)
-            lo_n = math.ceil(lo * den * L)
-            hi_n = math.floor(hi * den * L)
-            keys.update(w for w, u in zip(s.entries, coords)
-                        if lo_n <= sum(map(mul, a, u)) <= hi_n)
+            lo_n, hi_n = coord(lo * den), coord(hi * den)
+            keys.update(w for w in s.entries
+                        if lo_n <= sum(map(mul, a, w)) <= hi_n)
         bad = [w for w in keys
                if self.entries.get(w, 0) != other.entries.get(w, 0)]
         if bad:
@@ -830,10 +802,8 @@ def polarizationWitness(sigma, alpha, strict=False):
             raise WindowTooSmall("window stops short of the zero level")
         # weights past the window pair strictly above window >= 0 already
     a, _ = sigma.system.pairingFunctional(alpha)
-    _, coords = _lattice_coords(sigma.entries)
-    least = 1 if strict else 0  # the sign of a . (L w) is that of <w, alpha>
-    bad = [w for w, u in zip(sigma.entries, coords)
-           if sum(map(mul, a, u)) < least]
+    wrong = le if strict else lt  # a . w has the sign of <w, alpha>
+    bad = [w for w in sigma.entries if wrong(sum(map(mul, a, w)), 0)]
     if bad:
         return False, min(bad)
     return True, None

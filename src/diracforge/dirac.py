@@ -386,10 +386,10 @@ def kernelIndex(pair, w_character):
     if isinstance(w_character, FormalCharacter):
         summands = dict(decomposeCharacter(w_character).entries)
     else:
-        summands = {h.weight(k): int(v) for k, v in dict(w_character).items()}
+        summands = FormalCharacter(h, dict(w_character),
+                                   FormalCharacter.IRREDUCIBLE).entries
     result = {}
     for mu, mult in summands.items():
-        mu = h.weight(mu)
         mu_shift = tuple(m + r for m, r in zip(mu, h.rho))
         target = h.innerProduct(mu_shift, mu_shift)
         for lam in _coordinate_ball(pair.g, target):

@@ -9,24 +9,23 @@ the remaining factors' minimal pairings cannot push it past the window),
 so the declared window carries no silent truncation.  Every expansion is
 multiplied back against Pi (1 - e^{-w_i}) before it is returned.
 
-The expansion runs on ints: each fiber weight is scaled by L, the lcm of
-the fiber coordinates' denominators (1 on the lattice), and paired through
-the system's integer functional of alpha, so every term carries its
-pairing as an int numerator over den * L and the window is the one int
-floor(window den L).  On lattice fibers the terms are the output weights
-as they stand; otherwise they are divided by L once, at the end, in
-sorted order, each coordinate an int where L divides it.
+Each fiber weight pairs with alpha as it stands, through the system's
+integer functional (a, den) of alpha: every term carries its pairing
+numerator a . w, and the window is the one bound window * den.  On
+lattice fibers these are ints, and the terms are the output weights as
+they stand; on fibers with Fraction coordinates the numerators are exact
+Fractions, and each output coordinate becomes an int where it is
+integral.
 """
 
-import math
 from operator import add, mul, sub
 
-from .characters import (ConeSeries, FormalCharacter, _lattice_coords,
-                         _rational_weights, polarizationWitness, sumSeries)
+from .characters import (ConeSeries, FormalCharacter, polarizationWitness,
+                         sumSeries)
 from .errors import (DiracforgeError, NonGenericPolarization, NotIntegral,
                      NonTrivialBaseAction, PolarizationViolated)
 from .liecore import weightString
-from .rationals import rat
+from .rationals import coord, rat
 
 
 def polarizedExpand(system, fiberWeights, alpha, window):
@@ -38,36 +37,34 @@ def polarizedExpand(system, fiberWeights, alpha, window):
         raise DiracforgeError("zero direction cannot polarize")
     a, den = system.pairingFunctional(alpha)
     fiber = [system.weight(w) for w in fiberWeights]
-    L, coords = _lattice_coords(fiber)
-    scale = den * L
-    scaled = []  # (L w, <w, alpha> den L) per fiber weight
+    paired = []  # (w, <w, alpha> den) per fiber weight
     factors = []
     total_min = 0
-    for w, u in zip(fiber, coords):
-        d = sum(map(mul, a, u))
-        scaled.append((u, d))
+    for w in fiber:
+        d = sum(map(mul, a, w))
+        paired.append((w, d))
         if d == 0:
             raise NonGenericPolarization(
                 "fiber weight (%s) pairs to zero with the direction"
                 % weightString(w))
         if d < 0:
             # sum_{k>=0} e^{-kw}: steps of -w, each raising the pairing by -d
-            factors.append((tuple(-c for c in u), -d, 1, 0))
+            factors.append((tuple(-c for c in w), -d, 1, 0))
         else:
             # flipped: -sum_{k>=1} e^{kw}
-            factors.append((u, d, -1, 1))
+            factors.append((w, d, -1, 1))
             total_min += d
     if not factors:
         return ConeSeries(system, {system.zeroWeight(): 1}, alpha, 0, None)
     window = rat(window)
-    hi = math.floor(window * scale)
+    hi = coord(window * den)
 
     # budget[i]: the window less the least pairings factors i+1.. can add
     budget = [hi] * len(factors)
     for i in range(len(factors) - 2, -1, -1):
         _, step, _, k0 = factors[i + 1]
         budget[i] = budget[i + 1] - k0 * step
-    terms = {(0,) * len(a): [1, 0]}  # L-scaled weight -> [coefficient, pairing]
+    terms = {(0,) * len(a): [1, 0]}  # weight -> [coefficient, pairing]
     for (wstep, step, sign, k0), top in zip(factors, budget):
         new = {}
         for u, (m, p) in terms.items():
@@ -89,23 +86,24 @@ def polarizedExpand(system, fiberWeights, alpha, window):
 
     # defining property: multiplying back yields 1 on the shrunk window
     if hi >= total_min:
-        _multiply_back(terms, scaled, hi, total_min)
+        _multiply_back(terms, paired, hi, total_min)
 
     order = sorted(terms)
-    entries = dict(zip(_rational_weights(order, L),
-                       (terms[u][0] for u in order)))
-    return ConeSeries(system, entries, alpha, -rat(total_min, scale), window)
+    entries = {u: terms[u][0] for u in order}
+    if not all(type(c) is int for w in fiber for c in w):
+        entries = {tuple(map(coord, u)): m for u, m in entries.items()}
+    return ConeSeries(system, entries, alpha, -rat(total_min, den), window)
 
 
-def _multiply_back(terms, scaled, hi, least):
-    """Multiply the int terms by Pi (1 - e^{-w}) over the fiber, given as
-    scaled (L w, pairing numerator) pairs, and raise unless the product is
-    1.  Entries past hi are dropped, hi falling by each positive pairing as
+def _multiply_back(terms, paired, hi, least):
+    """Multiply the terms by Pi (1 - e^{-w}) over the fiber, given as
+    (w, pairing numerator) pairs, and raise unless the product is 1.
+    Entries past hi are dropped, hi falling by each positive pairing as
     the window shrinks; an entry below the support bound least, which
     falls by the same amounts, is an error."""
     chk = {u: t[0] for u, t in terms.items()}
     pairs = {u: t[1] for u, t in terms.items()}
-    for u_w, d in scaled:
+    for u_w, d in paired:
         out = dict(chk)
         for v, m in chk.items():
             u = tuple(map(sub, v, u_w))
@@ -126,7 +124,7 @@ def _multiply_back(terms, scaled, hi, least):
                 raise DiracforgeError(
                     "expansion failed the multiply-back check")
             chk[u] = m
-    if chk != {(0,) * len(scaled[0][0]): 1}:
+    if chk != {(0,) * len(paired[0][0]): 1}:
         raise DiracforgeError("expansion failed the multiply-back check")
 
 

@@ -18,9 +18,8 @@ from itertools import combinations, product as cartesian
 from math import ceil, floor, gcd, lcm
 from operator import mul
 
-from .characters import (ConeSeries, FormalCharacter, _lattice_coords,
-                         characterToSeries, dualWeight, sumSeries,
-                         tensorDecompose)
+from .characters import (ConeSeries, FormalCharacter, characterToSeries,
+                         dualWeight, sumSeries, tensorDecompose)
 from .errors import (ConventionMismatch, DiracforgeError, NonGenericDirection,
                      NotDelzant, NotIntegral, NotPrequantized, QRViolation,
                      SingularShift, UnsupportedType, VerificationError)
@@ -505,13 +504,11 @@ def qrCheckCircle(model, xi, c, window=None):
     mult0 = 0
     for comp in comps:
         level = 0
-        # <w, xi> - c has the sign of n - c den L, n = a . (L w)
-        entries = comp.localSeries.entries
-        L, coords = _lattice_coords(entries)
-        target = int(c) * den * L
+        # <w, xi> - c has the sign of n - c den, n = a . w
+        target = int(c) * den
         side = _dot(comp.alpha, xi)
-        for (w, m), u in zip(entries.items(), coords):
-            n = sum(map(mul, a, u))
+        for w, m in comp.localSeries.entries.items():
+            n = sum(map(mul, a, w))
             if n == target:
                 level += m
             elif not comp.containsZero:

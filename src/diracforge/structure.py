@@ -110,10 +110,6 @@ class CompactFrame:
                 (offsets[bi] + j, offsets[bi] + k): z
                 for bi, j, k, z in line}) for line in units)
         self.dim = len(units)
-        self._index = {nm: a for a, nm in enumerate(names)}
-
-    def index(self, name):
-        return self._index[name]
 
     # ------------------------------------------------------------------ form
 

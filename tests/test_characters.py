@@ -11,7 +11,7 @@ from diracforge.characters import (ConeSeries, FormalCharacter, _computed,
                                    characterToSeries, decomposeCharacter,
                                    dualWeight, irreducibleCharacter,
                                    polarizationWitness, restrictCharacter,
-                                   tensorDecompose, trivialMultiplicity,
+                                   sumSeries, tensorDecompose, trivialMultiplicity,
                                    weylDimension)
 from diracforge.errors import (DiracforgeError, NotDominant, NotIntegral,
                                SystemMismatch, WindowTooSmall)
@@ -21,7 +21,7 @@ from diracforge.rationals import rat
 
 from diracforge.cli import main
 from diracforge.induction import diracInduct
-from diracforge.polarized import polarizedExpand
+from diracforge.polarized import bundleIndex, polarizedExpand
 
 from helpers import (ALL_LABELS, boxDominantBelow, fractionDecompose,
                      intWhenIntegral, isWeylInvariant, oldCacheDocument,
@@ -328,6 +328,27 @@ def test_character_arithmetic_guards():
         one + irr
     with pytest.raises(DiracforgeError):
         irr.convolve(irr)
+
+
+def test_multiplicities_are_checked_not_truncated():
+    # an integral Fraction is its int; anything else is refused, never cut
+    chi = FormalCharacter(A1, {(0,): rat(3), (2,): rat(-4, 2), (4,): 0})
+    assert chi.entries == {(0,): 3, (2,): -2}
+    assert all(type(m) is int for m in chi.entries.values())
+    series = ConeSeries(A1, {(0,): rat(3)}, (1,), None, None)
+    assert series.entries == {(0,): 3}
+    assert type(series.entries[(0,)]) is int
+    build = [lambda e: FormalCharacter(A1, e),
+             lambda e: FormalCharacter(A1, e, FormalCharacter.IRREDUCIBLE),
+             lambda e: ConeSeries(A1, e, (1,), None, None)]
+    for make in build:
+        for bad in (2.7, 1.0, 0.0, True, False, "1"):
+            with pytest.raises(TypeError, match=r"multiplicity at \(2\)"):
+                make({(0,): 1, (2,): bad})
+        with pytest.raises(NotIntegral,
+                           match=r"^multiplicity 3/2 at \(2\) is not an "
+                                 r"integer$"):
+            make({(0,): 1, (2,): rat(3, 2)})
 
 
 def test_character_file_round_trip():
@@ -724,6 +745,9 @@ def test_integral_coordinates_are_ints_in_every_output():
         ["T1 cone-series polarizer=1 offset=1 window=none",
          "-1/2 1", "4/2 3", "3 1"])
     fractional = polarizedExpand(t2, [(rat(-1, 2), 0), (0, -1)], (1, 1), 3)
+    lattice = polarizedExpand(T1, [(1,)], (1,), 4)
+    half = lattice.shift((rat(1, 2),))
+    base = FormalCharacter(t2, {(0, 0): 2})
     outputs = {
         # a Fraction highest weight is checked, then run on ints
         "char": irreducibleCharacter(systemFromLabel("B2"),
@@ -735,9 +759,21 @@ def test_integral_coordinates_are_ints_in_every_output():
                                     6).entries,
         "fractional fiber": fractional.entries,
         "series file": series.entries,
+        # sums that land on the lattice become ints again
+        "shift": series.shift((rat(1, 2),)).entries,
+        "mulOneMinusExp": series.mulOneMinusExp((rat(1, 2),)).entries,
+        "sumSeries": sumSeries([lattice, half.shift((rat(1, 2),))]).entries,
+        "bundleIndex": bundleIndex(t2, base, [(rat(-1, 2), 0), (0, -1)],
+                                   (1, 1), (1, 0), 3).entries,
     }
     for name, weights in outputs.items():
         assert weights, name
         assert all(intWhenIntegral(w) for w in weights), name
     assert (rat(-1, 2),) in series.entries and (2,) in series.entries
     assert any(not w[0].denominator == 1 for w in fractional.entries)
+    assert (0,) in outputs["shift"] and (rat(5, 2),) in outputs["shift"]
+    assert (-1,) in outputs["mulOneMinusExp"]
+    assert outputs["sumSeries"] == {(1,): -1, (2,): -2, (3,): -2, (4,): -2}
+    bundle = outputs["bundleIndex"]
+    assert any(c.denominator > 1 for w in bundle for c in w)
+    assert any(all(c.denominator == 1 for c in w) for w in bundle)

@@ -11,7 +11,8 @@ from diracforge.dirac import (BadOperator, DiracOperator, RelativePieces,
                               cubicDirac, kernelIndex, piCasimir,
                               relativeCubicDirac, spectralCheckRelative,
                               verifyKostantIdentity)
-from diracforge.errors import DimensionMismatch, SpectralMismatch, TooLarge
+from diracforge.errors import (DimensionMismatch, NotIntegral,
+                               SpectralMismatch, TooLarge)
 from diracforge.exactmat import ExactMatrix
 from diracforge.liecore import pairFromLabel, systemFromLabel
 from diracforge.rationals import rat
@@ -377,6 +378,16 @@ def test_kernel_index_more_multiplets():
     pair = pairFromLabel("A1:T")
     assert dict(kernelIndex(pair, {(2,): 1}).entries) == {(rat(1),): 1}
     assert dict(kernelIndex(pair, {(1,): 2}).entries) == {(rat(0),): 2}
+    assert dict(kernelIndex(pair, {(1,): rat(2)}).entries) == {(rat(0),): 2}
+
+
+def test_kernel_index_refuses_inexact_multiplicities():
+    pair = pairFromLabel("A1:T")
+    for bad in (1.5, 1.0, True, "1"):
+        with pytest.raises(TypeError):
+            kernelIndex(pair, {(3,): bad})
+    with pytest.raises(NotIntegral, match=r"multiplicity 1/2 at \(3\)"):
+        kernelIndex(pair, {(3,): rat(1, 2)})
 
 
 def test_kernel_index_is_linear():

@@ -232,3 +232,42 @@ def test_kind_read_is_found():
                       "def f(frame, i):\n"
                       "    return frame.names[i][1], frame.units[i][0]\n") \
         == []
+
+
+# how a weight pairs, and how weights are keyed, is characters' own: the
+# modules that build on cone series use its public names only
+def private_reads(source, module="characters"):
+    """Each _-prefixed name that source imports from the package module
+    module, or reads as an attribute of it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) \
+                and (node.module or "").rpartition(".")[2] == module:
+            found.update(alias.name for alias in node.names
+                         if alias.name.startswith("_"))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == module and node.attr.startswith("_")):
+            found.add(node.attr)
+    return sorted(found)
+
+
+def test_cone_series_users_import_nothing_private_from_characters():
+    reads = {path.stem: private_reads(path.read_text()) for path in SOURCES
+             if path.stem in ("qr", "polarized")}
+    assert reads == {"qr": [], "polarized": []}
+
+
+def test_private_read_is_found():
+    assert private_reads("from .characters import (ConeSeries,\n"
+                         "    _lattice_coords, _rational_weights)\n"
+                         "from . import characters\n"
+                         "from .liecore import _keep_index\n"
+                         "keys = characters._keyed({}, 1)\n") \
+        == ["_keyed", "_lattice_coords", "_rational_weights"]
+    assert private_reads("from diracforge.characters import _translated\n") \
+        == ["_translated"]
+    assert private_reads("from .characters import ConeSeries\n"
+                         "from . import characters\n"
+                         "s = characters.sumSeries\n"
+                         "_lattice_coords = 1\n") == []

@@ -232,11 +232,55 @@ def test_pairing_matches_inner_product(label):
             continue
         series = ConeSeries(rs, {}, pol, None, None)
         a, den = rs.pairingFunctional(pol)
+        weights = []
         for _ in range(5):
             w = random_weight(rng, rs.rank, rng.choice([1, 1, 2, 3]))
             assert series.pairing(w) == rs.innerProduct(w, pol)
             assert rat(sum(x * c for x, c in zip(a, w))) / den \
                 == rs.innerProduct(w, pol)
+            weights.append(w)
+        check_bounds_against_inner_product(rs, pol, weights)
+
+
+def check_bounds_against_inner_product(rs, pol, weights):
+    """Every bound a cone series compares its weights with agrees with
+    rs.innerProduct: each weight's pairing is made a bound, and the bound
+    also moved 1/6 to either side of it."""
+    pairs = {w: rs.innerProduct(w, pol) for w in weights}
+    full = ConeSeries(rs, dict.fromkeys(pairs, 1), pol, None, None)
+    empty = ConeSeries(rs, {}, pol, None, None)
+    assert full.minSupportPairing() == min(pairs.values())
+    sixth = rat(1, 6)
+    for x in {p + d for p in pairs.values() for d in (-sixth, 0, sixth)}:
+        below = {w for w, p in pairs.items() if p <= x}
+        above = {w for w, p in pairs.items() if p >= x}
+        assert set(ConeSeries(rs, full.entries, pol, None, x).entries) \
+            == below
+        assert set(ConeSeries(rs, full.entries, pol, None, None,
+                              lower=x).entries) == above
+        if above == set(pairs):
+            ConeSeries(rs, full.entries, pol, -x, None)
+        else:
+            with pytest.raises(DiracforgeError, match="support bound"):
+                ConeSeries(rs, full.entries, pol, -x, None)
+        for lo, hi in ((x, x), (x - 1, x), (x, x + 1)):
+            inside = {w for w, p in pairs.items() if lo <= p <= hi}
+            assert full.equalOnInterval(empty, lo, hi) \
+                == (not inside, min(inside) if inside else None)
+    # the witness compares with the zero level: move each weight along pol
+    # to pair exactly 0 and 1/6 to either side of it
+    norm = rs.innerProduct(pol, pol)
+    moved = {tuple(c + (target - p) / norm * q for c, q in zip(w, pol)):
+             target for w, p in pairs.items()
+             for target in (-sixth, 0, sixth)}
+    sigma = ConeSeries(rs, dict.fromkeys(moved, 1), pol, None, None)
+    for strict in (False, True):
+        bad = [w for w, p in moved.items() if p < 0 or strict and p == 0]
+        assert polarizationWitness(sigma, pol, strict) == (False, min(bad))
+        kept = ConeSeries(rs, {w: 1 for w in moved if w not in bad},
+                          pol, None, None)
+        assert polarizationWitness(kept, pol, strict) == (True, None)
+    assert all(rs.innerProduct(w, pol) == p for w, p in moved.items())
 
 
 @pytest.mark.parametrize("label", sorted(KERNEL_SYSTEMS))

@@ -141,7 +141,7 @@ def test_broken_bracket_is_caught_at_every_size(lam):
     # negating pi of the highest-root direction A_(1,1) keeps pi
     # skew-adjoint and the character intact; only a bracket relation sees it
     rep = buildLieRep(systemFromLabel("A2"), lam)
-    a = rep.frame.index(("A", (rat(1), rat(1))))
+    a = rep.frame.names.index(("A", (rat(1), rat(1))))
     pi = list(rep.pi)
     pi[a] = -pi[a]
     broken = LieRep(rep.system, rep.frame, rep.lam, pi, rep.form, rep.weights)
